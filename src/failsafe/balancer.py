@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contract import FailSafeContract, KeyCustodian, OperationKind, build_execute_tx
+from .contract import FailSafeContract, KeyCustodian, OperationKind
 from .crypto import Address
 from .ledger import Ledger, NATIVE, Transaction
 
@@ -70,20 +70,12 @@ class BalancerService:
 
     def execute_rebalance(self, action: RebalanceAction) -> Transaction:
         contract = next(c for c in self.contracts if c.address == action.contract_address)
-        op_args = (bytes(action.wallet), action.token, action.delta)
-        nonce = contract.next_auth_nonce()
-        sigs = contract.authorize(
-            OperationKind.REBALANCE, op_args, nonce, [self.custodian.key_for("rebalance")]
-        )
-        return build_execute_tx(
-            self.ledger,
-            contract,
-            self.custodian.key_for("relayer"),
+        return contract.execute_tx(
             OperationKind.REBALANCE,
-            op_args,
-            sigs,
-            nonce,
-            gas_price=self.gas_price,
+            (bytes(action.wallet), action.token, action.delta),
+            [self.custodian.key_for("rebalance")],
+            self.custodian.key_for("relayer"),
+            self.gas_price,
         )
 
     def on_tick(self) -> None:

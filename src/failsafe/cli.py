@@ -17,7 +17,7 @@ from pathlib import Path
 from .crypto import Address, RecoverableSignature
 from .ledger import Ledger
 from .qmig import InflectionUnset, QmigContract, TransferIntentSource, VerifyError
-from .scenario import ParseError, Scenario, ScenarioRunner, UnknownActor
+from .scenario import ParseError, Scenario, ScenarioRunner, UnknownActor, run_scenario
 
 _SCENARIO_DIR = "scenarios"
 
@@ -43,26 +43,20 @@ def _resolve_scenario(ref: str):
     )
 
 
-def _run_scenario(args) -> ScenarioRunner:
-    source = _resolve_scenario(args.scenario)
-    scenario = Scenario.load(source)
-    runner = ScenarioRunner(
-        scenario, seed=args.seed, disabled=tuple(args.disable or ())
-    )
-    return runner
-
-
 def _cmd_run(args) -> int:
-    runner = _run_scenario(args)
-    report = runner.run()
-    if args.out:
-        Path(args.out).write_text("\n".join(report.log_lines) + "\n", encoding="utf-8")
+    report = run_scenario(
+        _resolve_scenario(args.scenario), seed=args.seed,
+        disabled=tuple(args.disable or ()), out_path=args.out,
+    )
     print(report.format_summary())
     return report.exit_code
 
 
 def _cmd_registry_dump(args) -> int:
-    runner = _run_scenario(args)
+    runner = ScenarioRunner(
+        Scenario.load(_resolve_scenario(args.scenario)), seed=args.seed,
+        disabled=tuple(args.disable or ()),
+    )
     runner.run()
     for line in runner.qmig.dump_registry():
         print(line)

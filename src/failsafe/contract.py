@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable
 
 from .crypto import (
@@ -85,6 +86,16 @@ class OperationKind(str, Enum):
     UPDATE_CONFIG = "updateConfig"
 
 
+# interception and rebalancing stay single-signature so automated services
+# can act alone; withdrawals and configuration changes need a second signer
+DEFAULT_THRESHOLDS = MappingProxyType({
+    OperationKind.INTERCEPT: 1,
+    OperationKind.REBALANCE: 1,
+    OperationKind.WITHDRAW: 2,
+    OperationKind.UPDATE_CONFIG: 2,
+})
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """User-level custody policy: target hot fraction and spend-rate cap."""
@@ -139,22 +150,6 @@ class MultisigConfig:
                     f"threshold {n} for {op.value} outside 1..{len(self.signers)}"
                 )
 
-    @classmethod
-    def default(cls, signers: Iterable[Address]) -> "MultisigConfig":
-        # interception and rebalancing stay single-signature so automated
-        # services can act alone; withdrawals need independent approval
-        config = cls(
-            tuple(signers),
-            {
-                OperationKind.INTERCEPT: 1,
-                OperationKind.REBALANCE: 1,
-                OperationKind.WITHDRAW: 2,
-                OperationKind.UPDATE_CONFIG: 2,
-            },
-        )
-        config.validate()
-        return config
-
 
 @dataclass
 class EnrolledWallet:
@@ -163,17 +158,6 @@ class EnrolledWallet:
     tokens: tuple[str, ...]
     dest_chain_id: int
     dest_address: Address
-    enrolled_at: int
-
-
-@dataclass(frozen=True)
-class FailSafeAccount:
-    """Snapshot view of one enrolled wallet binding."""
-
-    contract_address: Address
-    owner: str
-    hot_wallet: Address
-    cold_policy: PolicyConfig
     enrolled_at: int
 
 
@@ -199,9 +183,6 @@ class KeyCustodian:
 
     def address_of(self, role: str) -> Address:
         return self.key_for(role).address
-
-    def sign_as(self, role: str, digest: bytes) -> RecoverableSignature:
-        return sign(self.key_for(role), digest)
 
 
 class FailSafeContract:
@@ -247,6 +228,17 @@ class FailSafeContract:
     ) -> tuple[bytes, ...]:
         digest = self.authorization_digest(op, op_args, nonce)
         return tuple(sign(key, digest).to_bytes() for key in keys)
+
+    def execute_tx(
+        self, op: OperationKind, op_args: tuple, keys: Iterable[KeyPair],
+        relayer_key: KeyPair, gas_price: int = 1,
+    ) -> Transaction:
+        """Authorize op with keys under a fresh nonce, wrapped for the relayer."""
+        nonce = self.next_auth_nonce()
+        sigs = self.authorize(op, op_args, nonce, keys)
+        return build_execute_tx(
+            self.ledger, self, relayer_key, op, op_args, sigs, nonce, gas_price
+        )
 
     # -- contract-call entry point --------------------------------------------------
 
@@ -397,18 +389,6 @@ class FailSafeContract:
         old = self.config
         self.config = candidate
         ctx.record_undo(lambda: setattr(self, "config", old))
-
-    # -- views ----------------------------------------------------------------------
-
-    def account_view(self, wallet: Address) -> FailSafeAccount:
-        record = self.enrollments[wallet]
-        return FailSafeAccount(
-            contract_address=self.address,
-            owner=self.owner,
-            hot_wallet=wallet,
-            cold_policy=record.policy,
-            enrolled_at=record.enrolled_at,
-        )
 
 
 def deploy_failsafe(

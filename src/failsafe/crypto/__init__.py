@@ -3,7 +3,6 @@
 from .keccak import keccak256
 from .lamport import (
     KeyExhausted,
-    PqKeychain,
     PqKeyPair,
     PqPublicKey,
     PqSignature,
@@ -19,14 +18,12 @@ from .secp256k1 import (
     derive_address,
     recover_signer,
     sign,
-    signer_matches,
 )
 
 __all__ = [
     "Address",
     "KeyExhausted",
     "KeyPair",
-    "PqKeychain",
     "PqKeyPair",
     "PqPublicKey",
     "PqSignature",
@@ -39,5 +36,4 @@ __all__ = [
     "pq_verify",
     "recover_signer",
     "sign",
-    "signer_matches",
 ]

@@ -89,26 +89,3 @@ def pq_verify(public: PqPublicKey, digest: bytes, sig: PqSignature) -> bool:
         if keccak256(sig.preimages[i]) != public.hashes[i][bit]:
             return False
     return True
-
-
-class PqKeychain:
-    """A sequence of one-time keys consumed in order, for repeat signers."""
-
-    def __init__(self, keys: list[PqKeyPair]):
-        if not keys:
-            raise ValueError("keychain needs at least one key")
-        self.keys = keys
-
-    @classmethod
-    def generate(cls, rng, size: int) -> "PqKeychain":
-        return cls([PqKeyPair.generate(rng) for _ in range(size)])
-
-    def next_key(self) -> PqKeyPair:
-        for key in self.keys:
-            if key.uses_remaining > 0:
-                return key
-        raise KeyExhausted("all keys in the chain are spent")
-
-    def sign(self, digest: bytes) -> tuple[PqPublicKey, PqSignature]:
-        key = self.next_key()
-        return key.public, key.sign(digest)

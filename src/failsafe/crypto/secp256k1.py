@@ -382,11 +382,3 @@ def recover_signer(digest: bytes, sig: RecoverableSignature) -> Address:
         raise RecoveryError("recovered point at infinity")
     public = q[0].to_bytes(32, "big") + q[1].to_bytes(32, "big")
     return derive_address(public)
-
-
-def signer_matches(digest: bytes, sig: RecoverableSignature, address: Address) -> bool:
-    """True when sig over digest recovers to address; False on any failure."""
-    try:
-        return recover_signer(digest, sig) == address
-    except RecoveryError:
-        return False

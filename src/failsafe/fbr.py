@@ -182,7 +182,3 @@ class RiskService:
         score = min(score, 100)
         category = "Anomaly" if score > 0 else "Clean"
         return RiskVerdict(score, category, tuple(reasons))
-
-    @property
-    def entries(self) -> tuple[BlacklistEntry, ...]:
-        return tuple(self._entries.values())

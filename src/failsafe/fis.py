@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .contract import FailSafeContract, KeyCustodian, OperationKind, build_execute_tx
+from .contract import FailSafeContract, KeyCustodian, OperationKind
 from .crypto import Address
 from .fbr import RiskService
 from .ledger import (
@@ -97,7 +97,6 @@ class InterceptorService:
         self.alerts: list[str] = []
         self.alerts_by_user: dict[str, list[str]] = {}
         self.intercept_count = 0
-        self.decisions: list[InterceptDecision] = []
         # (decision, intercept tx, chain height when the threat was seen)
         self.intercept_records: list[tuple[InterceptDecision, Transaction, int]] = []
 
@@ -202,20 +201,12 @@ class InterceptorService:
 
     def build_intercept_tx(self, decision: InterceptDecision) -> Transaction:
         contract, _ = self._lookup(decision.wallet)
-        op_args = (bytes(decision.wallet), decision.assets)
-        nonce = contract.next_auth_nonce()
-        sigs = contract.authorize(
-            OperationKind.INTERCEPT, op_args, nonce, [self.custodian.key_for("intercept")]
-        )
-        return build_execute_tx(
-            self.ledger,
-            contract,
-            self.custodian.key_for("relayer"),
+        return contract.execute_tx(
             OperationKind.INTERCEPT,
-            op_args,
-            sigs,
-            nonce,
-            gas_price=decision.target_gas_price,
+            (bytes(decision.wallet), decision.assets),
+            [self.custodian.key_for("intercept")],
+            self.custodian.key_for("relayer"),
+            decision.target_gas_price,
         )
 
     def notify_user(self, owner: str, line: str) -> None:
@@ -227,7 +218,6 @@ class InterceptorService:
             decision = self.on_pending_tx(tx)
             if decision.action == IGNORE:
                 continue
-            self.decisions.append(decision)
             intercept_id = "none"
             if decision.action == INTERCEPT:
                 itx = self.build_intercept_tx(decision)

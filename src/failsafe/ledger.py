@@ -94,6 +94,10 @@ class UnknownMethod(RevertError):
     pass
 
 
+class InvalidAmount(RevertError):
+    pass
+
+
 class PrivateRelayStatus(str, Enum):
     ACCEPTED = "Accepted"
     FILTERED_BY_EXCEPTIONS_LIST = "FilteredByExceptionsList"
@@ -139,6 +143,10 @@ def _event(height: int, kind: str, fields: dict) -> LedgerEvent:
 
 # ---------------------------------------------------------------------------
 # Transactions
+#
+# Each payload gives its canonical encoding and, through describe(), the
+# event kind and fields that log it: every reverted transaction, and every
+# executed contract call, is recorded this way.
 
 @dataclass(frozen=True)
 class NativeTransfer:
@@ -147,6 +155,9 @@ class NativeTransfer:
 
     def canonical(self) -> tuple:
         return (1, bytes(self.to), self.amount)
+
+    def describe(self, sender: Address) -> tuple[str, dict]:
+        return "Transfer", {"from": sender, "to": self.to, "token": NATIVE, "amount": self.amount}
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,10 @@ class TokenTransfer:
 
     def canonical(self) -> tuple:
         return (2, self.token, bytes(self.to), self.amount)
+
+    def describe(self, sender: Address) -> tuple[str, dict]:
+        return "Transfer", {"from": sender, "to": self.to, "token": self.token,
+                            "amount": self.amount}
 
 
 @dataclass(frozen=True)
@@ -169,6 +184,10 @@ class TokenTransferFrom:
     def canonical(self) -> tuple:
         return (3, self.token, bytes(self.owner), bytes(self.to), self.amount)
 
+    def describe(self, sender: Address) -> tuple[str, dict]:
+        return "Transfer", {"from": self.owner, "to": self.to, "token": self.token,
+                            "amount": self.amount, "spender": sender}
+
 
 @dataclass(frozen=True)
 class Approve:
@@ -178,6 +197,10 @@ class Approve:
 
     def canonical(self) -> tuple:
         return (4, self.token, bytes(self.spender), self.amount)
+
+    def describe(self, sender: Address) -> tuple[str, dict]:
+        return "Approval", {"from": sender, "to": self.spender, "token": self.token,
+                            "amount": self.amount}
 
 
 @dataclass(frozen=True)
@@ -189,6 +212,10 @@ class NftTransfer:
     def canonical(self) -> tuple:
         return (5, self.token, bytes(self.to), self.token_id)
 
+    def describe(self, sender: Address) -> tuple[str, dict]:
+        return "NftTransfer", {"from": sender, "to": self.to, "token": self.token,
+                               "token_id": self.token_id}
+
 
 @dataclass(frozen=True)
 class ContractCall:
@@ -198,6 +225,9 @@ class ContractCall:
 
     def canonical(self) -> tuple:
         return (6, bytes(self.contract), self.method, self.args)
+
+    def describe(self, sender: Address) -> tuple[str, dict]:
+        return "Call", {"from": sender, "contract": self.contract, "method": self.method}
 
 
 Payload = Union[
@@ -405,9 +435,6 @@ class Ledger:
     def nft_owner_of(self, token: str, token_id: int) -> Address | None:
         return self._nft_state(token).nft_owners.get(token_id)
 
-    def is_operator(self, token: str, owner: Address, operator: Address) -> bool:
-        return self._nft_state(token).operators.get((owner, operator), False)
-
     def total_supply(self, token: str) -> int:
         if token == NATIVE:
             return sum(self.native_balances.values())
@@ -421,9 +448,6 @@ class Ledger:
             if entry.tx.sender == addr
         )
         return self.nonces.get(addr, 0) + pending
-
-    def pending_for(self, addr: Address) -> list[Transaction]:
-        return [entry.tx for entry in self._pool if entry.tx.sender == addr]
 
     def balance_at(self, addr: Address, token: str, height: int) -> int:
         """Balance as of the end of the given block height."""
@@ -560,7 +584,7 @@ class Ledger:
                 undo()
             self._event_buffer = []
             outcome = f"Reverted:{err.reason}"
-            kind, fields = _payload_event_fields(tx)
+            kind, fields = tx.payload.describe(tx.sender)
             fields["outcome"] = outcome
             self.events.append(_event(height, kind, fields))
         else:
@@ -590,14 +614,9 @@ class Ledger:
                 raise UnknownContract(f"no contract at {p.contract}")
             ctx = ExecutionContext(self, p.contract, tx, height)
             contract.call(p.method, p.args, ctx)
-            self._buffer_event(
-                _event(
-                    height,
-                    "Call",
-                    {"from": tx.sender, "contract": p.contract, "method": p.method,
-                     "outcome": EXECUTED},
-                )
-            )
+            kind, fields = p.describe(tx.sender)
+            fields["outcome"] = EXECUTED
+            self._buffer_event(_event(height, kind, fields))
         else:  # pragma: no cover - payload union is closed
             raise TypeError(f"unknown payload {type(p).__name__}")
 
@@ -650,7 +669,7 @@ class Ledger:
     def _fungible_move(self, token: str, frm: Address, to: Address, amount: int,
                        height: int, kind: str = "Transfer", extra: dict | None = None) -> None:
         if amount < 0:
-            raise ValueError("negative amounts are not representable")
+            raise InvalidAmount(f"cannot move a negative amount {amount} of {token}")
         balances = self._balances_for(token)
         if balances.get(frm, 0) < amount:
             raise InsufficientBalance(
@@ -777,25 +796,3 @@ class Ledger:
                 heights.append(height)
                 cums.append((cums[-1] if cums else 0) + amount)
 
-
-def _payload_event_fields(tx: Transaction) -> tuple[str, dict]:
-    """Event kind and fields describing a payload, for revert records."""
-    p = tx.payload
-    if isinstance(p, NativeTransfer):
-        return "Transfer", {"from": tx.sender, "to": p.to, "token": NATIVE, "amount": p.amount}
-    if isinstance(p, TokenTransfer):
-        return "Transfer", {"from": tx.sender, "to": p.to, "token": p.token, "amount": p.amount}
-    if isinstance(p, TokenTransferFrom):
-        return "Transfer", {
-            "from": p.owner, "to": p.to, "token": p.token, "amount": p.amount,
-            "spender": tx.sender,
-        }
-    if isinstance(p, Approve):
-        return "Approval", {"from": tx.sender, "to": p.spender, "token": p.token,
-                            "amount": p.amount}
-    if isinstance(p, NftTransfer):
-        return "NftTransfer", {"from": tx.sender, "to": p.to, "token": p.token,
-                               "token_id": p.token_id}
-    if isinstance(p, ContractCall):
-        return "Call", {"from": tx.sender, "contract": p.contract, "method": p.method}
-    raise TypeError(f"unknown payload {type(p).__name__}")

@@ -145,7 +145,7 @@ class QmigContract:
     queries are reads against current state.
     """
 
-    def __init__(self, ledger: Ledger, address: Address, admin_pq_public: PqPublicKey):
+    def __init__(self, ledger: Ledger, address: Address, admin_pq_public: PqPublicKey | None):
         self.ledger = ledger
         self.address = address
         self.admin_pq_public = admin_pq_public
@@ -189,7 +189,10 @@ class QmigContract:
             pq_sig = PqSignature.from_bytes(pq_sig_bytes)
         except ValueError as exc:
             raise BadPqSignature(str(exc)) from exc
-        if not pq_verify(self.admin_pq_public, inflection_digest(height), pq_sig):
+        # with no administrator key the inflection can never be set
+        if self.admin_pq_public is None or not pq_verify(
+            self.admin_pq_public, inflection_digest(height), pq_sig
+        ):
             raise BadPqSignature("inflection point requires the administrator's pq signature")
         self.inflection = height
         ctx.record_undo(lambda: setattr(self, "inflection", None))
@@ -282,7 +285,6 @@ def register_intent(
     incognito: bytes,
     source_address: Address | None = None,
     gas_price: int = 1,
-    nonce: int | None = None,
 ):
     """Submit an intent registration transaction.
 
@@ -293,11 +295,9 @@ def register_intent(
     from .ledger import ContractCall, sign_transaction
 
     exposed = source_address is not None and submitter_key.address == source_address
-    if nonce is None:
-        nonce = ledger.next_nonce(submitter_key.address)
     tx = sign_transaction(
         submitter_key,
-        nonce,
+        ledger.next_nonce(submitter_key.address),
         gas_price,
         ContractCall(qmig_address, "registerTransferIntent", (incognito, exposed)),
     )

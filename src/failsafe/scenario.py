@@ -24,11 +24,11 @@ import yaml
 from .balancer import BalancerService
 from .bridge import ESCROW_ADDRESS, Bridge, BridgeTransfer, QuantumSafeLedger, pq_address
 from .contract import (
+    DEFAULT_THRESHOLDS,
     FailSafeContract,
     KeyCustodian,
     OperationKind,
     PolicyConfig,
-    build_execute_tx,
     deploy_failsafe,
     enroll_wallet,
 )
@@ -42,7 +42,6 @@ from .ledger import (
     NATIVE,
     NativeTransfer,
     NftTransfer,
-    PrivateRelayStatus,
     TokenTransfer,
     TokenTransferFrom,
     Transaction,
@@ -278,29 +277,26 @@ class ScenarioRunner:
             self.ledger.create_token(str(token["id"]), str(token.get("kind", "fungible")))
 
         qmig_key = KeyPair.generate(self.rng)
-        admin_pq = None
+        admin_pq_public = None
         if sc.qmig_admin is not None:
             admin_pq = self.actor_pq_keys.get(sc.qmig_admin)
             if admin_pq is None:
                 raise UnknownActor(f"qmig_admin {sc.qmig_admin!r} is not a pq actor")
+            admin_pq_public = admin_pq.public
         else:
-            # an unused throwaway key: the inflection simply cannot be set
-            admin_pq = PqKeyPair.generate(self.rng)
-        self.qmig = QmigContract(self.ledger, qmig_key.address, admin_pq.public)
+            # no administrator, so the inflection can never be set; draw the
+            # bytes a Lamport keygen would so later keys keep their addresses
+            self.rng.randbytes(2 * 256 * 32)
+        self.qmig = QmigContract(self.ledger, qmig_key.address, admin_pq_public)
         self.ledger.register_contract(self.qmig.address, self.qmig)
         self.bridge = Bridge(self.ledger, self.dest_ledger, self.qmig)
 
         for deployment in sc.failsafe:
             owner = str(deployment["owner"])
             signers = [self.resolve_address(s) for s in deployment["signers"]]
-            thresholds = {
-                OperationKind(str(op)): int(n)
-                for op, n in (deployment.get("thresholds") or {}).items()
-            }
-            for op in OperationKind:
-                thresholds.setdefault(
-                    op, 1 if op in (OperationKind.INTERCEPT, OperationKind.REBALANCE) else 2
-                )
+            thresholds = dict(DEFAULT_THRESHOLDS)
+            for op, n in (deployment.get("thresholds") or {}).items():
+                thresholds[OperationKind(str(op))] = int(n)
             vault = deploy_failsafe(
                 self.ledger, owner, signers, thresholds, self.qmig.address,
                 self.custodian, self.rng,
@@ -419,180 +415,161 @@ class ScenarioRunner:
         if step.params.get("private"):
             status = self.ledger.submit_private_transaction(tx)
             if step.label:
-                self.private_status[step.label] = (
-                    "FilteredByExceptionsList"
-                    if status is PrivateRelayStatus.FILTERED_BY_EXCEPTIONS_LIST
-                    else "Accepted"
-                )
+                self.private_status[step.label] = status.value
         else:
             self.ledger.submit_transaction(tx)
         if step.label:
             self.labels[step.label] = tx
 
+    def _sign_and_submit(self, step: Step, key: KeyPair, payload) -> None:
+        gas_price = int(step.params.get("gas_price", 1))
+        nonce = self.ledger.next_nonce(key.address)
+        self._submit(step, sign_transaction(key, nonce, gas_price, payload))
+
+    def _transfer_payload(self, p: dict):
+        token = str(p.get("token", NATIVE))
+        to = self.resolve_address(p["to"])
+        amount = int(p["amount"])
+        return NativeTransfer(to, amount) if token == NATIVE else TokenTransfer(token, to, amount)
+
+    def _build_intent(self, p: dict) -> tuple[TransferIntentSource, object, bytes]:
+        source_key = self.resolve_key(p["source"])
+        source = TransferIntentSource(
+            self.ledger.chain_id,
+            source_key.address,
+            int(p.get("dest_chain", self.scenario.dest_chain_id)),
+            self.resolve_address(p["dest"]),
+        )
+        sig, digest = build_intent_digest(source, source_key)
+        return source, sig, digest
+
     def execute_step(self, step: Step) -> None:
-        p = step.params
-        action = step.action
-        if action == "transfer":
-            signer = self.resolve_key(p["signer"])
-            token = str(p.get("token", NATIVE))
-            to = self.resolve_address(p["to"])
-            amount = int(p["amount"])
-            payload = (
-                NativeTransfer(to, amount)
-                if token == NATIVE
-                else TokenTransfer(token, to, amount)
+        handler = self._STEP_HANDLERS.get(step.action)
+        if handler is None:
+            raise ParseError(f"unknown step action {step.action!r}")
+        handler(self, step, step.params)
+
+    def _step_transfer(self, step: Step, p: dict) -> None:
+        self._sign_and_submit(step, self.resolve_key(p["signer"]), self._transfer_payload(p))
+
+    def _step_transfer_from(self, step: Step, p: dict) -> None:
+        payload = TokenTransferFrom(
+            str(p["token"]),
+            self.resolve_address(p["owner"]),
+            self.resolve_address(p["to"]),
+            int(p["amount"]),
+        )
+        self._sign_and_submit(step, self.resolve_key(p["signer"]), payload)
+
+    def _step_approve(self, step: Step, p: dict) -> None:
+        amount = p.get("amount", "unlimited")
+        payload = Approve(
+            str(p["token"]),
+            self.resolve_address(p["spender"]),
+            UNLIMITED if amount == "unlimited" else int(amount),
+        )
+        self._sign_and_submit(step, self.resolve_key(p["signer"]), payload)
+
+    def _step_nft_transfer(self, step: Step, p: dict) -> None:
+        payload = NftTransfer(str(p["token"]), self.resolve_address(p["to"]), int(p["token_id"]))
+        self._sign_and_submit(step, self.resolve_key(p["signer"]), payload)
+
+    def _step_quantum_steal(self, step: Step, p: dict) -> None:
+        key = self.oracle.derive_private(self.resolve_address(p["victim"]))
+        if key is None:
+            self.step_failures.append(
+                f"quantum_steal at block {step.at}: key for {p['victim']} not derivable"
             )
-            tx = sign_transaction(
-                signer, self.ledger.next_nonce(signer.address), int(p.get("gas_price", 1)),
-                payload,
-            )
-            self._submit(step, tx)
-        elif action == "transfer_from":
-            signer = self.resolve_key(p["signer"])
-            payload = TokenTransferFrom(
-                str(p["token"]),
-                self.resolve_address(p["owner"]),
-                self.resolve_address(p["to"]),
-                int(p["amount"]),
-            )
-            tx = sign_transaction(
-                signer, self.ledger.next_nonce(signer.address), int(p.get("gas_price", 1)),
-                payload,
-            )
-            self._submit(step, tx)
-        elif action == "approve":
-            signer = self.resolve_key(p["signer"])
-            amount = p.get("amount", "unlimited")
-            payload = Approve(
-                str(p["token"]),
-                self.resolve_address(p["spender"]),
-                UNLIMITED if amount == "unlimited" else int(amount),
-            )
-            tx = sign_transaction(
-                signer, self.ledger.next_nonce(signer.address), int(p.get("gas_price", 1)),
-                payload,
-            )
-            self._submit(step, tx)
-        elif action == "nft_transfer":
-            signer = self.resolve_key(p["signer"])
-            payload = NftTransfer(
-                str(p["token"]), self.resolve_address(p["to"]), int(p["token_id"])
-            )
-            tx = sign_transaction(
-                signer, self.ledger.next_nonce(signer.address), int(p.get("gas_price", 1)),
-                payload,
-            )
-            self._submit(step, tx)
-        elif action == "quantum_steal":
-            victim = self.resolve_address(p["victim"])
-            key = self.oracle.derive_private(victim)
-            if key is None:
-                self.step_failures.append(
-                    f"quantum_steal at block {step.at}: key for {p['victim']} not derivable"
-                )
-                return
-            token = str(p.get("token", NATIVE))
-            to = self.resolve_address(p["to"])
-            amount = int(p["amount"])
-            payload = (
-                NativeTransfer(to, amount)
-                if token == NATIVE
-                else TokenTransfer(token, to, amount)
-            )
-            tx = sign_transaction(
-                key, self.ledger.next_nonce(victim), int(p.get("gas_price", 1)), payload
-            )
-            self._submit(step, tx)
-        elif action == "add_exception":
-            wallet_key = self.resolve_key(p["wallet"])
-            digest = self.ledger.exceptions_digest(wallet_key.address)
-            self.ledger.add_exception(wallet_key.address, sign(wallet_key, digest))
-        elif action == "set_inflection":
-            admin_pq = self.actor_pq_keys.get(self.scenario.qmig_admin or "")
-            if admin_pq is None:
-                raise UnknownActor("set_inflection requires a 'qmig_admin' pq actor")
-            height = int(p["height"])
-            pq_sig = pq_sign(admin_pq, inflection_digest(height))
-            signer = self.resolve_key(p["signer"])
-            tx = sign_transaction(
-                signer,
-                self.ledger.next_nonce(signer.address),
-                int(p.get("gas_price", 1)),
-                ContractCall(
-                    self.qmig.address, "setInflectionPoint", (height, pq_sig.to_bytes())
-                ),
-            )
-            self._submit(step, tx)
-        elif action == "register_intent":
-            source_key = self.resolve_key(p["source"])
-            source = TransferIntentSource(
-                self.ledger.chain_id,
-                source_key.address,
-                int(p.get("dest_chain", self.scenario.dest_chain_id)),
-                self.resolve_address(p["dest"]),
-            )
-            sig, digest = build_intent_digest(source, source_key)
-            submitter = self.resolve_key(p.get("submitter", p["source"]))
-            tx = register_intent(
-                self.ledger, self.qmig.address, submitter, digest,
-                source_address=source_key.address,
-                gas_price=int(p.get("gas_price", 1)),
-            )
-            if step.label:
-                self.labels[step.label] = tx
-            if "store" in p:
-                self.intents[str(p["store"])] = (source, sig)
-        elif action == "make_intent":
-            # sign and store an intent without ever registering it on chain
-            source_key = self.resolve_key(p["source"])
-            source = TransferIntentSource(
-                self.ledger.chain_id,
-                source_key.address,
-                int(p.get("dest_chain", self.scenario.dest_chain_id)),
-                self.resolve_address(p["dest"]),
-            )
-            sig, _ = build_intent_digest(source, source_key)
+            return
+        self._sign_and_submit(step, key, self._transfer_payload(p))
+
+    def _step_add_exception(self, step: Step, p: dict) -> None:
+        wallet_key = self.resolve_key(p["wallet"])
+        digest = self.ledger.exceptions_digest(wallet_key.address)
+        self.ledger.add_exception(wallet_key.address, sign(wallet_key, digest))
+
+    def _step_set_inflection(self, step: Step, p: dict) -> None:
+        admin_pq = self.actor_pq_keys.get(self.scenario.qmig_admin or "")
+        if admin_pq is None:
+            raise UnknownActor("set_inflection requires a 'qmig_admin' pq actor")
+        height = int(p["height"])
+        pq_sig = pq_sign(admin_pq, inflection_digest(height))
+        payload = ContractCall(
+            self.qmig.address, "setInflectionPoint", (height, pq_sig.to_bytes())
+        )
+        self._sign_and_submit(step, self.resolve_key(p["signer"]), payload)
+
+    def _step_register_intent(self, step: Step, p: dict) -> None:
+        source, sig, digest = self._build_intent(p)
+        tx = register_intent(
+            self.ledger, self.qmig.address, self.resolve_key(p.get("submitter", p["source"])),
+            digest, source_address=source.from_address, gas_price=int(p.get("gas_price", 1)),
+        )
+        if step.label:
+            self.labels[step.label] = tx
+        if "store" in p:
             self.intents[str(p["store"])] = (source, sig)
-        elif action == "verify_intent":
-            source, sig = self.resolve_intent(str(p["intent"]))
-            try:
-                self.qmig.verify_transfer_intent(source, sig)
-                outcome = "true"
-            except (VerifyError, InflectionUnset) as exc:
-                outcome = type(exc).__name__
-            if step.label:
-                self.verify_outcomes[step.label] = outcome
-        elif action == "bridge":
-            source, sig = self.resolve_intent(str(p["intent"]))
-            request = BridgeTransfer(
-                source, str(p["token"]), int(p["amount"]), sig, self.ledger.height
-            )
-            try:
-                self.bridge.bridge_transfer(request)
-                outcome = "ok"
-            except Exception as exc:
-                outcome = f"error:{type(exc).__name__}"
-            if step.label:
-                self.bridge_outcomes[step.label] = outcome
-        elif action == "withdraw":
-            vault = self.vaults[str(p["owner"])]
-            wallet = self.resolve_address(p["wallet"])
-            asset_kind = str(p.get("asset_kind", "fungible"))
-            value = int(p["amount"]) if asset_kind == "fungible" else int(p["token_id"])
-            op_args = (asset_kind, bytes(wallet), str(p["token"]), value)
-            nonce = vault.next_auth_nonce()
-            keys = [self.resolve_key(s) for s in p["signers"]]
-            sigs = vault.authorize(OperationKind.WITHDRAW, op_args, nonce, keys)
-            tx = build_execute_tx(
-                self.ledger, vault, self.custodian.key_for("relayer"),
-                OperationKind.WITHDRAW, op_args, sigs, nonce,
-                gas_price=int(p.get("gas_price", 1)),
-            )
-            self._submit(step, tx)
-        elif action == "clear_threat":
-            self.threat_flags.discard(str(p["owner"]))
-        else:
-            raise ParseError(f"unknown step action {action!r}")
+
+    def _step_make_intent(self, step: Step, p: dict) -> None:
+        # sign and store an intent without ever registering it on chain
+        source, sig, _ = self._build_intent(p)
+        self.intents[str(p["store"])] = (source, sig)
+
+    def _step_verify_intent(self, step: Step, p: dict) -> None:
+        source, sig = self.resolve_intent(str(p["intent"]))
+        try:
+            self.qmig.verify_transfer_intent(source, sig)
+            outcome = "true"
+        except (VerifyError, InflectionUnset) as exc:
+            outcome = type(exc).__name__
+        if step.label:
+            self.verify_outcomes[step.label] = outcome
+
+    def _step_bridge(self, step: Step, p: dict) -> None:
+        source, sig = self.resolve_intent(str(p["intent"]))
+        request = BridgeTransfer(
+            source, str(p["token"]), int(p["amount"]), sig, self.ledger.height
+        )
+        try:
+            self.bridge.bridge_transfer(request)
+            outcome = "ok"
+        except Exception as exc:
+            outcome = f"error:{type(exc).__name__}"
+        if step.label:
+            self.bridge_outcomes[step.label] = outcome
+
+    def _step_withdraw(self, step: Step, p: dict) -> None:
+        vault = self.vaults[str(p["owner"])]
+        wallet = self.resolve_address(p["wallet"])
+        asset_kind = str(p.get("asset_kind", "fungible"))
+        value = int(p["amount"]) if asset_kind == "fungible" else int(p["token_id"])
+        tx = vault.execute_tx(
+            OperationKind.WITHDRAW,
+            (asset_kind, bytes(wallet), str(p["token"]), value),
+            [self.resolve_key(s) for s in p["signers"]],
+            self.custodian.key_for("relayer"),
+            int(p.get("gas_price", 1)),
+        )
+        self._submit(step, tx)
+
+    def _step_clear_threat(self, step: Step, p: dict) -> None:
+        self.threat_flags.discard(str(p["owner"]))
+
+    _STEP_HANDLERS = {
+        "transfer": _step_transfer,
+        "transfer_from": _step_transfer_from,
+        "approve": _step_approve,
+        "nft_transfer": _step_nft_transfer,
+        "quantum_steal": _step_quantum_steal,
+        "add_exception": _step_add_exception,
+        "set_inflection": _step_set_inflection,
+        "register_intent": _step_register_intent,
+        "make_intent": _step_make_intent,
+        "verify_intent": _step_verify_intent,
+        "bridge": _step_bridge,
+        "withdraw": _step_withdraw,
+        "clear_threat": _step_clear_threat,
+    }
 
     # -- scheduler ---------------------------------------------------------------------
 
@@ -714,21 +691,20 @@ class ScenarioRunner:
                     tx.tx_id, "not-included"
                 )
                 return self._equals(raw, actual, f"outcome[{raw['label']}]")
-            if check == "private_status":
-                actual = self.private_status.get(str(raw["label"]), "missing")
-                return self._equals(raw, actual, f"private_status[{raw['label']}]")
+            labelled = {
+                "private_status": self.private_status,
+                "verify": self.verify_outcomes,
+                "bridge": self.bridge_outcomes,
+            }.get(check)
+            if labelled is not None:
+                actual = labelled.get(str(raw["label"]), "missing")
+                return self._equals(raw, actual, f"{check}[{raw['label']}]")
             if check == "intercepts":
                 count = self.fis.intercept_count if self.fis is not None else 0
                 return self._compare(raw, count, "intercepts")
             if check == "rebalances":
                 count = len(self.balancer.actions) if self.balancer is not None else 0
                 return self._compare(raw, count, "rebalances")
-            if check == "verify":
-                actual = self.verify_outcomes.get(str(raw["label"]), "missing")
-                return self._equals(raw, actual, f"verify[{raw['label']}]")
-            if check == "bridge":
-                actual = self.bridge_outcomes.get(str(raw["label"]), "missing")
-                return self._equals(raw, actual, f"bridge[{raw['label']}]")
             if check == "permitted":
                 actual = self.qmig.permitted_amount(
                     self.resolve_address(raw["wallet"]), str(raw["token"])
@@ -783,6 +759,6 @@ def run_scenario(path, seed: int | None = None, disabled: tuple[str, ...] = (),
     scenario = Scenario.load(path)
     runner = ScenarioRunner(scenario, seed=seed, disabled=disabled)
     report = runner.run()
-    if out_path is not None:
+    if out_path:
         Path(out_path).write_text("\n".join(report.log_lines) + "\n", encoding="utf-8")
     return report

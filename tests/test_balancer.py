@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 from failsafe.balancer import BalancerService, _round_half_up
 from failsafe.contract import (
+    DEFAULT_THRESHOLDS,
     KeyCustodian,
     OperationKind,
     PolicyConfig,
@@ -17,14 +18,6 @@ from failsafe.ledger import NATIVE, Ledger, NativeTransfer, TokenTransfer, sign_
 from failsafe.qmig import QmigContract
 
 QMIG_ADDRESS = Address(bytes(range(60, 80)))
-
-THRESHOLDS = {
-    OperationKind.INTERCEPT: 1,
-    OperationKind.REBALANCE: 1,
-    OperationKind.WITHDRAW: 2,
-    OperationKind.UPDATE_CONFIG: 2,
-}
-
 
 def make_world(hot_amount, cold_amount, target=Fraction(1, 5), tolerance=Fraction(1, 20)):
     rng = random.Random(55)
@@ -39,7 +32,7 @@ def make_world(hot_amount, cold_amount, target=Fraction(1, 5), tolerance=Fractio
         ledger,
         "erin",
         [custodian.address_of("rebalance")],
-        {**THRESHOLDS, OperationKind.WITHDRAW: 1, OperationKind.UPDATE_CONFIG: 1},
+        {**DEFAULT_THRESHOLDS, OperationKind.WITHDRAW: 1, OperationKind.UPDATE_CONFIG: 1},
         QMIG_ADDRESS,
         custodian,
         rng,

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from failsafe.contract import (
+    DEFAULT_THRESHOLDS,
     CustodianUnavailable,
     InvalidThresholds,
     KeyCustodian,
@@ -22,13 +23,6 @@ from failsafe.ledger import NATIVE, Ledger
 from failsafe.qmig import QmigContract
 
 QMIG_ADDRESS = Address(bytes(range(1, 21)))
-
-DEFAULT_THRESHOLDS = {
-    OperationKind.INTERCEPT: 1,
-    OperationKind.REBALANCE: 1,
-    OperationKind.WITHDRAW: 2,
-    OperationKind.UPDATE_CONFIG: 2,
-}
 
 
 def make_world(n_signers=3, thresholds=None, enroll=True):
@@ -130,15 +124,6 @@ def test_second_enrollment_reverts():
     assert len(world.qmig.registry) == 2
 
 
-def test_account_view_reflects_enrollment():
-    world = make_world()
-    view = world.contract.account_view(world.hot.address)
-    assert view.owner == "alice"
-    assert view.hot_wallet == world.hot.address
-    assert view.cold_policy == world.policy
-    assert view.enrolled_at == 1
-
-
 # -- signature thresholds --------------------------------------------------------
 
 
@@ -164,6 +149,15 @@ def test_withdraw_needs_two_of_three():
     outcome = run_execute(world, OperationKind.WITHDRAW, args, world.signers[:2])
     assert outcome == "Executed"
     assert world.ledger.balance_of(world.hot.address, "gold") == 700
+
+
+def test_negative_withdraw_reverts():
+    world = make_world()
+    fund_contract(world)
+    args = withdraw_args(world, -50)
+    outcome = run_execute(world, OperationKind.WITHDRAW, args, world.signers[:2])
+    assert outcome == "Reverted:InvalidAmount"
+    assert world.ledger.balance_of(world.contract.address, "gold") == 500
 
 
 def test_duplicate_signer_counts_once():

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from failsafe.contract import (
+    DEFAULT_THRESHOLDS,
     KeyCustodian,
     OperationKind,
     PolicyConfig,
@@ -31,14 +32,6 @@ from failsafe.qmig import QmigContract
 
 QMIG_ADDRESS = Address(bytes(range(40, 60)))
 
-THRESHOLDS = {
-    OperationKind.INTERCEPT: 1,
-    OperationKind.REBALANCE: 1,
-    OperationKind.WITHDRAW: 2,
-    OperationKind.UPDATE_CONFIG: 2,
-}
-
-
 def make_world(window_cap=500, window_len=5):
     rng = random.Random(88)
     ledger = Ledger()
@@ -53,7 +46,7 @@ def make_world(window_cap=500, window_len=5):
         ledger,
         "alice",
         [custodian.address_of("intercept"), custodian.address_of("rebalance")],
-        {**THRESHOLDS, OperationKind.WITHDRAW: 2, OperationKind.UPDATE_CONFIG: 2},
+        {**DEFAULT_THRESHOLDS, OperationKind.WITHDRAW: 2, OperationKind.UPDATE_CONFIG: 2},
         QMIG_ADDRESS,
         custodian,
         rng,

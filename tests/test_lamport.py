@@ -1,4 +1,4 @@
-"""One-time signature scheme: sign/verify, exhaustion, keychain rotation."""
+"""One-time signature scheme: sign/verify and exhaustion."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from failsafe.crypto import (
     KeyExhausted,
-    PqKeychain,
     PqKeyPair,
     PqSignature,
     pq_sign,
@@ -97,20 +96,3 @@ def test_generation_is_seed_deterministic():
     a = PqKeyPair.generate(_rng(9))
     b = PqKeyPair.generate(_rng(9))
     assert a.public == b.public
-
-
-def test_keychain_rotates_through_keys():
-    chain = PqKeychain.generate(_rng(), size=3)
-    publics = []
-    for i in range(3):
-        public, sig = chain.sign(keccak256(bytes([i])))
-        assert pq_verify(public, keccak256(bytes([i])), sig)
-        publics.append(public)
-    assert len({p.fingerprint for p in publics}) == 3
-    with pytest.raises(KeyExhausted):
-        chain.sign(keccak256(b"spent"))
-
-
-def test_keychain_requires_keys():
-    with pytest.raises(ValueError):
-        PqKeychain([])

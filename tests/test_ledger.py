@@ -157,6 +157,19 @@ def test_insufficient_balance_reverts_without_state_change():
     assert tx.tx_id  # included despite reverting
 
 
+def test_negative_amount_reverts_without_dropping_other_transactions():
+    ledger = fresh_ledger((ALICE.address, NATIVE, 100), (CAROL.address, NATIVE, 100))
+    valid = submit_native(ledger, CAROL, BOB.address, 30)
+    negative = submit_native(ledger, ALICE, BOB.address, -50)
+    block = ledger.build_block()
+    assert ledger.height == 1
+    outcomes = {tx.tx_id: outcome for tx, outcome in block.txs}
+    assert outcomes == {valid.tx_id: "Executed", negative.tx_id: "Reverted:InvalidAmount"}
+    assert ledger.balance_of(ALICE.address) == 100
+    assert ledger.balance_of(BOB.address) == 30
+    assert ledger.nonces[ALICE.address] == 1
+
+
 def test_token_transfer_and_unknown_token_revert():
     ledger = fresh_ledger((ALICE.address, "gold", 30))
     tx = sign_transaction(ALICE, 0, 1, TokenTransfer("gold", BOB.address, 12))

@@ -28,12 +28,12 @@ from oracles import replay_permitted_amount
 QMIG_ADDRESS = Address(bytes(range(100, 120)))
 
 
-def make_world():
+def make_world(with_admin=True):
     rng = random.Random(21)
     ledger = Ledger()
     ledger.create_token("gold")
     admin = PqKeyPair.generate(rng)
-    qmig = QmigContract(ledger, QMIG_ADDRESS, admin_pq_public=admin.public)
+    qmig = QmigContract(ledger, QMIG_ADDRESS, admin.public if with_admin else None)
     ledger.register_contract(QMIG_ADDRESS, qmig)
     victim, peer, stranger = (KeyPair.generate(rng) for _ in range(3))
     ledger.genesis_allocate(victim.address, "gold", 1000)
@@ -204,6 +204,14 @@ def test_inflection_is_write_once():
     sig = pq_sign(second_admin_use, inflection_digest(9)).to_bytes()
     assert set_inflection(world, 9, sig_bytes=sig) == "Reverted:AlreadySet"
     assert world.qmig.inflection == 5
+
+
+def test_inflection_without_admin_key_reverts():
+    world = make_world(with_admin=False)
+    height = world.ledger.height
+    assert set_inflection(world, 5) == "Reverted:BadPqSignature"
+    assert world.ledger.height == height + 1
+    assert world.qmig.inflection is None
 
 
 def test_inflection_rejects_negative_height():

@@ -1,6 +1,7 @@
 """Scenario runner: parsing, determinism, service toggles, reporting, CLI."""
 
 import copy
+import hashlib
 
 import pytest
 
@@ -184,11 +185,28 @@ def test_event_replay_reproduces_final_balances():
             )
 
 
+# sha256 of each bundled scenario's event log at its file seed; a change
+# here is a change of simulated behaviour and must be deliberate
+GOLDEN_LOG_SHA256 = {
+    "approval-phish": "b386c16664c873c1177cb047cd6e29f65fd8ffe66a7204fba5b7cd00946e5784",
+    "key-theft-intercept": "cc8d9096c2510ab8d66ab1ec604a258f9f69269d6d2293222563fd6122124b51",
+    "policy-limit-trip": "28c9e91186f48979ffdc5c64267eb9734a916ff1fd0f19c32dd84501877d4b4a",
+    "private-tx-bypass-protected": "b73347dbe1ba6f5103817b41ca1a12c0f199611f1a9a17882539aba2d670aad9",
+    "private-tx-bypass": "299cc6e61cdb180a1689bdea615d44d87d6bb6a6af970019a7618e9b09f1861f",
+    "quantum-migration-honest": "cdd05d9838d9df31558912cfb120db146c21fa33f4faa0ad94f0d549141a7ac9",
+    "quantum-stolen-funds-rejected": "dd9a19325104ce294b6a32ec528a54bf837f4e6596f1b17c5e4e68aea63c9fb3",
+    "rebalance-drift": "bae06d0bce0d120cb988dbdf27b9153b79ec447928de1093916c12412b992eff",
+}
+
+
 def test_all_bundled_scenarios_hold_their_assertions():
+    assert set(bundled_scenarios()) == set(GOLDEN_LOG_SHA256)
     for name, path in bundled_scenarios().items():
         report = ScenarioRunner(Scenario.load(path)).run()
         failures = [line for ok, line in report.assertion_results if not ok]
         assert report.exit_code == 0, f"{name}: {failures}"
+        digest = hashlib.sha256("\n".join(report.log_lines).encode()).hexdigest()
+        assert digest == GOLDEN_LOG_SHA256[name], f"{name}: event log changed"
 
 
 # -- command line ------------------------------------------------------------------------
