@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .contract import FailSafeContract, KeyCustodian, OperationKind
 from .crypto import Address
-from .ledger import Ledger, NATIVE, Transaction
+from .ledger import Ledger, NATIVE
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -68,16 +68,6 @@ class BalancerService:
             return None
         return RebalanceAction(contract.owner, wallet, contract.address, token, delta)
 
-    def execute_rebalance(self, action: RebalanceAction) -> Transaction:
-        contract = next(c for c in self.contracts if c.address == action.contract_address)
-        return contract.execute_tx(
-            OperationKind.REBALANCE,
-            (bytes(action.wallet), action.token, action.delta),
-            [self.custodian.key_for("rebalance")],
-            self.custodian.key_for("relayer"),
-            self.gas_price,
-        )
-
     def on_tick(self) -> None:
         for contract in self.contracts:
             if contract.owner in self.threat_flags:
@@ -93,6 +83,12 @@ class BalancerService:
                     if action is None:
                         continue
                     self.actions.append(action)
-                    tx = self.execute_rebalance(action)
+                    tx = contract.execute_tx(
+                        OperationKind.REBALANCE,
+                        (bytes(wallet), token, action.delta),
+                        [self.custodian.key_for("rebalance")],
+                        self.custodian.key_for("relayer"),
+                        self.gas_price,
+                    )
                     self.ledger.submit_transaction(tx)
                     self.ledger.take_pending()  # keep own submissions off the FIS stream

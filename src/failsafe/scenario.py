@@ -31,6 +31,7 @@ from .contract import (
     PolicyConfig,
     deploy_failsafe,
     enroll_wallet,
+    find_enrollment,
 )
 from .crypto import Address, KeyPair, PqKeyPair, QuantumOracle, pq_sign, sign
 from .fbr import FbrConfig, RiskService
@@ -55,7 +56,7 @@ from .qmig import (
     VerifyError,
     build_intent_digest,
     inflection_digest,
-    register_intent,
+    register_intent_call,
 )
 
 DEFAULT_CUSTODIAN_ROLES = ("intercept", "rebalance", "relayer", "guardian")
@@ -390,23 +391,15 @@ class ScenarioRunner:
             return self.custodian.key_for(alias[len("role:"):])
         raise UnknownActor(f"cannot resolve signing key {alias!r}")
 
-    def _vault_for_wallet(self, wallet: Address) -> FailSafeContract:
-        for vault in self.vaults.values():
-            if wallet in vault.enrollments:
-                return vault
-        raise UnknownActor(f"wallet {wallet} is not enrolled in any FailSafe contract")
-
     def resolve_intent(self, name: str) -> tuple[TransferIntentSource, object]:
         stored = self.intents.get(name)
         if stored is not None:
             return stored
         if name.endswith(":custody"):
-            wallet_name = name[: -len(":custody")]
-            wallet = self.resolve_address(wallet_name)
-            vault = self._vault_for_wallet(wallet)
-            pair = vault.outbound_intents.get(wallet)
-            if pair is not None:
-                return pair
+            wallet = self.resolve_address(name[: -len(":custody")])
+            hit = find_enrollment(self.vaults.values(), wallet)
+            if hit is not None and wallet in hit[0].outbound_intents:
+                return hit[0].outbound_intents[wallet]
         raise UnknownActor(f"no stored intent named {name!r}")
 
     # -- step execution --------------------------------------------------------------
@@ -501,12 +494,11 @@ class ScenarioRunner:
 
     def _step_register_intent(self, step: Step, p: dict) -> None:
         source, sig, digest = self._build_intent(p)
-        tx = register_intent(
-            self.ledger, self.qmig.address, self.resolve_key(p.get("submitter", p["source"])),
-            digest, source_address=source.from_address, gas_price=int(p.get("gas_price", 1)),
+        submitter = self.resolve_key(p.get("submitter", p["source"]))
+        payload = register_intent_call(
+            self.qmig.address, submitter.address, digest, source.from_address
         )
-        if step.label:
-            self.labels[step.label] = tx
+        self._sign_and_submit(step, submitter, payload)
         if "store" in p:
             self.intents[str(p["store"])] = (source, sig)
 
@@ -593,7 +585,6 @@ class ScenarioRunner:
             )
 
         step_index = 0
-        last_block = None
         for target_height in range(1, sc.run_blocks + 1):
             while step_index < len(sc.steps) and sc.steps[step_index].at == target_height:
                 self.execute_step(sc.steps[step_index])
@@ -601,8 +592,7 @@ class ScenarioRunner:
             new_events = self._take_new_events()
             pending = self.ledger.take_pending()
             if self.fis is not None:
-                if last_block is not None or new_events:
-                    self.fis.on_block_events(last_block, new_events)
+                self.fis.on_block_events(new_events)
                 self.fis.on_tick(pending)
             if self.balancer is not None:
                 self.balancer.on_tick()
@@ -613,7 +603,6 @@ class ScenarioRunner:
                 for ev in new_events:
                     self.risk.record_observation(ev)
             block = self.ledger.build_block()
-            last_block = block
             for tx, outcome in block.txs:
                 self.tx_outcomes[tx.tx_id] = outcome
                 self.tx_heights[tx.tx_id] = block.height

@@ -14,7 +14,7 @@ from failsafe.bridge import (
     WrongChain,
     pq_address,
 )
-from failsafe.crypto import Address, KeyPair, PqKeyPair, pq_sign
+from failsafe.crypto import Address, KeyPair, PqKeyPair, pq_sign, sign
 from failsafe.ledger import (
     ContractCall,
     InsufficientBalance,
@@ -168,18 +168,19 @@ def test_chain_ids_must_match_the_bridged_pair():
         world.bridge.bridge_transfer(request(world, 10, source=wrong_dest, sig=sig))
 
 
-def test_late_intent_cannot_bridge():
-    world = make_world()
-    # a route invented after the inflection point: registered at height 3
-    late_key = PqKeyPair.generate(random.Random(5))
-    late_source = TransferIntentSource(
-        1, world.courier.address, DEST_CHAIN, pq_address(late_key.public)
-    )
+def late(world):
+    """A request under a route invented after the inflection: registered at height 3."""
+    late_source = TransferIntentSource(1, world.courier.address, DEST_CHAIN, world.victim.address)
     sig, digest = build_intent_digest(late_source, world.courier)
     register_intent(world.ledger, QMIG_ADDRESS, world.courier, digest)
     world.ledger.build_block()
+    return request(world, 10, source=late_source, sig=sig)
+
+
+def test_late_intent_cannot_bridge():
+    world = make_world()
     with pytest.raises(LateIntent):
-        world.bridge.bridge_transfer(request(world, 10, source=late_source, sig=sig))
+        world.bridge.bridge_transfer(late(world))
 
 
 def test_spendable_ceiling_blocks_drained_accounts_before_the_lock():
@@ -195,6 +196,42 @@ def test_spendable_ceiling_blocks_drained_accounts_before_the_lock():
     with pytest.raises(ExceedsPermitted):
         world.bridge.bridge_transfer(request(world, 10))
     assert world.ledger.balance_of(ESCROW_ADDRESS, "gold") == 0
+
+
+def rerouted(world, from_chain=1, dest_chain=DEST_CHAIN, signer=None):
+    """A request under an intent the registry never saw, signed by the victim or signer."""
+    source = TransferIntentSource(
+        from_chain, world.victim.address, dest_chain, world.courier.address
+    )
+    sig, _ = build_intent_digest(source, world.victim)
+    if signer is not None:
+        sig = sign(signer, source.signing_digest())
+    return request(world, 10, source=source, sig=sig)
+
+
+@pytest.mark.parametrize(
+    "reason, set_point, make_request",
+    [
+        ("InflectionUnset", False, lambda world: request(world, 10)),
+        ("WrongChain", True, lambda world: rerouted(world, from_chain=3)),
+        ("WrongChain", True, lambda world: rerouted(world, dest_chain=5)),
+        ("SignerMismatch", True, lambda world: rerouted(world, signer=world.courier)),
+        ("IntentNotFound", True, rerouted),
+        ("LateIntent", True, late),
+        ("ExceedsPermitted", True, lambda world: request(world, 701)),
+    ],
+    ids=["inflection", "source-chain", "dest-chain", "signer", "not-found", "late", "exceeds"],
+)
+def test_each_refusal_logs_one_error_and_moves_nothing(reason, set_point, make_request):
+    world = make_world(set_point=set_point)
+    req = make_request(world)
+    with pytest.raises(Exception) as err:
+        world.bridge.bridge_transfer(req)
+    assert type(err.value).__name__ == reason
+    bridged = [ev for ev in world.ledger.events if ev.kind == "Bridge"]
+    assert [(ev.get("outcome"), ev.get("reason")) for ev in bridged] == [("error", reason)]
+    assert not any(ev.kind == "BridgeLock" for ev in world.ledger.events)
+    assert not any(ev.kind == "BridgeMint" for ev in world.dest.events)
 
 
 def test_requests_validate_amounts():

@@ -124,9 +124,17 @@ def test_native_drain_yields_alert_only():
 
 def test_inbound_from_risky_sender_alerts():
     world = make_world()
-    tx = signed(world, world.attacker, NativeTransfer(world.hot.address, 10))
-    decision = world.fis.on_pending_tx(tx)
-    assert decision.action == ALERT
+    cases = [
+        NativeTransfer(world.hot.address, 10),
+        # a risky spender pulling a stranger's tokens into the wallet
+        TokenTransferFrom("gold", world.bystander.address, world.hot.address, 5),
+        NftTransfer("deeds", world.hot.address, 7),
+    ]
+    for payload in cases:
+        decision = world.fis.on_pending_tx(signed(world, world.attacker, payload))
+        assert decision.action == ALERT
+        assert decision.trigger == "RiskScore:100"
+        assert decision.wallet == world.hot.address
 
 
 def test_allowance_pull_by_risky_spender_intercepts():
@@ -170,8 +178,9 @@ def test_nft_transfer_to_risky_address_intercepts():
 def test_benign_traffic_is_ignored():
     world = make_world()
     cases = [
-        # custody move into the vault
+        # custody moves into the vault
         signed(world, world.hot, TokenTransfer("gold", world.contract.address, 100)),
+        signed(world, world.hot, NftTransfer("deeds", world.contract.address, 1)),
         # approval granted to the vault itself
         signed(world, world.hot, Approve("gold", world.contract.address, None)),
         # zero approval (revocation)
@@ -195,13 +204,18 @@ def test_policy_limit_trips_on_projected_window():
     world.ledger.submit_transaction(first)
     world.ledger.take_pending()
     world.ledger.build_block()
-    world.fis.on_block_events(None, world.ledger.events)
+    world.fis.on_block_events(world.ledger.events)
     second = signed(world, world.hot, TokenTransfer("gold", world.bystander.address, 101))
     decision = world.fis.on_pending_tx(second)
     assert decision.action == INTERCEPT
     assert decision.trigger == "PolicyLimit"
     third = signed(world, world.hot, TokenTransfer("gold", world.bystander.address, 100))
     assert world.fis.on_pending_tx(third).action == IGNORE
+    # a native outflow shares the window but has nothing to intercept
+    native = world.fis.on_pending_tx(
+        signed(world, world.hot, NativeTransfer(world.bystander.address, 101))
+    )
+    assert (native.action, native.trigger) == (ALERT, "PolicyLimit")
 
 
 def test_risk_verdict_outranks_policy_trigger():
@@ -217,7 +231,7 @@ def test_custody_moves_do_not_consume_the_window():
     world.ledger.submit_transaction(move)
     world.ledger.take_pending()
     world.ledger.build_block()
-    world.fis.on_block_events(None, world.ledger.events)
+    world.fis.on_block_events(world.ledger.events)
     assert world.fis.window.total(world.hot.address, world.ledger.height, 5) == 0
 
 

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failsafe.crypto import KeyPair, RecoverableSignature, sign
+from failsafe.contract import DEFAULT_THRESHOLDS, KeyCustodian, OperationKind, deploy_failsafe
+from failsafe.crypto import Address, KeyPair, RecoverableSignature, sign
 from failsafe.ledger import (
     NATIVE,
     UNLIMITED,
     Approve,
     BadSignature,
+    ContractCall,
     FutureHeight,
     Ledger,
     NativeTransfer,
@@ -23,6 +25,7 @@ from failsafe.ledger import (
     Transaction,
     sign_transaction,
 )
+from failsafe.qmig import QmigContract
 from oracles import (
     replay_balance_from_blocks,
     replay_balance_from_events,
@@ -168,6 +171,48 @@ def test_negative_amount_reverts_without_dropping_other_transactions():
     assert ledger.balance_of(ALICE.address) == 100
     assert ledger.balance_of(BOB.address) == 30
     assert ledger.nonces[ALICE.address] == 1
+
+
+@pytest.mark.parametrize(
+    "method",
+    ["registerTransferIntent", "execute", "enroll", "updateConfig"],
+)
+def test_malformed_contract_call_reverts_without_dropping_other_transactions(method):
+    rng = random.Random(41)
+    ledger = fresh_ledger((CAROL.address, NATIVE, 100))
+    qmig = QmigContract(ledger, Address(bytes(range(60, 80))), admin_pq_public=None)
+    ledger.register_contract(qmig.address, qmig)
+    signers = [KeyPair.generate(rng) for _ in range(2)]
+    vault = deploy_failsafe(
+        ledger, "alice", [k.address for k in signers], DEFAULT_THRESHOLDS, qmig.address,
+        KeyCustodian(), rng,
+    )
+    valid = submit_native(ledger, CAROL, BOB.address, 30)
+    if method == "updateConfig":
+        # validly signed, but the op name does not decode
+        bad = vault.execute_tx(OperationKind.UPDATE_CONFIG, ((("bogus", 1),),), signers, ALICE)
+    else:
+        payload = {
+            "registerTransferIntent": ContractCall(
+                qmig.address, "registerTransferIntent", (b"x",)
+            ),
+            "execute": ContractCall(vault.address, "execute", ("withdraw", ())),
+            # a 19-byte destination address
+            "enroll": ContractCall(
+                vault.address, "enroll",
+                ((1, 5, 1, 20, 500, 10), ("gold",), 2, bytes(19), bytes(32)),
+            ),
+        }[method]
+        bad = sign_transaction(ALICE, 0, 1, payload)
+    ledger.submit_transaction(bad)
+    block = ledger.build_block()
+    assert ledger.height == 1
+    outcomes = {tx.tx_id: outcome for tx, outcome in block.txs}
+    assert outcomes == {valid.tx_id: "Executed", bad.tx_id: "Reverted:InvalidArgument"}
+    assert ledger.balance_of(BOB.address) == 30
+    assert ledger.nonces[ALICE.address] == 1
+    assert (vault.enrollments, qmig.registry) == ({}, {})
+    assert vault.config.thresholds == dict(DEFAULT_THRESHOLDS)
 
 
 def test_token_transfer_and_unknown_token_revert():

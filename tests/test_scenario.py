@@ -72,6 +72,22 @@ def test_structural_validation(broken, fragment):
     assert fragment in str(err.value)
 
 
+def test_private_register_intent_goes_through_the_relay():
+    data = edited(
+        steps=[{"at": 1, "action": "register_intent", "source": "alice", "dest": "bob",
+                "private": True, "label": "reg"}],
+        assertions=[
+            {"check": "private_status", "label": "reg", "equals": "Accepted"},
+            {"check": "outcome", "label": "reg", "equals": "Executed"},
+        ],
+    )
+    report = ScenarioRunner(Scenario.from_dict(data)).run()
+    assert report.assertion_results == [
+        (True, "private_status[reg] = Accepted"),
+        (True, "outcome[reg] = Executed"),
+    ]
+
+
 def test_steps_beyond_run_blocks_rejected():
     data = edited(run_blocks=2)
     data["steps"] = [dict(data["steps"][0], at=5)]
