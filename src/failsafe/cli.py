@@ -120,11 +120,7 @@ def _cmd_verify_intent(args) -> int:
 
 def _cmd_list_scenarios(_args) -> int:
     for name, path in bundled_scenarios().items():
-        description = ""
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.startswith("description:"):
-                description = line.split(":", 1)[1].strip().strip('"')
-                break
+        description = Scenario.load(path).description
         print(f"{name}: {description}" if description else name)
     return 0
 

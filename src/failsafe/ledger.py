@@ -18,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Callable, Union
 
 from .crypto import (
@@ -52,6 +53,10 @@ class StaleNonce(Exception):
 
 class FutureHeight(Exception):
     """Query references a block height that has not been built."""
+
+
+class MalformedTransaction(Exception):
+    """A field of a signed transaction has the wrong type; refused at submission."""
 
 
 class RevertError(Exception):
@@ -239,6 +244,28 @@ Payload = Union[
 ]
 
 
+# the type every transaction and payload field must have, checked at
+# submission; bool is refused for int, and an Approve amount may be UNLIMITED
+_FIELD_TYPES = {"sender": Address, "nonce": int, "gas_price": int, "to": Address,
+                "owner": Address, "spender": Address, "contract": Address, "token": str,
+                "method": str, "amount": int, "token_id": int, "args": tuple}
+
+
+def _check_fields(tx: Transaction) -> None:
+    p = tx.payload
+    if not isinstance(p, Payload):
+        raise MalformedTransaction(f"unknown payload {type(p).__name__}")
+    fields = {"sender": tx.sender, "nonce": tx.nonce, "gas_price": tx.gas_price, **vars(p)}
+    for name, value in fields.items():
+        if name == "amount" and value is UNLIMITED and isinstance(p, Approve):
+            continue
+        want = _FIELD_TYPES[name]
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise MalformedTransaction(
+                f"{type(p).__name__} {name} must be {want.__name__}, got {value!r}"
+            )
+
+
 def compute_tx_digest(sender: Address, nonce: int, gas_price: int, payload: Payload) -> bytes:
     body = encode_value((bytes(sender), nonce, gas_price, payload.canonical()))
     return keccak256(b"FS-TX" + body)
@@ -330,11 +357,11 @@ class ExecutionContext:
         return self.tx.sender
 
     def emit(self, kind: str, fields: dict) -> None:
-        self.ledger._buffer_event(_event(self.height, kind, fields))
+        self.ledger.events.append(_event(self.height, kind, fields))
 
     def record_undo(self, undo: Callable[[], None]) -> None:
         """Register rollback for contract-local state touched in this call."""
-        self.ledger._record_undo(undo)
+        self.ledger._journal.append(undo)
 
     def transfer_out(self, token: str, to: Address, amount: int) -> None:
         """Spend the contract's own fungible or native balance."""
@@ -382,12 +409,12 @@ class Ledger:
         self._private_pool: list[_PoolEntry] = []
         self._seq = 0
         self._pending_queue: list[Transaction] = []
-        # (token, address) -> parallel (heights, balances) checkpoint lists
-        self._checkpoints: dict[tuple[str, Address], tuple[list[int], list[int]]] = {}
-        # (token, address) -> parallel (heights, cumulative outflow) lists
-        self._outflow: dict[tuple[str, Address], tuple[list[int], list[int]]] = {}
+        # (token, address) -> (height, balance) checkpoints in height order
+        self._checkpoints: dict[tuple[str, Address], list[tuple[int, int]]] = {}
+        # (token, address) -> committed Transfer events from or to the address
+        self._transfers: dict[tuple[str, Address], list[LedgerEvent]] = {}
+        # undo steps of the executing transaction; None between transactions
         self._journal: list[Callable[[], None]] | None = None
-        self._event_buffer: list[LedgerEvent] = []
         self._touched: dict[tuple[str, Address], None] = {}
 
     # -- setup ---------------------------------------------------------------
@@ -402,21 +429,18 @@ class Ledger:
     def genesis_allocate(self, to: Address, token: str, amount: int) -> None:
         if self.height != 0 or self.blocks[0].txs:
             raise ValueError("genesis allocations only before the first built block")
-        if token == NATIVE:
-            self.native_balances[to] = self.native_balances.get(to, 0) + amount
-        else:
-            state = self._fungible_state(token)
-            state.balances[to] = state.balances.get(to, 0) + amount
-        self._append_checkpoint(token, to, 0, self.balance_of(to, token))
+        balances = self._balances_for(token)
+        self._put(balances, to, balances.get(to, 0) + amount)
+        self._append_checkpoint(token, to, 0, balances[to])
         self.events.append(_event(0, "Genesis", {"to": to, "token": token, "amount": amount}))
 
     def genesis_allocate_nft(self, to: Address, token: str, token_id: int) -> None:
         if self.height != 0 or self.blocks[0].txs:
             raise ValueError("genesis allocations only before the first built block")
-        state = self._nft_state(token)
-        if token_id in state.nft_owners:
+        owners = self._token(token, "nft").nft_owners
+        if token_id in owners:
             raise ValueError(f"nft {token}#{token_id} already allocated")
-        state.nft_owners[token_id] = to
+        self._put(owners, token_id, to)
         self.events.append(
             _event(0, "Genesis", {"to": to, "token": token, "token_id": token_id})
         )
@@ -429,20 +453,16 @@ class Ledger:
     # -- reads ---------------------------------------------------------------
 
     def balance_of(self, addr: Address, token: str = NATIVE) -> int:
-        if token == NATIVE:
-            return self.native_balances.get(addr, 0)
-        return self._fungible_state(token).balances.get(addr, 0)
+        return self._balances_for(token).get(addr, 0)
 
     def allowance_of(self, token: str, owner: Address, spender: Address):
-        return self._fungible_state(token).allowances.get((owner, spender), 0)
+        return self._token(token, "fungible").allowances.get((owner, spender), 0)
 
     def nft_owner_of(self, token: str, token_id: int) -> Address | None:
-        return self._nft_state(token).nft_owners.get(token_id)
+        return self._token(token, "nft").nft_owners.get(token_id)
 
     def total_supply(self, token: str) -> int:
-        if token == NATIVE:
-            return sum(self.native_balances.values())
-        return sum(self._fungible_state(token).balances.values())
+        return sum(self._balances_for(token).values())
 
     def next_nonce(self, addr: Address) -> int:
         """Account nonce plus queued transactions, for chained submissions."""
@@ -457,25 +477,21 @@ class Ledger:
         """Balance as of the end of the given block height."""
         if height > self.height:
             raise FutureHeight(f"height {height} > current {self.height}")
-        point = self._checkpoints.get((token, addr))
-        if point is None:
-            return 0
-        heights, balances = point
-        idx = bisect_right(heights, height)
-        return balances[idx - 1] if idx else 0
+        points = self._checkpoints.get((token, addr), [])
+        idx = bisect_right(points, height, key=itemgetter(0))
+        return points[idx - 1][1] if idx else 0
+
+    def transfers_since(self, addr: Address, token: str, height: int) -> list[LedgerEvent]:
+        """Executed Transfer events from or to addr in token, in blocks after height."""
+        if height > self.height:
+            raise FutureHeight(f"height {height} > current {self.height}")
+        records = self._transfers.get((token, addr), [])
+        return records[bisect_right(records, height, key=attrgetter("height")):]
 
     def withdrawals_since(self, addr: Address, token: str, height: int) -> int:
         """Total Executed outgoing transfer amounts in blocks after height."""
-        if height > self.height:
-            raise FutureHeight(f"height {height} > current {self.height}")
-        point = self._outflow.get((token, addr))
-        if point is None:
-            return 0
-        heights, cums = point
-        total = cums[-1] if cums else 0
-        idx = bisect_right(heights, height)
-        at = cums[idx - 1] if idx else 0
-        return total - at
+        return sum(ev.get("amount") for ev in self.transfers_since(addr, token, height)
+                   if ev.get("from") == addr)
 
     # -- exceptions list -----------------------------------------------------
 
@@ -497,6 +513,7 @@ class Ledger:
     # -- submission ----------------------------------------------------------
 
     def _validate(self, tx: Transaction) -> None:
+        _check_fields(tx)
         try:
             signer = recover_signer(tx.digest, tx.signature)
         except RecoveryError as exc:
@@ -579,26 +596,31 @@ class Ledger:
 
     def _execute(self, tx: Transaction, height: int) -> str:
         self.nonces[tx.sender] = tx.nonce + 1
+        start = len(self.events)
         self._journal = []
-        self._event_buffer = []
         try:
             self._apply_payload(tx, height)
         except RevertError as err:
+            # undo every write, then cut the log back to where the transaction began
             for undo in reversed(self._journal):
                 undo()
-            self._event_buffer = []
+            del self.events[start:]
             outcome = f"Reverted:{err.reason}"
-            kind, fields = tx.payload.describe(tx.sender)
-            fields["outcome"] = outcome
-            self.events.append(_event(height, kind, fields))
+            self._record(tx.payload, tx.sender, height, outcome)
         else:
             outcome = EXECUTED
-            self.events.extend(self._event_buffer)
-            self._accumulate_outflow(self._event_buffer, height)
-            self._event_buffer = []
+            for ev in self.events[start:]:
+                if ev.kind == "Transfer":
+                    for addr in {ev.get("from"), ev.get("to")}:
+                        self._transfers.setdefault((ev.get("token"), addr), []).append(ev)
         finally:
             self._journal = None
         return outcome
+
+    def _record(self, p: Payload, sender: Address, height: int, outcome: str, **fields) -> None:
+        """Log a payload through its describe(), with fields overridden."""
+        kind, described = p.describe(sender)
+        self.events.append(_event(height, kind, {**described, **fields, "outcome": outcome}))
 
     def _apply_payload(self, tx: Transaction, height: int) -> None:
         p = tx.payload
@@ -612,7 +634,7 @@ class Ledger:
             self._apply_approve(tx.sender, p, height)
         elif isinstance(p, NftTransfer):
             self._nft_move(p.token, tx.sender, p.to, p.token_id, height)
-        elif isinstance(p, ContractCall):
+        else:  # a ContractCall, the last kind submission lets through
             contract = self.contracts.get(p.contract)
             if contract is None:
                 raise UnknownContract(f"no contract at {p.contract}")
@@ -622,57 +644,36 @@ class Ledger:
             except (ValueError, TypeError) as exc:
                 # anyone can sign a call whose arguments do not decode
                 raise InvalidArgument(f"{p.method}: {exc}") from exc
-            kind, fields = p.describe(tx.sender)
-            fields["outcome"] = EXECUTED
-            self._buffer_event(_event(height, kind, fields))
-        else:  # pragma: no cover - payload union is closed
-            raise TypeError(f"unknown payload {type(p).__name__}")
+            self._record(p, tx.sender, height, EXECUTED)
 
     # -- state mutation (journaled during execution) ---------------------------
 
-    def _record_undo(self, undo: Callable[[], None]) -> None:
+    def _put(self, table: dict, key, value) -> None:
+        """The one write of a ledger table; inside a transaction it can be undone."""
         if self._journal is not None:
-            self._journal.append(undo)
+            if key in table:
+                old = table[key]
+                self._journal.append(lambda: table.__setitem__(key, old))
+            else:
+                self._journal.append(lambda: table.pop(key))
+        table[key] = value
 
-    def _buffer_event(self, ev: LedgerEvent) -> None:
-        if self._journal is not None:
-            self._event_buffer.append(ev)
-        else:
-            self.events.append(ev)
-
-    def _fungible_state(self, token: str) -> TokenState:
-        if token == NATIVE:
-            raise UnknownToken("native currency is not a token contract")
+    def _token(self, token: str, kind: str | None = None) -> TokenState:
+        """The token contract named token, of the given kind if one is given."""
         state = self.tokens.get(token)
         if state is None:
             raise UnknownToken(f"unknown token {token!r}")
-        if state.kind != "fungible":
-            raise WrongTokenKind(f"token {token!r} is not fungible")
-        return state
-
-    def _nft_state(self, token: str) -> TokenState:
-        state = self.tokens.get(token)
-        if state is None:
-            raise UnknownToken(f"unknown token {token!r}")
-        if state.kind != "nft":
-            raise WrongTokenKind(f"token {token!r} is not an NFT contract")
+        if kind is not None and state.kind != kind:
+            raise WrongTokenKind(f"token {token!r} is not {kind}")
         return state
 
     def _balances_for(self, token: str) -> dict:
         if token == NATIVE:
             return self.native_balances
-        return self._fungible_state(token).balances
-
-    def _set_balance(self, token: str, addr: Address, value: int) -> None:
-        balances = self._balances_for(token)
-        old = balances.get(addr, 0)
-        self._record_undo(lambda: balances.__setitem__(addr, old))
-        balances[addr] = value
-        # checkpointed under the height of the next built block
-        self._touched[(token, addr)] = None
+        return self._token(token, "fungible").balances
 
     def _fungible_move(self, token: str, frm: Address, to: Address, amount: int,
-                       height: int, kind: str = "Transfer", extra: dict | None = None) -> None:
+                       height: int, kind: str = "Transfer", **extra) -> None:
         if amount < 0:
             raise InvalidAmount(f"cannot move a negative amount {amount} of {token}")
         balances = self._balances_for(token)
@@ -680,77 +681,47 @@ class Ledger:
             raise InsufficientBalance(
                 f"{frm} holds {balances.get(frm, 0)} {token}, needs {amount}"
             )
-        self._set_balance(token, frm, balances.get(frm, 0) - amount)
-        self._set_balance(token, to, balances.get(to, 0) + amount)
-        fields = {"from": frm, "to": to, "token": token, "amount": amount}
-        if extra:
-            fields.update(extra)
-        fields["outcome"] = EXECUTED
-        self._buffer_event(_event(height, kind, fields))
+        for addr, delta in ((frm, -amount), (to, amount)):
+            self._put(balances, addr, balances.get(addr, 0) + delta)
+            # checkpointed under the height of the next built block
+            self._touched[(token, addr)] = None
+        fields = {"from": frm, "to": to, "token": token, "amount": amount, **extra}
+        self.events.append(_event(height, kind, {**fields, "outcome": EXECUTED}))
 
     def _fungible_move_from(self, token: str, owner: Address, to: Address,
                             spender: Address, amount: int, height: int) -> None:
-        state = self._fungible_state(token)
-        allowance = state.allowances.get((owner, spender), 0)
-        if allowance is not UNLIMITED and allowance < amount:
-            raise InsufficientAllowance(
-                f"{spender} allowed {allowance} of {owner}'s {token}, needs {amount}"
-            )
+        allowances = self._token(token, "fungible").allowances
+        allowance = allowances.get((owner, spender), 0)
         if allowance is not UNLIMITED:
-            self._set_allowance(state, owner, spender, allowance - amount)
-        self._fungible_move(token, owner, to, amount, height, extra={"spender": spender})
-
-    def _set_allowance(self, state: TokenState, owner: Address, spender: Address,
-                       value) -> None:
-        key = (owner, spender)
-        old = state.allowances.get(key, 0)
-        if self._journal is not None:
-            self._journal.append(lambda: state.allowances.__setitem__(key, old))
-        state.allowances[key] = value
+            if allowance < amount:
+                raise InsufficientAllowance(
+                    f"{spender} allowed {allowance} of {owner}'s {token}, needs {amount}"
+                )
+            self._put(allowances, (owner, spender), allowance - amount)
+        self._fungible_move(token, owner, to, amount, height, spender=spender)
 
     def _apply_approve(self, owner: Address, p: Approve, height: int) -> None:
-        state = self.tokens.get(p.token)
-        if state is None:
-            raise UnknownToken(f"unknown token {p.token!r}")
+        state = self._token(p.token)
         if state.kind == "fungible":
-            self._set_allowance(state, owner, p.spender, p.amount)
+            self._put(state.allowances, (owner, p.spender), p.amount)
+            self._record(p, owner, height, EXECUTED)
         else:
             # NFT approval grants collection-wide operator rights
-            key = (owner, p.spender)
-            old = state.operators.get(key, False)
-            self._record_undo(lambda: state.operators.__setitem__(key, old))
-            state.operators[key] = True
-        self._buffer_event(
-            _event(
-                height,
-                "Approval",
-                {"from": owner, "to": p.spender, "token": p.token,
-                 "amount": p.amount if state.kind == "fungible" else UNLIMITED,
-                 "outcome": EXECUTED},
-            )
-        )
+            self._put(state.operators, (owner, p.spender), True)
+            self._record(p, owner, height, EXECUTED, amount=UNLIMITED)
 
     def _nft_move(self, token: str, frm: Address, to: Address, token_id: int,
                   height: int) -> None:
-        state = self._nft_state(token)
-        if state.nft_owners.get(token_id) != frm:
+        owners = self._token(token, "nft").nft_owners
+        if owners.get(token_id) != frm:
             raise NotOwner(f"{frm} does not own {token}#{token_id}")
-        old = state.nft_owners.get(token_id)
-        self._record_undo(lambda: state.nft_owners.__setitem__(token_id, old))
-        state.nft_owners[token_id] = to
-        self._buffer_event(
-            _event(
-                height,
-                "NftTransfer",
-                {"from": frm, "to": to, "token": token, "token_id": token_id,
-                 "outcome": EXECUTED},
-            )
-        )
+        self._put(owners, token_id, to)
+        fields = {"from": frm, "to": to, "token": token, "token_id": token_id, "outcome": EXECUTED}
+        self.events.append(_event(height, "NftTransfer", fields))
 
     def _nft_move_by_operator(self, token: str, owner: Address, to: Address,
                               operator: Address, token_id: int, height: int) -> None:
-        state = self._nft_state(token)
-        if not state.operators.get((owner, operator), False):
+        if not self._token(token, "nft").operators.get((owner, operator), False):
             raise InsufficientAllowance(
                 f"{operator} is not an approved operator for {owner} on {token}"
             )
@@ -778,21 +749,4 @@ class Ledger:
     # -- replay support --------------------------------------------------------
 
     def _append_checkpoint(self, token: str, addr: Address, height: int, value: int) -> None:
-        heights, balances = self._checkpoints.setdefault((token, addr), ([], []))
-        heights.append(height)
-        balances.append(value)
-
-    def _accumulate_outflow(self, events: list[LedgerEvent], height: int) -> None:
-        for ev in events:
-            if ev.kind != "Transfer" or ev.get("outcome") != EXECUTED:
-                continue
-            token = ev.get("token")
-            frm = ev.get("from")
-            amount = ev.get("amount")
-            heights, cums = self._outflow.setdefault((token, frm), ([], []))
-            if heights and heights[-1] == height:
-                cums[-1] += amount
-            else:
-                heights.append(height)
-                cums.append((cums[-1] if cums else 0) + amount)
-
+        self._checkpoints.setdefault((token, addr), []).append((height, value))

@@ -27,7 +27,6 @@ from .crypto import (
 )
 from .encoding import encode_value
 from .ledger import (
-    EXECUTED,
     ContractCall,
     ExecutionContext,
     InvalidArgument,
@@ -252,17 +251,11 @@ class QmigContract:
         return min(base + inflows, ceiling)
 
     def _authorized_inflows(self, source: Address, token: str) -> int:
-        total = 0
-        for ev in self.ledger.events:
-            if ev.height <= self.inflection or ev.kind != "Transfer":
-                continue
-            if ev.get("outcome") != EXECUTED or ev.get("token") != token:
-                continue
-            if ev.get("to") != source:
-                continue
-            if (ev.get("from"), source) in self.authorized_pairs:
-                total += ev.get("amount")
-        return total
+        return sum(
+            ev.get("amount")
+            for ev in self.ledger.transfers_since(source, token, self.inflection)
+            if ev.get("to") == source and (ev.get("from"), source) in self.authorized_pairs
+        )
 
     # -- audit -------------------------------------------------------------------
 

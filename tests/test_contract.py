@@ -19,7 +19,7 @@ from failsafe.contract import (
     enroll_wallet,
 )
 from failsafe.crypto import Address, KeyPair
-from failsafe.ledger import NATIVE, Ledger
+from failsafe.ledger import NATIVE, UNLIMITED, Approve, Ledger, sign_transaction
 from failsafe.qmig import QmigContract
 
 QMIG_ADDRESS = Address(bytes(range(1, 21)))
@@ -255,6 +255,38 @@ def test_intercept_specific_and_full_balance():
     # repeating against an empty wallet is a harmless no-op
     args = (bytes(world.hot.address), (("fungible", "gold", None),))
     assert run_execute(world, OperationKind.INTERCEPT, args, [world.signers[0]]) == "Executed"
+
+
+def test_reverted_intercept_leaves_only_its_revert_record():
+    world = make_world()
+    ledger, hot, vault = world.ledger, world.hot, world.contract.address
+    ledger.create_token("deeds", kind="nft")
+    # a finite gold allowance, so the pull writes it; operator rights on deeds
+    for token, amount in (("gold", 400), ("deeds", UNLIMITED)):
+        payload = Approve(token, vault, amount)
+        ledger.submit_transaction(
+            sign_transaction(hot, ledger.next_nonce(hot.address), 1, payload)
+        )
+    ledger.build_block()
+
+    def snapshot():
+        return (
+            ledger.balance_of(hot.address, "gold"),
+            ledger.balance_of(vault, "gold"),
+            ledger.allowance_of("gold", hot.address, vault),
+            ledger.withdrawals_since(hot.address, "gold", 0),
+        )
+
+    before, log_length = snapshot(), len(ledger.events)
+    # the gold pull moves funds and logs a Transfer before the NFT pull fails
+    args = (bytes(hot.address), (("fungible", "gold", 300), ("nft", "deeds", 7)))
+    outcome = run_execute(world, OperationKind.INTERCEPT, args, [world.signers[0]])
+    assert outcome == "Reverted:NotOwner"
+    assert len(ledger.events) == log_length + 1
+    assert (ledger.events[-1].kind, ledger.events[-1].get("outcome")) == (
+        "Call", "Reverted:NotOwner"
+    )
+    assert snapshot() == before == (1000, 0, 400, 0)
 
 
 def test_rebalance_moves_both_directions():

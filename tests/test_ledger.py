@@ -16,6 +16,7 @@ from failsafe.ledger import (
     ContractCall,
     FutureHeight,
     Ledger,
+    MalformedTransaction,
     NativeTransfer,
     NftTransfer,
     PrivateRelayStatus,
@@ -213,6 +214,31 @@ def test_malformed_contract_call_reverts_without_dropping_other_transactions(met
     assert ledger.nonces[ALICE.address] == 1
     assert (vault.enrollments, qmig.registry) == ({}, {})
     assert vault.config.thresholds == dict(DEFAULT_THRESHOLDS)
+
+
+@pytest.mark.parametrize(
+    "gas_price, payload",
+    [
+        (1, NativeTransfer(BOB.address, "5")),
+        (1, TokenTransfer(["gold"], BOB.address, 5)),
+        (1, NativeTransfer(bytes(BOB.address), 5)),  # plain bytes, not an Address
+        ("1", NativeTransfer(BOB.address, 5)),
+    ],
+    ids=["str-amount", "list-token", "bytes-recipient", "str-gas-price"],
+)
+def test_malformed_transaction_is_refused_at_submission(gas_price, payload):
+    ledger = fresh_ledger((ALICE.address, NATIVE, 100), (CAROL.address, NATIVE, 100))
+    valid = submit_native(ledger, CAROL, BOB.address, 30, gas_price=2)
+    bad = sign_transaction(ALICE, 0, gas_price, payload)
+    with pytest.raises(MalformedTransaction):
+        ledger.submit_transaction(bad)
+    with pytest.raises(MalformedTransaction):
+        ledger.submit_private_transaction(bad)
+    block = ledger.build_block()
+    assert ledger.height == 1
+    assert [(tx.tx_id, outcome) for tx, outcome in block.txs] == [(valid.tx_id, "Executed")]
+    assert ledger.balance_of(BOB.address) == 30
+    assert ledger.next_nonce(ALICE.address) == 0
 
 
 def test_token_transfer_and_unknown_token_revert():
@@ -465,18 +491,60 @@ def test_identical_fields_yield_identical_tx_id():
     assert a.tx_id != c.tx_id
 
 
+def _signed_payload(kind, signer, other, amount, token):
+    """One drawn payload; amounts may be negative and tokens unknown or of the wrong kind."""
+    if kind == "native":
+        return NativeTransfer(other, amount)
+    if kind == "token":
+        return TokenTransfer(token, other, amount)
+    if kind == "approve":
+        return Approve(token, other, UNLIMITED if amount > 50 else amount)
+    if kind == "transfer_from":
+        return TokenTransferFrom(token, other, signer, amount)
+    return NftTransfer(token, other, amount % 4)
+
+
 @settings(max_examples=15)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 50)), max_size=12))
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["native", "token", "approve", "transfer_from", "nft"]),
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.integers(-5, 60),
+            st.sampled_from(["gold", "deeds", "ghost"]),
+        ),
+        max_size=12,
+    )
+)
 def test_native_supply_is_conserved(moves):
+    """Mixed signed payloads: every block builds, every fungible supply is
+    conserved, and history queries match the block replay oracles."""
     rng = random.Random(99)
     keys = [KeyPair.generate(rng) for _ in range(4)]
-    ledger = Ledger()
-    for k in keys:
-        ledger.genesis_allocate(k.address, NATIVE, 100)
-    for i, (frm, to, amount) in enumerate(moves):
-        submit_native(ledger, keys[frm], keys[to].address, amount)
+    ledger = fresh_ledger()
+    ledger.create_token("deeds", kind="nft")
+    genesis = [(k.address, token, 100) for k in keys for token in (NATIVE, "gold")]
+    for addr, token, amount in genesis:
+        ledger.genesis_allocate(addr, token, amount)
+    for i, k in enumerate(keys):
+        ledger.genesis_allocate_nft(k.address, "deeds", i)
+    for i, (kind, signer, other, amount, token) in enumerate(moves):
+        key = keys[signer]
+        payload = _signed_payload(kind, key.address, keys[other].address, amount, token)
+        ledger.submit_transaction(
+            sign_transaction(key, ledger.next_nonce(key.address), 1 + i % 3, payload)
+        )
         if i % 3 == 2:
             ledger.build_block()
     ledger.build_block()
-    assert sum(ledger.balance_of(k.address) for k in keys) == 400
-    assert ledger.total_supply(NATIVE) == 400
+    for token in (NATIVE, "gold"):
+        assert ledger.total_supply(token) == 400
+        for k in keys:
+            assert ledger.balance_of(k.address, token) == replay_balance_from_blocks(
+                genesis, ledger.blocks, k.address, token, ledger.height
+            )
+            for h in range(ledger.height + 1):
+                assert ledger.withdrawals_since(
+                    k.address, token, h
+                ) == replay_withdrawals_from_blocks(ledger.blocks, k.address, token, h)
