@@ -119,3 +119,57 @@ def keccak256(data: bytes) -> bytes:
         _keccak_f(lanes)
 
     return b"".join(lanes[i].to_bytes(8, "little") for i in range(4))
+
+
+# Lane a[x + 5y] is rotated by _RHO[x + 5y] and moved to b[_PI[x + 5y]]; the
+# same offsets and destinations that _keccak_f bakes into its body.
+_RHO = (0, 1, 62, 28, 27, 36, 44, 6, 55, 20, 3, 10, 43, 25, 39,
+        41, 45, 15, 21, 8, 18, 2, 61, 56, 14)
+_PI = tuple(y + 5 * ((2 * x + 3 * y) % 5) for y in range(5) for x in range(5))
+
+
+def keccak256_batch(messages) -> list[bytes]:
+    """Return [keccak256(m) for m in messages] for messages of at most 135 bytes.
+
+    Every message fits one rate block, so all of them go through a single
+    permutation run: lane i of message j sits in 64-bit slot j of one int
+    (SIMD within a register), and theta, chi and iota act on every slot at
+    once. A rotation shifts the whole int, then masks keep the bits that
+    stayed in their slot and bring back the ones that crossed into the next.
+    """
+    n = len(messages)
+    padded = bytearray()
+    for data in messages:
+        if len(data) >= _RATE_BYTES:
+            raise ValueError(f"batched message must be under {_RATE_BYTES} bytes")
+        block = bytearray(_RATE_BYTES)
+        block[: len(data)] = data
+        block[len(data)] ^= 0x01
+        block[-1] ^= 0x80  # both in one byte (0x81) when the pad is one byte
+        padded += block
+    words = memoryview(padded).cast("Q")
+    a = [int.from_bytes(words[i::17].tobytes(), "little") for i in range(17)] + [0] * 8
+
+    ones = int.from_bytes((b"\x01" + bytes(7)) * n, "little")
+    full = _MASK * ones
+    low = {r: ((1 << r) - 1) * ones for r in _RHO if r}  # bits [0, r) of each slot
+    high = {r: full ^ m for r, m in low.items()}  # bits [r, 64) of each slot
+
+    def rotl(v: int, r: int) -> int:
+        return ((v << r) & high[r]) | ((v >> (64 - r)) & low[r])
+
+    for rc in _ROUND_CONSTANTS:
+        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
+        d = [c[x - 1] ^ rotl(c[(x + 1) % 5], 1) for x in range(5)]
+        b = [0] * 25
+        for i, r in enumerate(_RHO):
+            v = a[i] ^ d[i % 5]
+            b[_PI[i]] = rotl(v, r) if r else v
+        a = [b[i] ^ (b[i - i % 5 + (i + 2) % 5] & ~b[i - i % 5 + (i + 1) % 5]) for i in range(25)]
+        a[0] ^= rc * ones
+
+    out = memoryview(bytearray(32 * n)).cast("Q")
+    for i in range(4):
+        out[i::4] = memoryview(a[i].to_bytes(8 * n, "little")).cast("Q")
+    raw = out.tobytes()
+    return [raw[32 * j : 32 * j + 32] for j in range(n)]

@@ -8,10 +8,16 @@ quantum-resilient signature layer. Each key signs exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_batch
 
 _BITS = 256
+
+
+def _bits(digest: bytes) -> list[int]:
+    """The 256 bits of a digest, most significant bit of byte 0 first."""
+    return [(digest[i // 8] >> (7 - i % 8)) & 1 for i in range(_BITS)]
 
 
 class KeyExhausted(Exception):
@@ -40,21 +46,24 @@ class PqPublicKey:
 
     hashes: tuple[tuple[bytes, bytes], ...]
 
-    @property
+    @cached_property
     def fingerprint(self) -> bytes:
+        # a 16 KiB hash, read on every pq_address lookup: computed once per key
         return keccak256(b"".join(h for pair in self.hashes for h in pair))
 
 
 class PqKeyPair:
-    """A Lamport key: 2 x 256 secret preimages plus their hash images."""
+    """A Lamport key: 2 x 256 secret preimages of 32 bytes plus their hash images."""
 
     def __init__(self, private: tuple[tuple[bytes, bytes], ...], uses_remaining: int = 1):
         if len(private) != _BITS:
             raise ValueError(f"private key must hold {_BITS} preimage pairs")
+        preimages = [p for zero, one in private for p in (zero, one)]
+        if any(len(p) != 32 for p in preimages):
+            raise ValueError("each private preimage must be 32 bytes")
         self._private = private
-        self.public = PqPublicKey(
-            tuple((keccak256(zero), keccak256(one)) for zero, one in private)
-        )
+        images = keccak256_batch(preimages)
+        self.public = PqPublicKey(tuple(zip(images[0::2], images[1::2])))
         self.uses_remaining = uses_remaining
 
     @classmethod
@@ -70,11 +79,7 @@ class PqKeyPair:
         if len(digest) != 32:
             raise ValueError("digest must be 32 bytes")
         self.uses_remaining -= 1
-        revealed = []
-        for i in range(_BITS):
-            bit = (digest[i // 8] >> (7 - i % 8)) & 1
-            revealed.append(self._private[i][bit])
-        return PqSignature(tuple(revealed))
+        return PqSignature(tuple(pair[bit] for pair, bit in zip(self._private, _bits(digest))))
 
 
 def pq_sign(key: PqKeyPair, digest: bytes) -> PqSignature:
@@ -82,10 +87,8 @@ def pq_sign(key: PqKeyPair, digest: bytes) -> PqSignature:
 
 
 def pq_verify(public: PqPublicKey, digest: bytes, sig: PqSignature) -> bool:
-    if len(digest) != 32 or len(sig.preimages) != _BITS:
+    if (len(digest) != 32 or len(sig.preimages) != _BITS
+            or any(len(p) != 32 for p in sig.preimages)):
         return False
-    for i in range(_BITS):
-        bit = (digest[i // 8] >> (7 - i % 8)) & 1
-        if keccak256(sig.preimages[i]) != public.hashes[i][bit]:
-            return False
-    return True
+    images = keccak256_batch(sig.preimages)
+    return all(images[i] == public.hashes[i][bit] for i, bit in enumerate(_bits(digest)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .keccak import keccak256
 
@@ -276,7 +277,7 @@ class KeyPair:
     def public_bytes(self) -> bytes:
         return self.public[0].to_bytes(32, "big") + self.public[1].to_bytes(32, "big")
 
-    @property
+    @cached_property
     def address(self) -> Address:
         return derive_address(self.public_bytes)
 

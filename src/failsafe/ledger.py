@@ -295,7 +295,9 @@ class Transaction:
 def sign_transaction(key: KeyPair, nonce: int, gas_price: int, payload: Payload) -> Transaction:
     sender = key.address
     digest = compute_tx_digest(sender, nonce, gas_price, payload)
-    return Transaction(sender, nonce, gas_price, payload, sign(key, digest))
+    tx = Transaction(sender, nonce, gas_price, payload, sign(key, digest))
+    vars(tx)["digest"] = digest  # fills the cached_property: the body is hashed once
+    return tx
 
 
 # ---------------------------------------------------------------------------

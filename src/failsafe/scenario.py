@@ -61,6 +61,8 @@ from .qmig import (
 
 DEFAULT_CUSTODIAN_ROLES = ("intercept", "rebalance", "relayer", "guardian")
 SERVICE_NAMES = ("fis", "fbr", "balancer")
+# libyaml's parser when PyYAML was built with it: same documents, a sixth of the time
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ParseError(Exception):
@@ -103,7 +105,7 @@ class Scenario:
     @classmethod
     def load(cls, path) -> "Scenario":
         try:
-            data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+            data = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ParseError(f"{path}: {exc}") from exc
         if not isinstance(data, dict):

@@ -5,11 +5,15 @@ package code so that agreement between the two routes is meaningful
 evidence. The Keccak oracle works on a 5x5x64 bit array and derives its
 round constants and rotation offsets at runtime from the FIPS 202
 definitions; the package implementation is lane-oriented with frozen
-tables. The ledger oracles replay raw block/transaction outcomes and
-never touch the package's event log or checkpoint indexes.
+tables. The Lamport oracle hashes one preimage at a time through the
+scalar keccak256, where the package hashes a whole signature in one
+batched permutation. The ledger oracles replay raw block/transaction
+outcomes and never touch the package's event log or checkpoint indexes.
 """
 
 from __future__ import annotations
+
+from failsafe.crypto.keccak import keccak256
 
 _W = 64  # lane width in bits for Keccak-f[1600]
 _RATE_BYTES = 136  # 1088-bit rate for 512-bit capacity (Keccak-256)
@@ -110,6 +114,23 @@ def reference_keccak256(data: bytes) -> bytes:
         x, y = lane_index % 5, lane_index // 5
         out[i // 8] |= state[x][y][i % _W] << (i % 8)
     return bytes(out)
+
+
+def reference_pq_verify(public_hashes, digest: bytes, preimages) -> bool:
+    """Lamport verification one preimage at a time through the scalar keccak256.
+
+    Walks the digest byte by byte and each byte's bits from the top, and
+    stops at the first preimage that does not hash to its committed image.
+    """
+    if len(digest) != 32 or len(preimages) != 256:
+        return False
+    for byte_index, byte in enumerate(digest):
+        for shift in range(7, -1, -1):
+            i = 8 * byte_index + 7 - shift
+            preimage = preimages[i]
+            if len(preimage) != 32 or keccak256(preimage) != public_hashes[i][(byte >> shift) & 1]:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failsafe.crypto import keccak256
+from failsafe.crypto.keccak import keccak256_batch
 from oracles import reference_keccak256
 
 # frozen from the bit-level reference implementation in oracles.py
@@ -43,3 +47,32 @@ def test_rate_boundary_lengths_match_reference():
 @given(st.binary(min_size=0, max_size=400))
 def test_matches_bit_level_reference(data):
     assert keccak256(data) == reference_keccak256(data)
+
+
+# -- batched one-block hashing ------------------------------------------------------
+
+
+@settings(max_examples=10)
+@given(st.integers(min_value=0, max_value=600), st.integers(min_value=0, max_value=2**32))
+def test_batch_matches_scalar_at_every_size(count, seed):
+    rng = random.Random(seed)
+    messages = [rng.randbytes(rng.randrange(136)) for _ in range(count)]
+    assert keccak256_batch(messages) == [keccak256(m) for m in messages]
+
+
+def test_batch_covers_every_one_block_length():
+    messages = [bytes(i % 251 for i in range(length)) for length in range(136)]
+    assert keccak256_batch(messages) == [keccak256(m) for m in messages]
+    assert keccak256_batch([]) == []
+
+
+def test_batch_matches_bit_level_reference():
+    messages = [b"", b"abc", bytes(range(32)), bytes(range(134)), bytes(135)]
+    assert keccak256_batch(messages) == [reference_keccak256(m) for m in messages]
+    assert keccak256_batch([b""])[0].hex() == EMPTY_DIGEST
+
+
+@pytest.mark.parametrize("length", [136, 137, 300])
+def test_batch_refuses_messages_of_a_full_block(length):
+    with pytest.raises(ValueError):
+        keccak256_batch([b"abc", bytes(length)])

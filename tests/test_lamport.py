@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from failsafe.crypto import (
     KeyExhausted,
@@ -12,6 +14,7 @@ from failsafe.crypto import (
     pq_verify,
 )
 from failsafe.crypto.keccak import keccak256
+from oracles import reference_pq_verify
 
 
 def _rng(seed: int = 7) -> random.Random:
@@ -96,3 +99,62 @@ def test_generation_is_seed_deterministic():
     a = PqKeyPair.generate(_rng(9))
     b = PqKeyPair.generate(_rng(9))
     assert a.public == b.public
+
+
+def test_fingerprint_is_computed_once():
+    public = PqKeyPair.generate(_rng(3)).public
+    expected = keccak256(b"".join(h for pair in public.hashes for h in pair))
+    assert public.fingerprint == expected
+    assert public.fingerprint is public.fingerprint
+    assert public == PqKeyPair.generate(_rng(3)).public
+
+
+@pytest.mark.parametrize("length", [31, 33])
+def test_private_preimages_must_be_32_bytes(length):
+    rng = _rng()
+    private = [(rng.randbytes(32), rng.randbytes(32)) for _ in range(256)]
+    private[100] = (private[100][0], bytes(length))
+    with pytest.raises(ValueError):
+        PqKeyPair(tuple(private))
+
+
+# -- the batched hashing against one preimage at a time ------------------------------
+
+
+@settings(max_examples=10)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_public_images_match_scalar_hashes(seed):
+    rng = _rng(seed)
+    private = tuple((rng.randbytes(32), rng.randbytes(32)) for _ in range(256))
+    expected = tuple((keccak256(zero), keccak256(one)) for zero, one in private)
+    assert PqKeyPair(private).public.hashes == expected
+
+
+@pytest.mark.parametrize(
+    "case", ["valid", "wrong digest", "tampered", "short", "31 bytes", "33 bytes", "136 bytes"]
+)
+@settings(max_examples=3)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.binary(min_size=32, max_size=32),
+    st.integers(min_value=0, max_value=255),
+)
+def test_verify_agrees_with_scalar_oracle(case, seed, digest, position):
+    key = PqKeyPair.generate(_rng(seed))
+    preimages = list(pq_sign(key, digest).preimages)
+    if case == "wrong digest":
+        digest = bytes([digest[0] ^ 0x80]) + digest[1:]
+    elif case == "tampered":
+        preimages[position] = bytes(b ^ 1 for b in preimages[position])
+    elif case == "short":
+        preimages = preimages[:position]
+    elif case == "31 bytes":
+        preimages[position] = preimages[position][:31]
+    elif case == "33 bytes":
+        preimages[position] += b"\x00"
+    elif case == "136 bytes":  # too long for one batched block
+        preimages[position] = bytes(136)
+    sig = PqSignature(tuple(preimages))
+    expected = reference_pq_verify(key.public.hashes, digest, sig.preimages)
+    assert pq_verify(key.public, digest, sig) == expected
+    assert expected == (case == "valid")

@@ -24,6 +24,7 @@ from failsafe.ledger import (
     TokenTransfer,
     TokenTransferFrom,
     Transaction,
+    compute_tx_digest,
     sign_transaction,
 )
 from failsafe.qmig import QmigContract
@@ -489,6 +490,18 @@ def test_identical_fields_yield_identical_tx_id():
     c = sign_transaction(ALICE, 0, 6, NativeTransfer(BOB.address, 10))
     assert a.tx_id == b.tx_id
     assert a.tx_id != c.tx_id
+
+
+def test_signed_and_hand_built_transactions_have_the_same_digest():
+    payload = NativeTransfer(BOB.address, 10)
+    expected = compute_tx_digest(ALICE.address, 4, 5, payload)
+    signed = sign_transaction(ALICE, 4, 5, payload)
+    assert signed.digest == expected
+    by_hand = Transaction(ALICE.address, 4, 5, payload, signed.signature)
+    assert "digest" not in vars(by_hand)  # computed on first read
+    assert by_hand.digest == expected
+    assert by_hand == signed
+    assert by_hand.tx_id == signed.tx_id
 
 
 def _signed_payload(kind, signer, other, amount, token):

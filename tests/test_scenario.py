@@ -4,6 +4,7 @@ import copy
 import hashlib
 
 import pytest
+import yaml
 
 from failsafe.bridge import ESCROW_ADDRESS
 from failsafe.cli import bundled_scenarios, main
@@ -116,6 +117,20 @@ def test_load_rejects_non_mapping(tmp_path):
     path.write_text("- just\n- a\n- list\n")
     with pytest.raises(ParseError):
         Scenario.load(path)
+
+
+def test_load_reports_yaml_syntax_errors(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("name: broken\nsteps: [\n")
+    with pytest.raises(ParseError):
+        Scenario.load(path)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_load_parses_like_safe_load(name):
+    path = scenario_path(name)
+    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    assert Scenario.load(path) == Scenario.from_dict(data, default_name=name)
 
 
 def test_load_reads_bundled_file():

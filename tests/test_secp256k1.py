@@ -46,6 +46,15 @@ def test_address_is_keccak_of_public_key():
     assert derive_address(key.public_bytes) == key.address
 
 
+def test_address_is_derived_once_and_keys_stay_comparable():
+    key = KeyPair.from_private(0xC0FFEE)
+    assert key.address == derive_address(key.public_bytes)
+    assert key.address is key.address
+    twin = KeyPair.from_private(0xC0FFEE)  # address not read yet
+    assert key == twin
+    assert hash(key) == hash(twin)
+
+
 def test_signature_roundtrip_bytes():
     sig = sign(KeyPair.from_private(7), bytes(32))
     raw = sig.to_bytes()
