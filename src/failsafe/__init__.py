@@ -9,96 +9,3 @@ Every run is a pure function of its scenario file and seed.
 """
 
 __version__ = "0.1.0"
-
-from .balancer import BalancerService, RebalanceAction
-from .bridge import (
-    ESCROW_ADDRESS,
-    Bridge,
-    BridgeBook,
-    BridgeTransfer,
-    ExceedsPermitted,
-    QuantumSafeLedger,
-    WrongChain,
-    pq_address,
-)
-from .contract import (
-    EnrollmentReceipt,
-    FailSafeContract,
-    KeyCustodian,
-    MultisigConfig,
-    OperationKind,
-    PolicyConfig,
-    build_execute_tx,
-    deploy_failsafe,
-    enroll_wallet,
-)
-from .crypto import Address, KeyPair, PqKeyPair, QuantumOracle, keccak256
-from .fbr import BlacklistEntry, FbrConfig, RiskService, RiskVerdict
-from .fis import InterceptDecision, InterceptorService, intercept_gas_price
-from .ledger import (
-    Block,
-    Ledger,
-    LedgerEvent,
-    NATIVE,
-    PrivateRelayStatus,
-    Transaction,
-    UNLIMITED,
-    sign_transaction,
-)
-from .qmig import (
-    LATE_INTENT_MESSAGE,
-    QmigContract,
-    TransferIntentSource,
-    build_intent_digest,
-)
-from .scenario import RunReport, Scenario, ScenarioRunner, run_scenario
-
-__all__ = [
-    "Address",
-    "BalancerService",
-    "BlacklistEntry",
-    "Block",
-    "Bridge",
-    "BridgeBook",
-    "BridgeTransfer",
-    "ESCROW_ADDRESS",
-    "EnrollmentReceipt",
-    "ExceedsPermitted",
-    "FailSafeContract",
-    "FbrConfig",
-    "InterceptDecision",
-    "InterceptorService",
-    "KeyCustodian",
-    "KeyPair",
-    "LATE_INTENT_MESSAGE",
-    "Ledger",
-    "LedgerEvent",
-    "MultisigConfig",
-    "NATIVE",
-    "OperationKind",
-    "PolicyConfig",
-    "PqKeyPair",
-    "PrivateRelayStatus",
-    "QmigContract",
-    "QuantumOracle",
-    "QuantumSafeLedger",
-    "RebalanceAction",
-    "RiskService",
-    "RiskVerdict",
-    "RunReport",
-    "Scenario",
-    "ScenarioRunner",
-    "Transaction",
-    "TransferIntentSource",
-    "UNLIMITED",
-    "WrongChain",
-    "build_execute_tx",
-    "build_intent_digest",
-    "deploy_failsafe",
-    "enroll_wallet",
-    "intercept_gas_price",
-    "keccak256",
-    "pq_address",
-    "run_scenario",
-    "sign_transaction",
-]

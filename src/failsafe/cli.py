@@ -93,8 +93,8 @@ def _load_registry(path: str | None) -> dict[bytes, int]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = dict(part.split("=", 1) for part in line.split())
         try:
+            fields = dict(part.split("=", 1) for part in line.split())
             registry[bytes.fromhex(fields["digest"])] = int(fields["height"])
         except (KeyError, ValueError) as exc:
             raise SystemExit(f"{path}:{i}: bad registry line: {exc}") from exc

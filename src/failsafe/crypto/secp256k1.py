@@ -2,8 +2,10 @@
 
 Pure Python on purpose: the simulation needs deterministic, dependency-free
 signing, and signature recovery (which standard library bindings do not
-expose). Point arithmetic uses Jacobian coordinates; signing uses a
-precomputed fixed-base window table for the generator.
+expose). All point arithmetic goes through one routine, `_accumulate`, which
+adds affine points to a Jacobian accumulator. Signing and key generation feed
+it a fixed-base table of 4-bit windows for the generator; recovery feeds it
+2-bit Straus–Shamir windows over the generator and the recovered point.
 """
 
 from __future__ import annotations
@@ -51,195 +53,106 @@ class Address(bytes):
 
 
 # ---------------------------------------------------------------------------
-# Point arithmetic (Jacobian coordinates, a = 0)
+# Point arithmetic (Jacobian accumulator, affine addends, a = 0)
 
-def _jac_double(pt: tuple[int, int, int]) -> tuple[int, int, int]:
-    x, y, z = pt
-    if z == 0 or y == 0:
-        return _INFINITY
-    ysq = y * y % P
-    s = 4 * x * ysq % P
-    m = 3 * x * x % P
-    nx = (m * m - 2 * s) % P
-    ny = (m * (s - nx) - 8 * ysq * ysq) % P
-    nz = 2 * y * z % P
-    return (nx, ny, nz)
-
-
-def _jac_add(p1: tuple[int, int, int], p2: tuple[int, int, int]) -> tuple[int, int, int]:
-    if p1[2] == 0:
-        return p2
-    if p2[2] == 0:
-        return p1
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    z1z1 = z1 * z1 % P
-    z2z2 = z2 * z2 % P
-    u1 = x1 * z2z2 % P
-    u2 = x2 * z1z1 % P
-    s1 = y1 * z2z2 * z2 % P
-    s2 = y2 * z1z1 * z1 % P
-    if u1 == u2:
-        if s1 != s2:
-            return _INFINITY
-        return _jac_double(p1)
-    h = (u2 - u1) % P
-    r = (s2 - s1) % P
-    h2 = h * h % P
-    h3 = h * h2 % P
-    u1h2 = u1 * h2 % P
-    nx = (r * r - h3 - 2 * u1h2) % P
-    ny = (r * (u1h2 - nx) - s1 * h3) % P
-    nz = h * z1 * z2 % P
-    return (nx, ny, nz)
-
-
-def _jac_add_affine(p1: tuple[int, int, int], p2: tuple[int, int]) -> tuple[int, int, int]:
-    if p1[2] == 0:
-        return (p2[0], p2[1], 1)
-    x1, y1, z1 = p1
-    x2, y2 = p2
-    z1z1 = z1 * z1 % P
-    u2 = x2 * z1z1 % P
-    s2 = y2 * z1z1 * z1 % P
-    if u2 == x1:
-        if s2 != y1:
-            return _INFINITY
-        return _jac_double(p1)
-    h = (u2 - x1) % P
-    r = (s2 - y1) % P
-    h2 = h * h % P
-    h3 = h * h2 % P
-    x1h2 = x1 * h2 % P
-    nx = (r * r - h3 - 2 * x1h2) % P
-    ny = (r * (x1h2 - nx) - y1 * h3) % P
-    nz = h * z1 % P
-    return (nx, ny, nz)
+def _accumulate(acc: tuple[int, int, int], points, doublings: int) -> tuple[int, int, int]:
+    """Double acc `doublings` times before each affine point, then add it (None adds nothing)."""
+    # The module's only doubling and addition formulas, inlined: recovery runs
+    # this loop ~128 times per call. secp256k1 has odd prime order, so no
+    # finite point has y = 0 and the doubling needs no degenerate-case check.
+    x, y, z = acc
+    repeat = range(doublings)
+    for pt in points:
+        if z:
+            for _ in repeat:
+                ysq = y * y % P
+                s4 = 4 * x * ysq % P
+                m = 3 * x * x % P
+                nx = (m * m - 2 * s4) % P
+                z = 2 * y * z % P
+                y = (m * (s4 - nx) - 8 * ysq * ysq) % P
+                x = nx
+        if pt is None:
+            continue
+        if not z:
+            (x, y), z = pt, 1
+            continue
+        px, py = pt
+        zz = z * z % P
+        u = px * zz % P
+        s = py * zz * z % P
+        if u == x:  # pt = acc doubles it; pt = -acc cancels to infinity
+            x, y, z = _accumulate((x, y, z), (None,), 1) if s == y else _INFINITY
+            continue
+        h = (u - x) % P
+        r = (s - y) % P
+        h2 = h * h % P
+        h3 = h * h2 % P
+        xh2 = x * h2 % P
+        nx = (r * r - h3 - 2 * xh2) % P
+        y = (r * (xh2 - nx) - y * h3) % P
+        x = nx
+        z = z * h % P
+    return (x, y, z)
 
 
-def _to_affine(pt: tuple[int, int, int]) -> tuple[int, int] | None:
-    x, y, z = pt
-    if z == 0:
-        return None
-    zi = pow(z, -1, P)
-    zi2 = zi * zi % P
-    return (x * zi2 % P, y * zi2 % P * zi % P)
-
-
-def _batch_inverse(values: list[int]) -> list[int]:
-    prefix = [1] * (len(values) + 1)
-    for i, v in enumerate(values):
-        prefix[i + 1] = prefix[i] * v % P
-    acc = pow(prefix[-1], -1, P)
-    out = [0] * len(values)
-    for i in range(len(values) - 1, -1, -1):
-        out[i] = prefix[i] * acc % P
-        acc = acc * values[i] % P
+def _normalize(points: list[tuple[int, int, int]]) -> list[tuple[int, int] | None]:
+    """Affine forms of Jacobian points with one shared inversion; None for infinity."""
+    zs = [z for _, _, z in points if z]
+    prefix = [1]
+    for z in zs:
+        prefix.append(prefix[-1] * z % P)
+    inv = pow(prefix[-1], -1, P)  # 1 / (product of every finite z)
+    out: list[tuple[int, int] | None] = [None] * len(points)
+    i = len(zs)
+    for idx in range(len(points) - 1, -1, -1):
+        x, y, z = points[idx]
+        if z:
+            i -= 1
+            zi = prefix[i] * inv % P
+            inv = inv * z % P
+            zi2 = zi * zi % P
+            out[idx] = (x * zi2 % P, y * zi2 % P * zi % P)
     return out
 
 
-_G_TABLE: list[list[tuple[int, int]]] | None = None
+_G_TABLE: list[list[tuple[int, int] | None]] | None = None
 
 
-def _g_table() -> list[list[tuple[int, int]]]:
-    """4-bit fixed-base windows: table[w][d-1] = d * 16^w * G in affine."""
+def _g_table() -> list[list[tuple[int, int] | None]]:
+    """4-bit fixed-base windows: table[w][d] = d * 16^w * G in affine, None for d = 0."""
     global _G_TABLE
     if _G_TABLE is None:
-        rows: list[list[tuple[int, int, int]]] = []
-        base = (GX, GY, 1)
+        table = []
+        base = (GX, GY)
         for _ in range(64):
-            row = [base]
-            for _ in range(14):
-                row.append(_jac_add(row[-1], base))
-            rows.append(row)
-            nxt = row[0]
-            for _ in range(4):
-                nxt = _jac_double(nxt)
-            base = nxt
-        flat = [pt for row in rows for pt in row]
-        z_invs = _batch_inverse([pt[2] for pt in flat])
-        affine: list[tuple[int, int]] = []
-        for pt, zi in zip(flat, z_invs):
-            zi2 = zi * zi % P
-            affine.append((pt[0] * zi2 % P, pt[1] * zi2 % P * zi % P))
-        _G_TABLE = [affine[i * 15 : (i + 1) * 15] for i in range(64)]
+            row = [(*base, 1)]
+            for _ in range(15):
+                row.append(_accumulate(row[-1], (base,), 0))
+            *multiples, base = _normalize(row)  # 1..15 * base, then 16 * base
+            table.append([None, *multiples])
+        _G_TABLE = table
     return _G_TABLE
 
 
-def _mult_g(k: int) -> tuple[int, int, int]:
-    table = _g_table()
-    acc = _INFINITY
-    for w in range(64):
-        digit = (k >> (4 * w)) & 0xF
-        if digit:
-            acc = _jac_add_affine(acc, table[w][digit - 1])
-    return acc
+def _mult_g(k: int) -> tuple[int, int] | None:
+    """k * G in affine: one table entry per 4-bit digit of k."""
+    entries = (row[k >> 4 * w & 15] for w, row in enumerate(_g_table()))
+    return _normalize([_accumulate(_INFINITY, entries, 0)])[0]
 
 
-def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int, int]:
-    """Compute u1*G + u2*q with a shared doubling chain, 2-bit windows."""
-    g1 = (GX, GY, 1)
-    q1 = (q[0], q[1], 1)
-    g_multiples = [_INFINITY, g1, _jac_double(g1)]
-    g_multiples.append(_jac_add(g_multiples[2], g1))
-    q_multiples = [_INFINITY, q1, _jac_double(q1)]
-    q_multiples.append(_jac_add(q_multiples[2], q1))
-    combos: list[tuple[int, int, int]] = []
-    for i in range(4):
-        for j in range(4):
-            combos.append(_jac_add(g_multiples[i], q_multiples[j]))
-    finite = [(idx, pt) for idx, pt in enumerate(combos) if pt[2] != 0]
-    z_invs = _batch_inverse([pt[2] for _, pt in finite])
-    affine: list[tuple[int, int] | None] = [None] * 16
-    for (idx, pt), zi in zip(finite, z_invs):
-        zi2 = zi * zi % P
-        affine[idx] = (pt[0] * zi2 % P, pt[1] * zi2 % P * zi % P)
-
-    # Hot path: the loop below runs ~128 times per recovery, so the group
-    # arithmetic is inlined. secp256k1 has odd prime order, hence no finite
-    # point has y = 0 and the doubling needs no degenerate-case check.
-    ax, ay, az = _INFINITY
-    top = (max(u1.bit_length(), u2.bit_length()) + 1) // 2
-    for limb in range(top - 1, -1, -1):
-        if az:
-            for _ in (0, 1):
-                ysq = ay * ay % P
-                s4 = 4 * ax * ysq % P
-                m = 3 * ax * ax % P
-                nx = (m * m - 2 * s4) % P
-                az = 2 * ay * az % P
-                ay = (m * (s4 - nx) - 8 * ysq * ysq) % P
-                ax = nx
-        d1 = (u1 >> (2 * limb)) & 3
-        d2 = (u2 >> (2 * limb)) & 3
-        if d1 or d2:
-            pt = affine[4 * d1 + d2]
-            if pt is None:  # the combo itself summed to infinity
-                continue
-            if az:
-                x2, y2 = pt
-                z1z1 = az * az % P
-                u2x = x2 * z1z1 % P
-                s2y = y2 * z1z1 * az % P
-                if u2x == ax:
-                    if s2y != ay:
-                        ax, ay, az = _INFINITY
-                    else:
-                        ax, ay, az = _jac_double((ax, ay, az))
-                else:
-                    h = (u2x - ax) % P
-                    r = (s2y - ay) % P
-                    h2 = h * h % P
-                    h3 = h * h2 % P
-                    x1h2 = ax * h2 % P
-                    nx = (r * r - h3 - 2 * x1h2) % P
-                    ay = (r * (x1h2 - nx) - ay * h3) % P
-                    ax = nx
-                    az = az * h % P
-            else:
-                ax, ay = pt
-                az = 1
-    return (ax, ay, az)
+def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
+    """u1 * G + u2 * q in affine, with a shared doubling chain over 2-bit windows."""
+    q_multiples = [_INFINITY, (*q, 1)]
+    for _ in range(2):
+        q_multiples.append(_accumulate(q_multiples[-1], (q,), 0))
+    # combos[4 * i + j] = i * G + j * q; None where the sum is infinity
+    combos = _normalize(
+        [_accumulate(qj, (gi,), 0) for gi in _g_table()[0][:4] for qj in q_multiples]
+    )
+    top = 2 * ((max(u1.bit_length(), u2.bit_length()) + 1) // 2)
+    windows = (combos[4 * (u1 >> b & 3) + (u2 >> b & 3)] for b in range(top - 2, -1, -2))
+    return _normalize([_accumulate(_INFINITY, windows, 2)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +178,7 @@ class KeyPair:
             private = int.from_bytes(private, "big")
         if not 1 <= private < N:
             raise ValueError("private scalar out of range [1, n-1]")
-        pub = _to_affine(_mult_g(private))
+        pub = _mult_g(private)
         assert pub is not None
         return cls(private, pub)
 
@@ -338,7 +251,7 @@ def sign(key: KeyPair, digest: bytes) -> RecoverableSignature:
         raise ValueError("digest must be 32 bytes")
     z = int.from_bytes(digest, "big") % N
     for k in _rfc6979_nonces(key.private, digest):
-        point = _to_affine(_mult_g(k))
+        point = _mult_g(k)
         assert point is not None
         xr, yr = point
         if xr >= N:  # would need a recovery id outside {0, 1}; draw again
@@ -378,7 +291,7 @@ def recover_signer(digest: bytes, sig: RecoverableSignature) -> Address:
     r_inv = pow(sig.r, -1, N)
     u1 = -z * r_inv % N
     u2 = sig.s * r_inv % N
-    q = _to_affine(_shamir(u1, u2, (x, y)))
+    q = _shamir(u1, u2, (x, y))
     if q is None:
         raise RecoveryError("recovered point at infinity")
     public = q[0].to_bytes(32, "big") + q[1].to_bytes(32, "big")

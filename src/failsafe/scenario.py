@@ -73,6 +73,17 @@ class UnknownActor(Exception):
     """A step or assertion references an undeclared name."""
 
 
+class _StepParams(dict):
+    """A step's parameters: reading a missing one is a ParseError naming the step."""
+
+    def __init__(self, step: str, items):
+        super().__init__(items)
+        self.step = step
+
+    def __missing__(self, key):
+        raise ParseError(f"{self.step}: missing parameter {key!r}")
+
+
 @dataclass(frozen=True)
 class Step:
     at: int
@@ -118,17 +129,27 @@ class Scenario:
             if not condition:
                 raise ParseError(message)
 
+        def integer(value, what: str) -> int:
+            try:
+                return int(value)
+            except (TypeError, ValueError):
+                raise ParseError(f"{what} must be an integer, got {value!r}") from None
+
         steps = []
         last_at = 1
         for i, raw in enumerate(data.get("steps", [])):
             need(isinstance(raw, dict), f"step {i} must be a mapping")
             need("at" in raw and "action" in raw, f"step {i} needs 'at' and 'action'")
-            at = int(raw["at"])
+            at = integer(raw["at"], f"step {i}: 'at'")
             need(at >= 1, f"step {i}: 'at' must be >= 1")
             need(at >= last_at, f"step {i}: steps must be sorted by 'at'")
             last_at = at
-            params = {k: v for k, v in raw.items() if k not in ("at", "action", "label")}
-            steps.append(Step(at, str(raw["action"]), params, raw.get("label")))
+            action = str(raw["action"])
+            params = _StepParams(
+                f"step {i} ({action})",
+                ((k, v) for k, v in raw.items() if k not in ("at", "action", "label")),
+            )
+            steps.append(Step(at, action, params, raw.get("label")))
 
         actors = data.get("actors", {})
         need(isinstance(actors, dict) and actors, "scenario needs a non-empty 'actors' mapping")
@@ -149,10 +170,10 @@ class Scenario:
         return cls(
             name=str(data.get("name", default_name)),
             description=str(data.get("description", "")).strip(),
-            seed=int(data.get("seed", 0)),
-            chain_id=int(data.get("chain_id", 1)),
-            dest_chain_id=int(data.get("dest_chain_id", 9001)),
-            run_blocks=int(run_blocks),
+            seed=integer(data.get("seed", 0), "'seed'"),
+            chain_id=integer(data.get("chain_id", 1), "'chain_id'"),
+            dest_chain_id=integer(data.get("dest_chain_id", 9001), "'dest_chain_id'"),
+            run_blocks=integer(run_blocks, "'run_blocks'"),
             services=services,
             fbr_config=FbrConfig(**fbr_over),
             tokens=list(data.get("tokens", [])),

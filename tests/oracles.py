@@ -7,13 +7,17 @@ round constants and rotation offsets at runtime from the FIPS 202
 definitions; the package implementation is lane-oriented with frozen
 tables. The Lamport oracle hashes one preimage at a time through the
 scalar keccak256, where the package hashes a whole signature in one
-batched permutation. The ledger oracles replay raw block/transaction
-outcomes and never touch the package's event log or checkpoint indexes.
+batched permutation. The secp256k1 oracle multiplies points by textbook
+affine double-and-add with one modular inverse per step; the package
+accumulates window tables in Jacobian coordinates. The ledger oracles
+replay raw block/transaction outcomes and never touch the package's event
+log or checkpoint indexes.
 """
 
 from __future__ import annotations
 
 from failsafe.crypto.keccak import keccak256
+from failsafe.crypto.secp256k1 import GX, GY
 
 _W = 64  # lane width in bits for Keccak-f[1600]
 _RATE_BYTES = 136  # 1088-bit rate for 512-bit capacity (Keccak-256)
@@ -131,6 +135,37 @@ def reference_pq_verify(public_hashes, digest: bytes, preimages) -> bool:
             if len(preimage) != 32 or keccak256(preimage) != public_hashes[i][(byte >> shift) & 1]:
                 return False
     return True
+
+
+_SECP_P = 2**256 - 2**32 - 977  # the secp256k1 field prime, in its SEC 2 form
+
+
+def reference_point_add(a, b):
+    """Affine sum on y^2 = x^3 + 7; None is the point at infinity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2 and (y1 + y2) % _SECP_P == 0:
+        return None
+    if a == b:
+        slope = 3 * x1 * x1 * pow(2 * y1, -1, _SECP_P) % _SECP_P
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, _SECP_P) % _SECP_P
+    x3 = (slope * slope - x1 - x2) % _SECP_P
+    return (x3, (slope * (x1 - x3) - y1) % _SECP_P)
+
+
+def reference_point_mul(k: int, point=(GX, GY)):
+    """k * point by right-to-left double-and-add over affine points."""
+    result = None
+    while k:
+        if k & 1:
+            result = reference_point_add(result, point)
+        point = reference_point_add(point, point)
+        k >>= 1
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,24 @@ def edited(**overrides):
         ),
         (edited(steps=[{"at": 0, "action": "transfer"}]), "'at' must be >= 1"),
         (edited(steps=[{"at": 1}]), "needs 'at' and 'action'"),
+        (edited(steps=[{"at": "soon", "action": "transfer"}]), "step 0: 'at' must be an integer"),
+        (edited(seed="abc"), "'seed' must be an integer"),
+        (edited(run_blocks=[3]), "'run_blocks' must be an integer"),
     ],
 )
 def test_structural_validation(broken, fragment):
     with pytest.raises(ParseError) as err:
         Scenario.from_dict(broken)
     assert fragment in str(err.value)
+
+
+def test_missing_step_parameter_is_a_parse_error(tmp_path, capsys):
+    data = copy.deepcopy(MINIMAL)
+    del data["steps"][0]["to"]
+    path = tmp_path / "no-recipient.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "error: step 0 (transfer): missing parameter 'to'" in capsys.readouterr().err
 
 
 def test_private_register_intent_goes_through_the_relay():
@@ -315,3 +327,12 @@ def test_cli_rejects_malformed_source():
     with pytest.raises(SystemExit) as err:
         main(["verify-intent", "--source", "nonsense", "--sig", "00", "--inflection", "1"])
     assert "--source must be" in str(err.value)
+
+
+def test_cli_rejects_malformed_registry_line(tmp_path):
+    registry_file = tmp_path / "registry.txt"
+    registry_file.write_text("# dump\ngarbage\n")
+    with pytest.raises(SystemExit) as err:
+        main(["verify-intent", "--source", f"1:0x{'11' * 20}:2:0x{'22' * 20}",
+              "--sig", "00" * 65, "--inflection", "1", "--registry", str(registry_file)])
+    assert f"{registry_file}:2: bad registry line" in str(err.value)

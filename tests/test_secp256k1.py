@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from failsafe.crypto import keccak256
@@ -12,11 +12,14 @@ from failsafe.crypto.secp256k1 import (
     N,
     RecoverableSignature,
     RecoveryError,
+    _mult_g,
     _rfc6979_nonces,
+    _shamir,
     derive_address,
     recover_signer,
     sign,
 )
+from oracles import reference_point_add, reference_point_mul
 
 # deterministic-nonce test vector for secp256k1 with SHA-256, private key 1,
 # message "Satoshi Nakamoto"; appears in public ECDSA library test suites
@@ -100,3 +103,42 @@ def test_generated_keys_are_seed_deterministic():
     c = KeyPair.generate(random.Random(100))
     assert a.address == b.address
     assert a.address != c.address
+
+
+scalars = st.integers(min_value=1, max_value=N - 1)
+
+
+@settings(max_examples=20)
+@given(scalars)
+@example(1)
+@example(2)
+@example(15)
+@example(16)
+@example(17)
+@example(16**63)
+@example(15 * 16**63)
+@example(N - 2)
+@example(N - 1)
+def test_fixed_base_multiply_matches_oracle(k):
+    assert _mult_g(k) == reference_point_mul(k)
+
+
+@settings(max_examples=20)
+@given(st.integers(min_value=0, max_value=N - 1), scalars, scalars)
+@example(0, 5, 1)
+@example(3, 3, 1)  # q = G: window combos add equal points
+@example(3, 3, N - 1)  # q = -G: combos cancel, and so does the whole sum
+@example(7, 2, N - 1)
+def test_double_multiply_matches_oracle(u1, u2, q_scalar):
+    q = reference_point_mul(q_scalar)
+    expected = reference_point_add(reference_point_mul(u1), reference_point_mul(u2, q))
+    assert _shamir(u1, u2, q) == expected
+
+
+@settings(max_examples=10)
+@given(scalars, st.binary(min_size=32, max_size=32))
+def test_recovery_from_bytes_matches_oracle_address(private, digest):
+    x, y = reference_point_mul(private)
+    sig = sign(KeyPair.from_private(private), digest)
+    recovered = recover_signer(digest, RecoverableSignature.from_bytes(sig.to_bytes()))
+    assert recovered == derive_address(x.to_bytes(32, "big") + y.to_bytes(32, "big"))
