@@ -29,6 +29,10 @@ from .scenario import (
 _SCENARIO_DIR = "scenarios"
 
 
+class BadInput(Exception):
+    """A command-line argument or input file is malformed (exit 2, like ParseError)."""
+
+
 def bundled_scenarios() -> dict[str, object]:
     root = resources.files(__package__) / _SCENARIO_DIR
     return {
@@ -45,7 +49,7 @@ def _resolve_scenario(ref: str):
     bundled = bundled_scenarios().get(ref)
     if bundled is not None:
         return bundled
-    raise SystemExit(
+    raise BadInput(
         f"no scenario file {ref!r}; bundled names: {', '.join(bundled_scenarios())}"
     )
 
@@ -73,7 +77,7 @@ def _cmd_registry_dump(args) -> int:
 def _parse_source(text: str) -> TransferIntentSource:
     parts = text.split(":")
     if len(parts) != 4:
-        raise SystemExit(
+        raise BadInput(
             "--source must be fromChainId:fromAddress:destChainId:destAddress"
         )
     try:
@@ -82,14 +86,18 @@ def _parse_source(text: str) -> TransferIntentSource:
             Address.from_hex(parts[3]),
         )
     except ValueError as exc:
-        raise SystemExit(f"bad --source: {exc}") from exc
+        raise BadInput(f"bad --source: {exc}") from exc
 
 
 def _load_registry(path: str | None) -> dict[bytes, int]:
     registry: dict[bytes, int] = {}
     if path is None:
         return registry
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise BadInput(f"cannot read --registry: {exc}") from exc
+    for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -97,7 +105,7 @@ def _load_registry(path: str | None) -> dict[bytes, int]:
             fields = dict(part.split("=", 1) for part in line.split())
             registry[bytes.fromhex(fields["digest"])] = int(fields["height"])
         except (KeyError, ValueError) as exc:
-            raise SystemExit(f"{path}:{i}: bad registry line: {exc}") from exc
+            raise BadInput(f"{path}:{i}: bad registry line: {exc}") from exc
     return registry
 
 
@@ -106,7 +114,7 @@ def _cmd_verify_intent(args) -> int:
     try:
         sig = RecoverableSignature.from_bytes(bytes.fromhex(args.sig.removeprefix("0x")))
     except ValueError as exc:
-        raise SystemExit(f"bad --sig: {exc}") from exc
+        raise BadInput(f"bad --sig: {exc}") from exc
     qmig = QmigContract(Ledger(), Address(bytes(20)), admin_pq_public=None)
     qmig.registry = _load_registry(args.registry)
     try:
@@ -176,7 +184,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownActor) as exc:
+    except (ParseError, UnknownActor, BadInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,13 +6,17 @@ expose). All point arithmetic goes through one routine, `_accumulate`, which
 adds affine points to a Jacobian accumulator. Signing and key generation feed
 it a fixed-base table of 4-bit windows for the generator; recovery feeds it
 2-bit Straus–Shamir windows over the generator and the recovered point.
+
+A signature made by `sign` remembers its digest and signer, so recovering it
+over that digest skips the point arithmetic; parsed or hand-built signatures
+carry no such hint and always take the full recovery.
 """
 
 from __future__ import annotations
 
 import hmac
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .keccak import keccak256
@@ -202,9 +206,19 @@ class RecoverableSignature:
     r: int
     s: int
     v: int
+    # (digest, address) set by `sign`; recovery is a pure function of
+    # (digest, r, s, v), so over that digest it must return that address
+    _signer: tuple[bytes, Address] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def to_bytes(self) -> bytes:
         return self.r.to_bytes(32, "big") + self.s.to_bytes(32, "big") + bytes([self.v])
+
+    @cached_property
+    def serial_digest(self) -> bytes:
+        """keccak256 of the 65 bytes of to_bytes(), hashed once per object."""
+        return keccak256(self.to_bytes())
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "RecoverableSignature":
@@ -266,7 +280,9 @@ def sign(key: KeyPair, digest: bytes) -> RecoverableSignature:
         if s > _HALF_N:
             s = N - s
             v ^= 1
-        return RecoverableSignature(r, s, v)
+        sig = RecoverableSignature(r, s, v)
+        object.__setattr__(sig, "_signer", (bytes(digest), key.address))
+        return sig
     raise AssertionError("unreachable: nonce stream is infinite")
 
 
@@ -280,6 +296,9 @@ def recover_signer(digest: bytes, sig: RecoverableSignature) -> Address:
         raise RecoveryError("non-canonical high-s signature")
     if sig.v not in (0, 1):
         raise RecoveryError(f"recovery id must be 0 or 1, got {sig.v}")
+    hint = sig._signer
+    if hint is not None and hint[0] == digest:
+        return hint[1]
     x = sig.r
     y_sq = (pow(x, 3, P) + 7) % P
     y = pow(y_sq, (P + 1) // 4, P)

@@ -12,6 +12,7 @@ at the inflection point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .crypto import (
     Address,
@@ -106,13 +107,14 @@ class TransferIntentSource:
             Address(data[36:56]),
         )
 
+    @cached_property
     def signing_digest(self) -> bytes:
         return keccak256(self.serialize())
 
 
 def intent_digest_of(sig: RecoverableSignature) -> bytes:
     """The incognito digest: keccak256 of the 65-byte r||s||v signature."""
-    return keccak256(sig.to_bytes())
+    return sig.serial_digest
 
 
 def build_intent_digest(
@@ -123,7 +125,7 @@ def build_intent_digest(
         raise SignerMismatch(
             f"key controls {signer_key.address}, intent source is {source.from_address}"
         )
-    sig = sign(signer_key, source.signing_digest())
+    sig = sign(signer_key, source.signing_digest)
     return sig, intent_digest_of(sig)
 
 
@@ -210,7 +212,7 @@ class QmigContract:
         if inflection is None:
             raise InflectionUnset("quantum inflection point is not set")
         try:
-            signer = recover_signer(source.signing_digest(), sig)
+            signer = recover_signer(source.signing_digest, sig)
         except RecoveryError as exc:
             raise SignerMismatch(str(exc)) from exc
         if signer != source.from_address:

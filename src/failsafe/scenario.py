@@ -73,15 +73,15 @@ class UnknownActor(Exception):
     """A step or assertion references an undeclared name."""
 
 
-class _StepParams(dict):
-    """A step's parameters: reading a missing one is a ParseError naming the step."""
+class _Params(dict):
+    """A mapping read from the file: reading a missing key is a ParseError naming where."""
 
-    def __init__(self, step: str, items):
+    def __init__(self, where: str, items):
         super().__init__(items)
-        self.step = step
+        self.where = where
 
     def __missing__(self, key):
-        raise ParseError(f"{self.step}: missing parameter {key!r}")
+        raise ParseError(f"{self.where}: missing parameter {key!r}")
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,14 @@ class Scenario:
     run_blocks: int
     services: dict[str, bool]
     fbr_config: FbrConfig
-    tokens: list[dict]
-    actors: dict[str, dict]
+    tokens: list[_Params]
+    actors: dict[str, _Params]
     custodian_roles: tuple[str, ...]
     qmig_admin: str | None
-    blacklist: list[dict]
-    genesis: list[dict]
-    failsafe: list[dict]
-    at_risk: dict | None
+    blacklist: list[_Params]
+    genesis: list[_Params]
+    failsafe: list[_Params]
+    at_risk: _Params | None
     steps: list[Step]
     assertions: list[dict]
 
@@ -117,7 +117,7 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         try:
             data = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ParseError(f"{path}: scenario document must be a mapping")
@@ -145,7 +145,7 @@ class Scenario:
             need(at >= last_at, f"step {i}: steps must be sorted by 'at'")
             last_at = at
             action = str(raw["action"])
-            params = _StepParams(
+            params = _Params(
                 f"step {i} ({action})",
                 ((k, v) for k, v in raw.items() if k not in ("at", "action", "label")),
             )
@@ -163,6 +163,23 @@ class Scenario:
             set(fbr_over) <= set(FbrConfig.__dataclass_fields__),
             f"unknown fbr_config keys: {sorted(set(fbr_over) - set(FbrConfig.__dataclass_fields__))}",
         )
+
+        def section(where: str, raw) -> _Params:
+            need(isinstance(raw, dict), f"{where} must be a mapping")
+            return _Params(where, raw.items())
+
+        def entries(name: str, raw) -> list[_Params]:
+            need(isinstance(raw, list), f"'{name}' must be a list")
+            return [section(f"{name} entry {i}", entry) for i, entry in enumerate(raw)]
+
+        failsafe = entries("failsafe", data.get("failsafe", []))
+        for i, deployment in enumerate(failsafe):
+            deployment["enrollments"] = entries(
+                f"failsafe entry {i} enrollments", deployment.get("enrollments", [])
+            )
+        at_risk = data.get("at_risk")
+        if at_risk is not None:
+            at_risk = section("at_risk", at_risk)
         run_blocks = data.get("run_blocks")
         if run_blocks is None:
             run_blocks = (steps[-1].at if steps else 1) + 2
@@ -176,14 +193,14 @@ class Scenario:
             run_blocks=integer(run_blocks, "'run_blocks'"),
             services=services,
             fbr_config=FbrConfig(**fbr_over),
-            tokens=list(data.get("tokens", [])),
-            actors={str(k): (v or {}) for k, v in actors.items()},
+            tokens=entries("tokens", data.get("tokens", [])),
+            actors={str(k): section(f"actor {k!r}", v or {}) for k, v in actors.items()},
             custodian_roles=tuple(data.get("custodian_roles", DEFAULT_CUSTODIAN_ROLES)),
             qmig_admin=data.get("qmig_admin"),
-            blacklist=list(data.get("blacklist", [])),
-            genesis=list(data.get("genesis", [])),
-            failsafe=list(data.get("failsafe", [])),
-            at_risk=data.get("at_risk"),
+            blacklist=entries("blacklist", data.get("blacklist", [])),
+            genesis=entries("genesis", data.get("genesis", [])),
+            failsafe=failsafe,
+            at_risk=at_risk,
             steps=steps,
             assertions=list(data.get("assertions", [])),
         )
@@ -327,7 +344,7 @@ class ScenarioRunner:
             )
             self.oracle.register_actor(vault.key)
             self.vaults[owner] = vault
-            for enrollment in deployment.get("enrollments", []):
+            for enrollment in deployment["enrollments"]:
                 wallet_name = str(enrollment["wallet"])
                 hot_key = self.actor_keys.get(wallet_name)
                 if hot_key is None:
@@ -554,7 +571,9 @@ class ScenarioRunner:
             self.bridge_outcomes[step.label] = outcome
 
     def _step_withdraw(self, step: Step, p: dict) -> None:
-        vault = self.vaults[str(p["owner"])]
+        vault = self.vaults.get(str(p["owner"]))
+        if vault is None:
+            raise ParseError(f"{p.where}: no FailSafe vault deployed for {p['owner']!r}")
         wallet = self.resolve_address(p["wallet"])
         asset_kind = str(p.get("asset_kind", "fungible"))
         value = int(p["amount"]) if asset_kind == "fungible" else int(p["token_id"])

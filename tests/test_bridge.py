@@ -205,7 +205,7 @@ def rerouted(world, from_chain=1, dest_chain=DEST_CHAIN, signer=None):
     )
     sig, _ = build_intent_digest(source, world.victim)
     if signer is not None:
-        sig = sign(signer, source.signing_digest())
+        sig = sign(signer, source.signing_digest)
     return request(world, 10, source=source, sig=sig)
 
 

@@ -5,7 +5,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from failsafe.crypto import Address, KeyPair, PqKeyPair, pq_sign, sign
+from failsafe.crypto import (
+    Address,
+    KeyPair,
+    PqKeyPair,
+    RecoverableSignature,
+    keccak256,
+    pq_sign,
+    sign,
+)
 from failsafe.ledger import ContractCall, Ledger, TokenTransfer, sign_transaction
 from failsafe.qmig import (
     LATE_INTENT_MESSAGE,
@@ -108,6 +116,20 @@ def test_intent_digest_hides_everything_but_commits_to_the_signature():
     # the digest carries no address or chain id bytes from the source
     assert bytes(world.victim.address) not in digest
     assert bytes(world.peer.address) not in digest
+
+
+def test_intent_digests_are_hashed_once_and_stay_out_of_equality():
+    world = make_world()
+    source = intra_chain_source(world, world.victim, world.peer)
+    twin = TransferIntentSource.deserialize(source.serialize())
+    assert source.signing_digest == keccak256(source.serialize())
+    assert source.signing_digest is source.signing_digest
+    assert source == twin and hash(source) == hash(twin)  # twin's digest not read yet
+    sig, digest = build_intent_digest(source, world.victim)
+    parsed = RecoverableSignature.from_bytes(sig.to_bytes())
+    assert digest == intent_digest_of(parsed) == keccak256(sig.to_bytes())
+    assert intent_digest_of(sig) is intent_digest_of(sig)
+    assert sig == parsed and hash(sig) == hash(parsed)
 
 
 def test_intent_must_be_signed_by_the_source_key():
@@ -253,7 +275,7 @@ def test_verification_requires_inflection():
 def test_signer_mismatch_checked_before_registry():
     world = make_world()
     source = intra_chain_source(world, world.victim, world.peer)
-    forged = sign(world.peer, source.signing_digest())
+    forged = sign(world.peer, source.signing_digest)
     set_inflection(world, 2)
     with pytest.raises(SignerMismatch):
         world.qmig.verify_transfer_intent(source, forged)

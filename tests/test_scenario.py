@@ -9,6 +9,7 @@ import yaml
 from failsafe.bridge import ESCROW_ADDRESS
 from failsafe.cli import bundled_scenarios, main
 from failsafe.contract import CustodianUnavailable
+from failsafe.crypto import RecoverableSignature, recover_signer
 from failsafe.ledger import NATIVE
 from failsafe.scenario import ParseError, Scenario, ScenarioRunner, UnknownActor
 from oracles import replay_balance_from_events
@@ -68,12 +69,39 @@ def edited(**overrides):
         (edited(steps=[{"at": "soon", "action": "transfer"}]), "step 0: 'at' must be an integer"),
         (edited(seed="abc"), "'seed' must be an integer"),
         (edited(run_blocks=[3]), "'run_blocks' must be an integer"),
+        (edited(actors={"alice": True}), "actor 'alice' must be a mapping"),
+        (edited(genesis={"to": "alice"}), "'genesis' must be a list"),
+        (edited(genesis=["alice"]), "genesis entry 0 must be a mapping"),
+        (edited(at_risk=["gold"]), "at_risk must be a mapping"),
+        (edited(failsafe=[{"owner": "alice", "enrollments": [None]}]),
+         "failsafe entry 0 enrollments entry 0 must be a mapping"),
     ],
 )
 def test_structural_validation(broken, fragment):
     with pytest.raises(ParseError) as err:
         Scenario.from_dict(broken)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"genesis": [{"token": "gold", "amount": 100}]}, "genesis entry 0: missing parameter 'to'"),
+        ({"failsafe": [{"signers": ["bob"]}]}, "failsafe entry 0: missing parameter 'owner'"),
+        ({"blacklist": [{"category": "theft"}]}, "blacklist entry 0: missing parameter 'address'"),
+        ({"at_risk": {"token": "gold", "amount": 10}}, "at_risk: missing parameter 'attacker'"),
+        (
+            {"steps": [{"at": 1, "action": "withdraw", "owner": "alice", "wallet": "alice",
+                        "token": "gold", "amount": 1, "signers": ["alice"]}]},
+            "step 0 (withdraw): no FailSafe vault deployed for 'alice'",
+        ),
+    ],
+)
+def test_incomplete_section_is_a_parse_error(overrides, message, tmp_path, capsys):
+    path = tmp_path / "incomplete.yaml"
+    path.write_text(yaml.safe_dump(edited(**overrides)))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_step_parameter_is_a_parse_error(tmp_path, capsys):
@@ -252,6 +280,24 @@ def test_all_bundled_scenarios_hold_their_assertions():
         assert digest == GOLDEN_LOG_SHA256[name], f"{name}: event log changed"
 
 
+def test_committed_signatures_recover_from_their_bytes():
+    # `sign` leaves a signer hint that recovery trusts; a signature parsed from
+    # its bytes has none, so this re-checks what the runs relied on the full way
+    intents = 0
+    for path in bundled_scenarios().values():
+        runner = ScenarioRunner(Scenario.load(path))
+        runner.run()
+        for block in runner.ledger.blocks:
+            for tx, _ in block.txs:
+                parsed = RecoverableSignature.from_bytes(tx.signature.to_bytes())
+                assert recover_signer(tx.digest, parsed) == tx.sender
+        for source, sig in runner.intents.values():
+            parsed = RecoverableSignature.from_bytes(sig.to_bytes())
+            assert recover_signer(source.signing_digest, parsed) == source.from_address
+            intents += 1
+    assert intents > 0
+
+
 # -- command line ------------------------------------------------------------------------
 
 
@@ -275,10 +321,18 @@ def test_cli_run_honors_disable_flag(capsys):
 
 
 def test_cli_rejects_unknown_scenario(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["run", "--scenario", "no-such-story"])
-    assert "no-such-story" in str(err.value)
-    assert "key-theft-intercept" in str(err.value)  # lists what exists
+    assert main(["run", "--scenario", "no-such-story"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no scenario file 'no-such-story'")
+    assert "key-theft-intercept" in err  # lists what exists
+
+
+def test_cli_rejects_unreadable_scenario(tmp_path, capsys):
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, binary):
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_cli_list_scenarios(capsys):
@@ -323,16 +377,35 @@ def test_cli_registry_dump_and_verify_intent(tmp_path, capsys):
     assert "Intent to transfer registered after the quantum inflection point!" in out
 
 
-def test_cli_rejects_malformed_source():
-    with pytest.raises(SystemExit) as err:
-        main(["verify-intent", "--source", "nonsense", "--sig", "00", "--inflection", "1"])
-    assert "--source must be" in str(err.value)
+GOOD_SOURCE = f"1:0x{'11' * 20}:2:0x{'22' * 20}"
 
 
-def test_cli_rejects_malformed_registry_line(tmp_path):
+def verify_intent_error(capsys, source, sig, *extra) -> str:
+    code = main(["verify-intent", "--source", source, "--sig", sig, "--inflection", "1", *extra])
+    assert code == 2  # malformed input, not a verdict (exit 1)
+    return capsys.readouterr().err
+
+
+def test_cli_rejects_malformed_source(capsys):
+    assert verify_intent_error(capsys, "nonsense", "00" * 65).startswith(
+        "error: --source must be"
+    )
+    short = f"1:0x{'11' * 19}:2:0x{'22' * 20}"
+    assert verify_intent_error(capsys, short, "00" * 65).startswith("error: bad --source")
+
+
+def test_cli_rejects_malformed_sig(capsys):
+    assert verify_intent_error(capsys, GOOD_SOURCE, "00").startswith(
+        "error: bad --sig: signature must be 65 bytes"
+    )
+    assert verify_intent_error(capsys, GOOD_SOURCE, "zz" * 65).startswith("error: bad --sig")
+
+
+def test_cli_rejects_malformed_registry_line(tmp_path, capsys):
     registry_file = tmp_path / "registry.txt"
     registry_file.write_text("# dump\ngarbage\n")
-    with pytest.raises(SystemExit) as err:
-        main(["verify-intent", "--source", f"1:0x{'11' * 20}:2:0x{'22' * 20}",
-              "--sig", "00" * 65, "--inflection", "1", "--registry", str(registry_file)])
-    assert f"{registry_file}:2: bad registry line" in str(err.value)
+    err = verify_intent_error(capsys, GOOD_SOURCE, "00" * 65, "--registry", str(registry_file))
+    assert err.startswith(f"error: {registry_file}:2: bad registry line")
+    absent = str(tmp_path / "absent.txt")
+    err = verify_intent_error(capsys, GOOD_SOURCE, "00" * 65, "--registry", absent)
+    assert err.startswith("error: cannot read --registry")

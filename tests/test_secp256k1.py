@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,8 +77,10 @@ def test_signing_is_deterministic():
 def test_recovery_of_wrong_digest_mismatches():
     key = KeyPair.from_private(42)
     sig = sign(key, keccak256(b"real"))
-    recovered = recover_signer(keccak256(b"forged"), sig)
+    forged = keccak256(b"forged")
+    recovered = recover_signer(forged, sig)  # the signer hint is for another digest
     assert recovered != key.address
+    assert recovered == recover_signer(forged, RecoverableSignature.from_bytes(sig.to_bytes()))
 
 
 def test_invalid_signature_components_rejected():
@@ -94,7 +97,10 @@ def test_sign_recover_roundtrip(private, digest):
     sig = sign(key, digest)
     assert sig.s <= N // 2  # canonical low-s form
     assert sig.v in (0, 1)
-    assert recover_signer(digest, sig) == key.address
+    assert sig._signer == (digest, key.address)
+    parsed = RecoverableSignature.from_bytes(sig.to_bytes())
+    assert parsed._signer is None  # so its recovery takes the full path
+    assert recover_signer(digest, sig) == recover_signer(digest, parsed) == key.address
 
 
 def test_generated_keys_are_seed_deterministic():
@@ -142,3 +148,42 @@ def test_recovery_from_bytes_matches_oracle_address(private, digest):
     sig = sign(KeyPair.from_private(private), digest)
     recovered = recover_signer(digest, RecoverableSignature.from_bytes(sig.to_bytes()))
     assert recovered == derive_address(x.to_bytes(32, "big") + y.to_bytes(32, "big"))
+
+
+# -- the signer hint that `sign` leaves on its signatures ---------------------------
+
+
+def test_rebuilt_signatures_carry_no_hint():
+    key = KeyPair.from_private(42)
+    digest = keccak256(b"message")
+    sig = sign(key, digest)
+    assert replace(sig)._signer is None
+    assert RecoverableSignature.from_bytes(sig.to_bytes())._signer is None
+    assert RecoverableSignature(sig.r, sig.s, sig.v)._signer is None
+    tampered = replace(sig, s=sig.s - 1)
+    assert tampered._signer is None
+    assert recover_signer(digest, tampered) != key.address
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("s", lambda sig: N - sig.s), ("s", lambda sig: 0), ("r", lambda sig: N), ("v", lambda sig: 2)],
+    ids=["high-s", "zero-s", "r-of-n", "v-of-2"],
+)
+def test_hint_does_not_skip_the_signature_checks(name, value):
+    digest = keccak256(b"message")
+    sig = sign(KeyPair.from_private(42), digest)
+    object.__setattr__(sig, name, value(sig))
+    assert sig._signer is not None
+    with pytest.raises(RecoveryError):
+        recover_signer(digest, sig)
+
+
+def test_hint_and_serial_digest_leave_equality_hash_and_repr_alone():
+    sig = sign(KeyPair.from_private(42), keccak256(b"message"))
+    parsed = RecoverableSignature.from_bytes(sig.to_bytes())
+    assert sig.serial_digest == keccak256(sig.to_bytes())
+    assert sig.serial_digest is sig.serial_digest  # hashed once
+    assert sig == parsed  # parsed has neither hint nor cached digest
+    assert hash(sig) == hash(parsed)
+    assert repr(sig) == repr(parsed) == f"RecoverableSignature(r={sig.r}, s={sig.s}, v={sig.v})"
