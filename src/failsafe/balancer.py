@@ -42,13 +42,11 @@ class BalancerService:
         custodian: KeyCustodian,
         contracts: list[FailSafeContract],
         threat_flags: set,
-        gas_price: int = 1,
     ):
         self.ledger = ledger
         self.custodian = custodian
         self.contracts = contracts
         self.threat_flags = threat_flags
-        self.gas_price = gas_price
         self.actions: list[RebalanceAction] = []
 
     def check_ratio(
@@ -88,7 +86,6 @@ class BalancerService:
                         (bytes(wallet), token, action.delta),
                         [self.custodian.key_for("rebalance")],
                         self.custodian.key_for("relayer"),
-                        self.gas_price,
                     )
                     self.ledger.submit_transaction(tx)
                     self.ledger.take_pending()  # keep own submissions off the FIS stream

@@ -23,7 +23,6 @@ from .scenario import (
     Scenario,
     ScenarioRunner,
     UnknownActor,
-    run_scenario,
 )
 
 _SCENARIO_DIR = "scenarios"
@@ -54,20 +53,26 @@ def _resolve_scenario(ref: str):
     )
 
 
-def _cmd_run(args) -> int:
-    report = run_scenario(
-        _resolve_scenario(args.scenario), seed=args.seed,
-        disabled=tuple(args.disable or ()), out_path=args.out,
+def _runner(args) -> ScenarioRunner:
+    return ScenarioRunner(
+        Scenario.load(_resolve_scenario(args.scenario)), seed=args.seed,
+        disabled=tuple(args.disable or ()),
     )
+
+
+def _cmd_run(args) -> int:
+    report = _runner(args).run()
+    if args.out:
+        try:
+            Path(args.out).write_text("\n".join(report.log_lines) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise BadInput(f"cannot write --out: {exc}") from exc
     print(report.format_summary())
     return report.exit_code
 
 
 def _cmd_registry_dump(args) -> int:
-    runner = ScenarioRunner(
-        Scenario.load(_resolve_scenario(args.scenario)), seed=args.seed,
-        disabled=tuple(args.disable or ()),
-    )
+    runner = _runner(args)
     runner.run()
     for line in runner.qmig.dump_registry():
         print(line)

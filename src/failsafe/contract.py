@@ -431,7 +431,7 @@ class EnrollmentReceipt:
     intent_source: TransferIntentSource
     intent_sig: RecoverableSignature
     intent_digest: bytes
-    tx_ids: tuple[bytes, ...]
+    txs: tuple[Transaction, ...]  # the approvals, then the enroll call
 
 
 def enroll_wallet(
@@ -451,36 +451,34 @@ def enroll_wallet(
     """
     tokens = tuple(protected_tokens)
     nonce = ledger.next_nonce(hot_key.address)
-    tx_ids = []
-    for token in tokens:
-        tx = sign_transaction(
-            hot_key, nonce, gas_price, Approve(token, contract.address, UNLIMITED)
-        )
-        tx_ids.append(ledger.submit_transaction(tx))
-        nonce += 1
+    txs = [
+        sign_transaction(hot_key, nonce + i, gas_price, Approve(token, contract.address, UNLIMITED))
+        for i, token in enumerate(tokens)
+    ]
 
     source_a = TransferIntentSource(
         ledger.chain_id, hot_key.address, dest_chain_id, dest_address
     )
     sig_a, digest_a = build_intent_digest(source_a, hot_key)
-    enroll_tx = sign_transaction(
+    txs.append(sign_transaction(
         hot_key,
-        nonce,
+        nonce + len(tokens),
         gas_price,
         ContractCall(
             contract.address,
             "enroll",
             (policy.to_tuple(), tokens, dest_chain_id, bytes(dest_address), digest_a),
         ),
-    )
-    tx_ids.append(ledger.submit_transaction(enroll_tx))
+    ))
+    for tx in txs:
+        ledger.submit_transaction(tx)
     return EnrollmentReceipt(
         contract_address=contract.address,
         wallet=hot_key.address,
         intent_source=source_a,
         intent_sig=sig_a,
         intent_digest=digest_a,
-        tx_ids=tuple(tx_ids),
+        txs=tuple(txs),
     )
 
 

@@ -55,7 +55,7 @@ class PqPublicKey:
 class PqKeyPair:
     """A Lamport key: 2 x 256 secret preimages of 32 bytes plus their hash images."""
 
-    def __init__(self, private: tuple[tuple[bytes, bytes], ...], uses_remaining: int = 1):
+    def __init__(self, private: tuple[tuple[bytes, bytes], ...]):
         if len(private) != _BITS:
             raise ValueError(f"private key must hold {_BITS} preimage pairs")
         preimages = [p for zero, one in private for p in (zero, one)]
@@ -64,7 +64,7 @@ class PqKeyPair:
         self._private = private
         images = keccak256_batch(preimages)
         self.public = PqPublicKey(tuple(zip(images[0::2], images[1::2])))
-        self.uses_remaining = uses_remaining
+        self.uses_remaining = 1  # a Lamport key signs once
 
     @classmethod
     def generate(cls, rng) -> "PqKeyPair":

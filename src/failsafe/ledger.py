@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Union
 
 from .crypto import (
@@ -333,13 +333,6 @@ class TokenState:
         return cls(token_id, kind, {}, {}, {}, {})
 
 
-@dataclass
-class _PoolEntry:
-    tx: Transaction
-    seq: int
-    private: bool
-
-
 class ExecutionContext:
     """Privileged-but-scoped ledger access handed to a contract during a call.
 
@@ -407,17 +400,16 @@ class Ledger:
         self.exceptions_list: list[Address] = []
         self.contracts: dict[Address, object] = {}
         self.block_observers: list[Callable[[Block, list[LedgerEvent]], None]] = []
-        self._pool: list[_PoolEntry] = []
-        self._private_pool: list[_PoolEntry] = []
+        # pending (arrival seq, transaction) entries, public and private
+        self._pool: list[tuple[int, Transaction]] = []
+        self._private_pool: list[tuple[int, Transaction]] = []
         self._seq = 0
         self._pending_queue: list[Transaction] = []
-        # (token, address) -> (height, balance) checkpoints in height order
-        self._checkpoints: dict[tuple[str, Address], list[tuple[int, int]]] = {}
-        # (token, address) -> committed Transfer events from or to the address
+        # (token, address) -> executed Transfer and BridgeLock events from or
+        # to the address, in log order: the one record of balance history
         self._transfers: dict[tuple[str, Address], list[LedgerEvent]] = {}
         # undo steps of the executing transaction; None between transactions
         self._journal: list[Callable[[], None]] | None = None
-        self._touched: dict[tuple[str, Address], None] = {}
 
     # -- setup ---------------------------------------------------------------
 
@@ -433,7 +425,6 @@ class Ledger:
             raise ValueError("genesis allocations only before the first built block")
         balances = self._balances_for(token)
         self._put(balances, to, balances.get(to, 0) + amount)
-        self._append_checkpoint(token, to, 0, balances[to])
         self.events.append(_event(0, "Genesis", {"to": to, "token": token, "amount": amount}))
 
     def genesis_allocate_nft(self, to: Address, token: str, token_id: int) -> None:
@@ -468,32 +459,27 @@ class Ledger:
 
     def next_nonce(self, addr: Address) -> int:
         """Account nonce plus queued transactions, for chained submissions."""
-        pending = sum(
-            1
-            for entry in self._pool + self._private_pool
-            if entry.tx.sender == addr
-        )
+        pending = sum(1 for pool in (self._pool, self._private_pool) for _, tx in pool
+                      if tx.sender == addr)
         return self.nonces.get(addr, 0) + pending
 
     def balance_at(self, addr: Address, token: str, height: int) -> int:
-        """Balance as of the end of the given block height."""
-        if height > self.height:
-            raise FutureHeight(f"height {height} > current {self.height}")
-        points = self._checkpoints.get((token, addr), [])
-        idx = bisect_right(points, height, key=itemgetter(0))
-        return points[idx - 1][1] if idx else 0
+        """Balance as of the end of the given block height: today's, less what moved since."""
+        moved = sum(ev.get("amount") * ((ev.get("to") == addr) - (ev.get("from") == addr))
+                    for ev in self.transfers_since(addr, token, height))
+        return self.balance_of(addr, token) - moved
 
     def transfers_since(self, addr: Address, token: str, height: int) -> list[LedgerEvent]:
-        """Executed Transfer events from or to addr in token, in blocks after height."""
+        """Executed Transfer and BridgeLock events from or to addr in token, after height."""
         if height > self.height:
             raise FutureHeight(f"height {height} > current {self.height}")
         records = self._transfers.get((token, addr), [])
         return records[bisect_right(records, height, key=attrgetter("height")):]
 
     def withdrawals_since(self, addr: Address, token: str, height: int) -> int:
-        """Total Executed outgoing transfer amounts in blocks after height."""
+        """Total Executed outgoing Transfer amounts in blocks after height."""
         return sum(ev.get("amount") for ev in self.transfers_since(addr, token, height)
-                   if ev.get("from") == addr)
+                   if ev.kind == "Transfer" and ev.get("from") == addr)
 
     # -- exceptions list -----------------------------------------------------
 
@@ -525,12 +511,11 @@ class Ledger:
         if tx.nonce < self.nonces.get(tx.sender, 0):
             raise StaleNonce(f"nonce {tx.nonce} < account nonce {self.nonces.get(tx.sender, 0)}")
 
-    def submit_transaction(self, tx: Transaction) -> bytes:
+    def submit_transaction(self, tx: Transaction) -> None:
         self._validate(tx)
-        self._pool.append(_PoolEntry(tx, self._seq, private=False))
+        self._pool.append((self._seq, tx))
         self._seq += 1
         self._pending_queue.append(tx)
-        return tx.tx_id
 
     def submit_private_transaction(self, tx: Transaction) -> PrivateRelayStatus:
         """Relay directly to the block builder; no pending event is emitted."""
@@ -538,7 +523,7 @@ class Ledger:
         if tx.sender in self.exceptions_list:
             logger.info("private tx from %s dropped: exceptions list", tx.sender)
             return PrivateRelayStatus.FILTERED_BY_EXCEPTIONS_LIST
-        self._private_pool.append(_PoolEntry(tx, self._seq, private=True))
+        self._private_pool.append((self._seq, tx))
         self._seq += 1
         return PrivateRelayStatus.ACCEPTED
 
@@ -553,43 +538,23 @@ class Ledger:
     def build_block(self) -> Block:
         executing = self.height + 1
         events_start = len(self.events)
-        candidates = self._pool + self._private_pool
-        self._pool = []
-        self._private_pool = []
         executed: list[tuple[Transaction, str]] = []
-
-        while True:
-            best = None
-            remaining: list[_PoolEntry] = []
-            for entry in candidates:
-                account_nonce = self.nonces.get(entry.tx.sender, 0)
-                if entry.tx.nonce < account_nonce:
-                    continue  # stale: superseded within this block or earlier
-                remaining.append(entry)
-                if entry.tx.nonce == account_nonce:
-                    if best is None or (entry.tx.gas_price, -entry.seq) > (
-                        best.tx.gas_price,
-                        -best.seq,
-                    ):
-                        best = entry
-            candidates = remaining
-            if best is None:
-                break
-            candidates.remove(best)
-            outcome = self._execute(best.tx, executing)
-            executed.append((best.tx, outcome))
-
-        # future-nonce transactions wait for later blocks
-        for entry in candidates:
-            (self._private_pool if entry.private else self._pool).append(entry)
+        pools = (self._pool, self._private_pool)
+        # each step runs, from either pool, a sender's next nonce with the
+        # highest gas price, the earliest arrival breaking ties
+        while ready := [(tx.gas_price, -seq, pool, i) for pool in pools
+                        for i, (seq, tx) in enumerate(pool)
+                        if tx.nonce == self.nonces.get(tx.sender, 0)]:
+            *_, pool, i = max(ready)
+            _, tx = pool.pop(i)
+            executed.append((tx, self._execute(tx, executing)))
+        # stale entries were superseded in this block or earlier; future ones wait
+        for pool in pools:
+            pool[:] = [(seq, tx) for seq, tx in pool if tx.nonce >= self.nonces.get(tx.sender, 0)]
 
         block = Block(executing, self.blocks[-1].digest, tuple(executed))
         self.blocks.append(block)
         self.height = executing
-
-        for token, addr in self._touched:
-            self._append_checkpoint(token, addr, executing, self.balance_of(addr, token))
-        self._touched.clear()
 
         new_events = self.events[events_start:]
         for observer in self.block_observers:
@@ -611,10 +576,6 @@ class Ledger:
             self._record(tx.payload, tx.sender, height, outcome)
         else:
             outcome = EXECUTED
-            for ev in self.events[start:]:
-                if ev.kind == "Transfer":
-                    for addr in {ev.get("from"), ev.get("to")}:
-                        self._transfers.setdefault((ev.get("token"), addr), []).append(ev)
         finally:
             self._journal = None
         return outcome
@@ -685,10 +646,14 @@ class Ledger:
             )
         for addr, delta in ((frm, -amount), (to, amount)):
             self._put(balances, addr, balances.get(addr, 0) + delta)
-            # checkpointed under the height of the next built block
-            self._touched[(token, addr)] = None
         fields = {"from": frm, "to": to, "token": token, "amount": amount, **extra}
-        self.events.append(_event(height, kind, {**fields, "outcome": EXECUTED}))
+        event = _event(height, kind, {**fields, "outcome": EXECUTED})
+        self.events.append(event)
+        for addr in {frm, to}:
+            records = self._transfers.setdefault((token, addr), [])
+            records.append(event)
+            if self._journal is not None:
+                self._journal.append(records.pop)
 
     def _fungible_move_from(self, token: str, owner: Address, to: Address,
                             spender: Address, amount: int, height: int) -> None:
@@ -736,9 +701,9 @@ class Ledger:
         """Debit the source into escrow as part of an atomic bridge step.
 
         Runs between blocks as part of the tick that produces the next
-        block, so events and checkpoints land at height + 1. Recording at
-        the already-built height would silently rewrite historical
-        balances, including the inflection-time balance.
+        block, so its event lands at height + 1. Recording at the
+        already-built height would silently rewrite historical balances,
+        including the inflection-time balance.
         """
         if self._journal is not None:
             raise RuntimeError("bridge lock cannot run inside transaction execution")
@@ -747,8 +712,3 @@ class Ledger:
     def append_info_event(self, kind: str, fields: dict, height: int | None = None) -> None:
         """Record a non-balance event (bridge outcomes, exception listings)."""
         self.events.append(_event(self.height if height is None else height, kind, fields))
-
-    # -- replay support --------------------------------------------------------
-
-    def _append_checkpoint(self, token: str, addr: Address, height: int, value: int) -> None:
-        self._checkpoints.setdefault((token, addr), []).append((height, value))

@@ -256,7 +256,8 @@ class QmigContract:
         return sum(
             ev.get("amount")
             for ev in self.ledger.transfers_since(source, token, self.inflection)
-            if ev.get("to") == source and (ev.get("from"), source) in self.authorized_pairs
+            if ev.kind == "Transfer" and ev.get("to") == source
+            and (ev.get("from"), source) in self.authorized_pairs
         )
 
     # -- audit -------------------------------------------------------------------

@@ -15,6 +15,7 @@ event log.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ from .contract import (
     enroll_wallet,
     find_enrollment,
 )
-from .crypto import Address, KeyPair, PqKeyPair, QuantumOracle, pq_sign, sign
+from .crypto import Address, KeyExhausted, KeyPair, PqKeyPair, QuantumOracle, pq_sign, sign
 from .fbr import FbrConfig, RiskService
 from .fis import InterceptorService
 from .ledger import (
@@ -82,6 +83,16 @@ class _Params(dict):
 
     def __missing__(self, key):
         raise ParseError(f"{self.where}: missing parameter {key!r}")
+
+
+@contextmanager
+def _reading(where: str):
+    """Report a file value the program refuses (a bad number or address, a
+    duplicate name, a reused one-time key) as a ParseError naming where."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyExhausted) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -137,6 +148,7 @@ class Scenario:
 
         steps = []
         last_at = 1
+        need(isinstance(data.get("steps", []), list), "'steps' must be a list")
         for i, raw in enumerate(data.get("steps", [])):
             need(isinstance(raw, dict), f"step {i} must be a mapping")
             need("at" in raw and "action" in raw, f"step {i} needs 'at' and 'action'")
@@ -311,11 +323,13 @@ class ScenarioRunner:
                 self.actor_pq_keys[name] = PqKeyPair.generate(self.rng)
         for role in sc.custodian_roles:
             key = KeyPair.generate(self.rng)
-            self.custodian.add_role(role, key)
+            with _reading("custodian_roles"):
+                self.custodian.add_role(role, key)
             self.oracle.register_actor(key)
 
         for token in sc.tokens:
-            self.ledger.create_token(str(token["id"]), str(token.get("kind", "fungible")))
+            with _reading(token.where):
+                self.ledger.create_token(str(token["id"]), str(token.get("kind", "fungible")))
 
         qmig_key = KeyPair.generate(self.rng)
         admin_pq_public = None
@@ -336,8 +350,9 @@ class ScenarioRunner:
             owner = str(deployment["owner"])
             signers = [self.resolve_address(s) for s in deployment["signers"]]
             thresholds = dict(DEFAULT_THRESHOLDS)
-            for op, n in (deployment.get("thresholds") or {}).items():
-                thresholds[OperationKind(str(op))] = int(n)
+            with _reading(f"{deployment.where} thresholds"):
+                for op, n in (deployment.get("thresholds") or {}).items():
+                    thresholds[OperationKind(str(op))] = int(n)
             vault = deploy_failsafe(
                 self.ledger, owner, signers, thresholds, self.qmig.address,
                 self.custodian, self.rng,
@@ -365,12 +380,13 @@ class ScenarioRunner:
         # genesis after contract deployment so allocations can target
         # contract addresses (pre-funded cold storage)
         for alloc in sc.genesis:
-            to = self.resolve_address(alloc["to"])
-            token = str(alloc["token"])
-            if "token_id" in alloc:
-                self.ledger.genesis_allocate_nft(to, token, int(alloc["token_id"]))
-            else:
-                self.ledger.genesis_allocate(to, token, int(alloc["amount"]))
+            with _reading(alloc.where):
+                to = self.resolve_address(alloc["to"])
+                token = str(alloc["token"])
+                if "token_id" in alloc:
+                    self.ledger.genesis_allocate_nft(to, token, int(alloc["token_id"]))
+                else:
+                    self.ledger.genesis_allocate(to, token, int(alloc["amount"]))
 
         if self.services["fbr"]:
             for entry in sc.blacklist:
@@ -480,7 +496,8 @@ class ScenarioRunner:
         handler = self._STEP_HANDLERS.get(step.action)
         if handler is None:
             raise ParseError(f"unknown step action {step.action!r}")
-        handler(self, step, step.params)
+        with _reading(step.params.where):
+            handler(self, step, step.params)
 
     def _step_transfer(self, step: Step, p: dict) -> None:
         self._sign_and_submit(step, self.resolve_key(p["signer"]), self._transfer_payload(p))
@@ -783,13 +800,3 @@ class ScenarioRunner:
         if self.fis is not None:
             lines.extend(f"alert {line}" for line in self.fis.alerts)
         return lines
-
-
-def run_scenario(path, seed: int | None = None, disabled: tuple[str, ...] = (),
-                 out_path=None) -> RunReport:
-    scenario = Scenario.load(path)
-    runner = ScenarioRunner(scenario, seed=seed, disabled=disabled)
-    report = runner.run()
-    if out_path:
-        Path(out_path).write_text("\n".join(report.log_lines) + "\n", encoding="utf-8")
-    return report

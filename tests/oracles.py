@@ -10,8 +10,9 @@ scalar keccak256, where the package hashes a whole signature in one
 batched permutation. The secp256k1 oracle multiplies points by textbook
 affine double-and-add with one modular inverse per step; the package
 accumulates window tables in Jacobian coordinates. The ledger oracles
-replay raw block/transaction outcomes and never touch the package's event
-log or checkpoint indexes.
+replay raw block/transaction outcomes or the event log and never read the
+package's transfer index; the block-order oracle is the copy-and-rescan
+selection loop the ledger used before it built blocks in place.
 """
 
 from __future__ import annotations
@@ -173,8 +174,45 @@ def reference_point_mul(k: int, point=(GX, GY)):
 #
 # These reconstruct balances and withdrawal totals from raw materials (the
 # genesis allocation list plus either committed block/transaction outcomes
-# or the event log), without reading the package's checkpoint indexes or
+# or the event log), without reading the package's transfer index or
 # calling its query methods.
+
+
+def reference_block_order(public, private, nonces):
+    """Block order and carried-over pools, by the ledger's former selection loop.
+
+    public and private are the pools' (seq, transaction) entries in pool
+    order, and nonces maps senders to account nonces. The loop copies both
+    pools into one candidate list and rescans it for every pick, dropping
+    stale entries as it goes; each pick consumes its sender's nonce, as an
+    executed or reverted transaction does. Returns the picked transactions
+    and the (seq, transaction) entries left in each pool.
+    """
+    nonces = dict(nonces)
+    candidates = [(seq, tx, False) for seq, tx in public] + [(seq, tx, True) for seq, tx in private]
+    order = []
+    while True:
+        best = None
+        remaining = []
+        for entry in candidates:
+            seq, tx, _ = entry
+            account_nonce = nonces.get(tx.sender, 0)
+            if tx.nonce < account_nonce:
+                continue
+            remaining.append(entry)
+            if tx.nonce == account_nonce and (
+                best is None or (tx.gas_price, -seq) > (best[1].gas_price, -best[0])
+            ):
+                best = entry
+        candidates = remaining
+        if best is None:
+            break
+        candidates.remove(best)
+        order.append(best[1])
+        nonces[best[1].sender] = best[1].nonce + 1
+    carried = {flag: [(seq, tx) for seq, tx, is_private in candidates if is_private == flag]
+               for flag in (False, True)}
+    return order, carried[False], carried[True]
 
 
 def _apply_tx_to_balances(balances: dict, tx, token_kinds: dict) -> None:

@@ -119,7 +119,7 @@ def test_second_enrollment_reverts():
     )
     block = world.ledger.build_block()
     outcomes = {t.tx_id: o for t, o in block.txs}
-    assert outcomes[receipt.tx_ids[-1]] == "Reverted:AlreadyEnrolled"
+    assert outcomes[receipt.txs[-1].tx_id] == "Reverted:AlreadyEnrolled"
     # the failed enrollment must not leave a second outbound intent behind
     assert len(world.qmig.registry) == 2
 

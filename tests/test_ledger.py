@@ -20,15 +20,19 @@ from failsafe.ledger import (
     NativeTransfer,
     NftTransfer,
     PrivateRelayStatus,
+    RevertError,
     StaleNonce,
     TokenTransfer,
     TokenTransferFrom,
     Transaction,
+    UnknownToken,
+    WrongTokenKind,
     compute_tx_digest,
     sign_transaction,
 )
 from failsafe.qmig import QmigContract
 from oracles import (
+    reference_block_order,
     replay_balance_from_blocks,
     replay_balance_from_events,
     replay_withdrawals_from_blocks,
@@ -98,6 +102,66 @@ def test_sender_nonce_chain_runs_in_order_within_block():
     block = ledger.build_block()
     assert [tx.nonce for tx, _ in block.txs] == [0, 1, 2]
     assert all(outcome == "Executed" for _, outcome in block.txs)
+    assert ledger.balance_of(BOB.address) == 30
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),  # sender
+                st.integers(-1, 3),  # nonce offset from the next free nonce
+                st.integers(1, 3),  # gas price: ties are common
+                st.booleans(),  # through the private relay
+                st.integers(0, 120),  # amount: large ones revert
+            ),
+            max_size=8,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_block_order_matches_the_reference_loop(blocks):
+    """Public and private entries, duplicate, stale and future nonces and
+    equal gas prices: each block's order and the entries each pool carries
+    over are those of the copy-and-rescan reference loop."""
+    keys = [ALICE, BOB, CAROL, KeyPair.generate(random.Random(14))]
+    ledger = fresh_ledger(*((k.address, NATIVE, 100) for k in keys))
+    for submissions in blocks:
+        for sender, offset, gas_price, private, amount in submissions:
+            key = keys[sender]
+            nonce = max(0, ledger.next_nonce(key.address) + offset)
+            tx = sign_transaction(key, nonce, gas_price, NativeTransfer(ALICE.address, amount))
+            submit = ledger.submit_private_transaction if private else ledger.submit_transaction
+            try:
+                submit(tx)
+            except StaleNonce:
+                pass
+        expected = reference_block_order(ledger._pool, ledger._private_pool, ledger.nonces)
+        block = ledger.build_block()
+        assert [tx for tx, _ in block.txs] == expected[0]
+        assert (ledger._pool, ledger._private_pool) == expected[1:]
+
+
+class _RaisingContract:
+    """A contract with a bug: every call raises something other than a revert."""
+
+    def call(self, method, args, ctx):
+        raise RuntimeError("contract bug")
+
+
+def test_raising_contract_leaves_other_pending_transactions_pooled():
+    ledger = fresh_ledger((CAROL.address, NATIVE, 100))
+    buggy = Address(bytes(range(100, 120)))
+    ledger.register_contract(buggy, _RaisingContract())
+    valid = submit_native(ledger, CAROL, BOB.address, 30)
+    ledger.submit_transaction(sign_transaction(ALICE, 0, 5, ContractCall(buggy, "run", ())))
+    with pytest.raises(RuntimeError):
+        ledger.build_block()  # the call outbids the transfer, so it runs first
+    assert ledger.next_nonce(CAROL.address) == 1  # still pooled
+    block = ledger.build_block()
+    assert [(tx.tx_id, outcome) for tx, outcome in block.txs] == [(valid.tx_id, "Executed")]
     assert ledger.balance_of(BOB.address) == 30
 
 
@@ -396,6 +460,92 @@ def test_history_queries_match_block_replay_oracle():
             assert ledger.withdrawals_since(
                 key.address, NATIVE, h
             ) == replay_withdrawals_from_blocks(ledger.blocks, key.address, NATIVE, h)
+
+
+ESCROW = Address(bytes(range(200, 220)))
+PAYER = Address(bytes(range(220, 240)))
+
+
+class _PayTwiceContract:
+    """Pays amount out of its own balance twice: the second payment can
+    revert after the first was logged."""
+
+    def call(self, method, args, ctx):
+        token, to, amount = args
+        for _ in range(2):
+            ctx.transfer_out(token, Address(to), amount)
+
+
+def _history_payload(kind, key, other, amount, token):
+    if kind == "transfer":
+        return NativeTransfer(other, amount) if token == NATIVE else TokenTransfer(
+            token, other, amount
+        )
+    if kind == "approve":
+        return Approve("gold", other, amount)
+    if kind == "transfer_from":
+        return TokenTransferFrom("gold", other, key.address, amount)
+    return ContractCall(PAYER, "pay", (token, bytes(other), amount))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["transfer", "approve", "transfer_from", "pay_twice", "lock", "block"]),
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.integers(-5, 70),  # negative and oversized amounts revert
+            st.sampled_from([NATIVE, "gold"]),
+        ),
+        max_size=16,
+    )
+)
+def test_history_queries_match_event_replay(ops):
+    """Reverts (some after a logged move), transferFrom and bridge locks
+    between blocks: at every height, and right after each lock, balance_at
+    and withdrawals_since equal the event-log replays."""
+    keys = [ALICE, BOB, CAROL]
+    holders = [k.address for k in keys] + [PAYER]
+    ledger = fresh_ledger(*((a, token, 100) for a in holders for token in (NATIVE, "gold")))
+    ledger.register_contract(PAYER, _PayTwiceContract())
+
+    def check():
+        for addr in holders + [ESCROW]:
+            for token in (NATIVE, "gold"):
+                for h in range(ledger.height + 1):
+                    assert ledger.balance_at(addr, token, h) == replay_balance_from_events(
+                        ledger.events, addr, token, h
+                    )
+                    assert ledger.withdrawals_since(
+                        addr, token, h
+                    ) == replay_withdrawals_from_events(ledger.events, addr, token, h)
+
+    for kind, signer, other, amount, token in ops + [("block", 0, 0, 0, NATIVE)]:
+        key = keys[signer]
+        if kind == "block":
+            ledger.build_block()
+        elif kind == "lock":
+            try:
+                ledger.apply_bridge_lock(key.address, ESCROW, token, amount)
+            except RevertError:
+                continue  # refused before any write
+        else:
+            payload = _history_payload(kind, key, keys[other].address, amount, token)
+            ledger.submit_transaction(
+                sign_transaction(key, ledger.next_nonce(key.address), 1, payload)
+            )
+            continue
+        check()
+
+
+def test_balance_at_raises_for_unknown_and_nft_tokens():
+    ledger = fresh_ledger((ALICE.address, NATIVE, 100))
+    ledger.create_token("deeds", kind="nft")
+    with pytest.raises(UnknownToken):
+        ledger.balance_at(ALICE.address, "ghost", 0)
+    with pytest.raises(WrongTokenKind):
+        ledger.balance_at(ALICE.address, "deeds", 0)
 
 
 def test_event_replay_matches_live_balances():

@@ -104,6 +104,56 @@ def test_incomplete_section_is_a_parse_error(overrides, message, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _transfer(**fields):
+    return [dict(MINIMAL["steps"][0], **fields)]
+
+
+_INTENT = {"at": 1, "action": "make_intent", "source": "alice", "dest": "bob", "store": "x"}
+_INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"steps": _transfer(amount="ten")}, "step 0 (transfer): invalid literal for int()"),
+        ({"steps": _transfer(gas_price="high")}, "step 0 (transfer): invalid literal for int()"),
+        (
+            {"steps": [_INTENT, {"at": 1, "action": "bridge", "intent": "x", "token": "gold",
+                                 "amount": 0}]},
+            "step 1 (bridge): bridge amount must be positive, got 0",
+        ),
+        ({"steps": _transfer(to="0x" + "zz" * 20)}, "step 0 (transfer): non-hexadecimal"),
+        (
+            {"genesis": [{"to": "alice", "token": "gold", "amount": "lots"}]},
+            "genesis entry 0: invalid literal for int()",
+        ),
+        (
+            {"custodian_roles": ["relayer", "relayer"]},
+            "custodian_roles: role 'relayer' already provisioned",
+        ),
+        ({"tokens": [{"id": "gold"}, {"id": "gold"}]}, "tokens entry 1: token 'gold' already exists"),
+        (
+            {"failsafe": [{"owner": "alice", "signers": ["alice"], "thresholds": {"bogus": 1}}]},
+            "failsafe entry 0 thresholds: 'bogus' is not a valid OperationKind",
+        ),
+        ({"steps": 5}, "'steps' must be a list"),
+        (
+            {"actors": {"alice": {"pq": True}, "bob": {}}, "qmig_admin": "alice",
+             "steps": [dict(_INFLECTION, at=1), dict(_INFLECTION, at=2)]},
+            "step 1 (set_inflection): Lamport key already used",
+        ),
+    ],
+    ids=["amount", "gas-price", "bridge-amount", "hex-address", "genesis-amount",
+         "duplicate-role", "duplicate-token", "threshold-name", "steps-not-a-list",
+         "reused-lamport-key"],
+)
+def test_refused_file_value_is_a_parse_error(overrides, message, tmp_path, capsys):
+    path = tmp_path / "bad-value.yaml"
+    path.write_text(yaml.safe_dump(edited(**overrides)))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_missing_step_parameter_is_a_parse_error(tmp_path, capsys):
     data = copy.deepcopy(MINIMAL)
     del data["steps"][0]["to"]
@@ -311,6 +361,12 @@ def test_cli_run_prints_summary_and_writes_log(tmp_path, capsys):
     text = out.read_text()
     assert "kind=Transfer" in text
     assert "alert user=alice" in text
+
+
+def test_cli_run_rejects_an_unwritable_out_path(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "run.log"
+    assert main(["run", "--scenario", "key-theft-intercept", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write --out: ")
 
 
 def test_cli_run_honors_disable_flag(capsys):
