@@ -16,6 +16,7 @@ from .secp256k1 import (
     RecoverableSignature,
     RecoveryError,
     derive_address,
+    fill_addresses,
     recover_signer,
     sign,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "RecoverableSignature",
     "RecoveryError",
     "derive_address",
+    "fill_addresses",
     "keccak256",
     "pq_sign",
     "pq_verify",

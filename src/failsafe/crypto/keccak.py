@@ -136,12 +136,15 @@ def keccak256_batch(messages) -> list[bytes]:
     (SIMD within a register), and theta, chi and iota act on every slot at
     once. A rotation shifts the whole int, then masks keep the bits that
     stayed in their slot and bring back the ones that crossed into the next.
+    Fewer than 3 messages go through the scalar loop, which is faster there.
     """
+    if any(len(data) >= _RATE_BYTES for data in messages):
+        raise ValueError(f"batched message must be under {_RATE_BYTES} bytes")
     n = len(messages)
+    if n < 3:
+        return [keccak256(data) for data in messages]
     padded = bytearray()
     for data in messages:
-        if len(data) >= _RATE_BYTES:
-            raise ValueError(f"batched message must be under {_RATE_BYTES} bytes")
         block = bytearray(_RATE_BYTES)
         block[: len(data)] = data
         block[len(data)] ^= 0x01

@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_batch
 
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -167,6 +167,14 @@ def derive_address(public: bytes) -> Address:
     if len(public) != 64:
         raise ValueError("public key must be the 64-byte uncompressed form")
     return Address(keccak256(public)[12:])
+
+
+def fill_addresses(keys) -> None:
+    """Cache each key's address, hashing the public keys not cached yet in one batch."""
+    todo = [key for key in keys if "address" not in vars(key)]
+    digests = keccak256_batch([key.public_bytes for key in todo])
+    for key, digest in zip(todo, digests):
+        vars(key)["address"] = Address(digest[12:])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -30,6 +30,7 @@ from .crypto import (
     recover_signer,
     sign,
 )
+from .crypto.keccak import keccak256_batch
 from .encoding import encode_value
 
 logger = logging.getLogger(__name__)
@@ -283,9 +284,13 @@ class Transaction:
     def digest(self) -> bytes:
         return compute_tx_digest(self.sender, self.nonce, self.gas_price, self.payload)
 
+    @property
+    def tx_id_message(self) -> bytes:
+        return b"FS-TXID" + self.digest + self.signature.to_bytes()
+
     @cached_property
     def tx_id(self) -> bytes:
-        return keccak256(b"FS-TXID" + self.digest + self.signature.to_bytes())
+        return keccak256(self.tx_id_message)
 
     @property
     def tx_id_hex(self) -> str:
@@ -306,15 +311,36 @@ def sign_transaction(key: KeyPair, nonce: int, gas_price: int, payload: Payload)
 @dataclass(frozen=True)
 class Block:
     height: int
-    parent_digest: bytes
+    parent: Block | None = field(compare=False, repr=False)  # None for genesis
     txs: tuple[tuple[Transaction, str], ...]  # (transaction, outcome string)
 
     @cached_property
+    def tx_ids(self) -> tuple[bytes, ...]:
+        """Each transaction's id in block order; ids not known yet are hashed in one batch."""
+        todo = [tx for tx, _ in self.txs if "tx_id" not in vars(tx)]
+        for tx, tx_id in zip(todo, keccak256_batch([tx.tx_id_message for tx in todo])):
+            vars(tx)["tx_id"] = tx_id
+        return tuple(tx.tx_id for tx, _ in self.txs)
+
+    @property
+    def parent_digest(self) -> bytes:
+        return b"\x00" * 32 if self.parent is None else self.parent.digest
+
+    @cached_property
     def digest(self) -> bytes:
-        body = encode_value(
-            (self.height, self.parent_digest, tuple((tx.tx_id, out) for tx, out in self.txs))
-        )
-        return keccak256(b"FS-BLOCK" + body)
+        """Hashed when first read. The walk back to the nearest block with a
+        known digest is a loop, so no chain length reaches the recursion limit."""
+        unknown = []
+        block = self
+        while block is not None and "digest" not in vars(block):
+            unknown.append(block)
+            block = block.parent
+        digest = unknown[-1].parent_digest  # genesis zeros, or a known digest
+        for block in reversed(unknown):
+            outcomes = tuple(zip(block.tx_ids, (out for _, out in block.txs)))
+            digest = keccak256(b"FS-BLOCK" + encode_value((block.height, digest, outcomes)))
+            vars(block)["digest"] = digest
+        return digest
 
 
 @dataclass
@@ -392,7 +418,7 @@ class Ledger:
         self.chain_id = chain_id
         self.height = 0
         self.events: list[LedgerEvent] = []
-        genesis = Block(0, b"\x00" * 32, ())
+        genesis = Block(0, None, ())
         self.blocks: list[Block] = [genesis]
         self.native_balances: dict[Address, int] = {}
         self.tokens: dict[str, TokenState] = {}
@@ -540,21 +566,25 @@ class Ledger:
         events_start = len(self.events)
         executed: list[tuple[Transaction, str]] = []
         pools = (self._pool, self._private_pool)
-        # each step runs, from either pool, a sender's next nonce with the
-        # highest gas price, the earliest arrival breaking ties
-        while ready := [(tx.gas_price, -seq, pool, i) for pool in pools
-                        for i, (seq, tx) in enumerate(pool)
-                        if tx.nonce == self.nonces.get(tx.sender, 0)]:
-            *_, pool, i = max(ready)
-            _, tx = pool.pop(i)
-            executed.append((tx, self._execute(tx, executing)))
-        # stale entries were superseded in this block or earlier; future ones wait
-        for pool in pools:
-            pool[:] = [(seq, tx) for seq, tx in pool if tx.nonce >= self.nonces.get(tx.sender, 0)]
-
-        block = Block(executing, self.blocks[-1].digest, tuple(executed))
-        self.blocks.append(block)
-        self.height = executing
+        try:
+            # each step runs, from either pool, a sender's next nonce with the
+            # highest gas price, the earliest arrival breaking ties
+            while ready := [(tx.gas_price, -seq, pool, i) for pool in pools
+                            for i, (seq, tx) in enumerate(pool)
+                            if tx.nonce == self.nonces.get(tx.sender, 0)]:
+                *_, pool, i = max(ready)
+                _, tx = pool.pop(i)
+                executed.append((tx, self._execute(tx, executing)))
+        finally:
+            # also when a transaction raised: _execute undid it, the ones before
+            # it form the block, and the error propagates before the observers.
+            # Stale entries were superseded in this block or earlier; future ones wait.
+            for pool in pools:
+                pool[:] = [(seq, tx) for seq, tx in pool
+                           if tx.nonce >= self.nonces.get(tx.sender, 0)]
+            block = Block(executing, self.blocks[-1], tuple(executed))
+            self.blocks.append(block)
+            self.height = executing
 
         new_events = self.events[events_start:]
         for observer in self.block_observers:
@@ -562,16 +592,21 @@ class Ledger:
         return block
 
     def _execute(self, tx: Transaction, height: int) -> str:
-        self.nonces[tx.sender] = tx.nonce + 1
         start = len(self.events)
         self._journal = []
+        self._put(self.nonces, tx.sender, tx.nonce + 1)
         try:
             self._apply_payload(tx, height)
-        except RevertError as err:
-            # undo every write, then cut the log back to where the transaction began
-            for undo in reversed(self._journal):
+        except BaseException as err:
+            # undo the writes, then cut the log back to where the transaction
+            # began; a revert keeps the nonce bump (the first undo step), and
+            # anything else undoes that too and propagates
+            reverted = isinstance(err, RevertError)
+            for undo in reversed(self._journal[1 if reverted else 0:]):
                 undo()
             del self.events[start:]
+            if not reverted:
+                raise
             outcome = f"Reverted:{err.reason}"
             self._record(tx.payload, tx.sender, height, outcome)
         else:

@@ -34,7 +34,16 @@ from .contract import (
     enroll_wallet,
     find_enrollment,
 )
-from .crypto import Address, KeyExhausted, KeyPair, PqKeyPair, QuantumOracle, pq_sign, sign
+from .crypto import (
+    Address,
+    KeyExhausted,
+    KeyPair,
+    PqKeyPair,
+    QuantumOracle,
+    fill_addresses,
+    pq_sign,
+    sign,
+)
 from .fbr import FbrConfig, RiskService
 from .fis import InterceptorService
 from .ledger import (
@@ -166,11 +175,14 @@ class Scenario:
         actors = data.get("actors", {})
         need(isinstance(actors, dict) and actors, "scenario needs a non-empty 'actors' mapping")
         services = {name: True for name in SERVICE_NAMES}
-        for name, enabled in (data.get("services") or {}).items():
+        services_over = data.get("services") or {}
+        need(isinstance(services_over, dict), "'services' must be a mapping")
+        for name, enabled in services_over.items():
             need(name in SERVICE_NAMES, f"unknown service {name!r}")
             services[name] = bool(enabled)
 
         fbr_over = data.get("fbr_config") or {}
+        need(isinstance(fbr_over, dict), "'fbr_config' must be a mapping")
         need(
             set(fbr_over) <= set(FbrConfig.__dataclass_fields__),
             f"unknown fbr_config keys: {sorted(set(fbr_over) - set(FbrConfig.__dataclass_fields__))}",
@@ -192,6 +204,16 @@ class Scenario:
         at_risk = data.get("at_risk")
         if at_risk is not None:
             at_risk = section("at_risk", at_risk)
+        roles = data.get("custodian_roles", DEFAULT_CUSTODIAN_ROLES)
+        need(
+            isinstance(roles, (list, tuple)) and all(isinstance(r, str) for r in roles),
+            "'custodian_roles' must be a list of strings",
+        )
+        assertions = data.get("assertions", [])
+        need(
+            isinstance(assertions, list) and all(isinstance(a, dict) for a in assertions),
+            "'assertions' must be a list of mappings",
+        )
         run_blocks = data.get("run_blocks")
         if run_blocks is None:
             run_blocks = (steps[-1].at if steps else 1) + 2
@@ -207,14 +229,14 @@ class Scenario:
             fbr_config=FbrConfig(**fbr_over),
             tokens=entries("tokens", data.get("tokens", [])),
             actors={str(k): section(f"actor {k!r}", v or {}) for k, v in actors.items()},
-            custodian_roles=tuple(data.get("custodian_roles", DEFAULT_CUSTODIAN_ROLES)),
+            custodian_roles=tuple(roles),
             qmig_admin=data.get("qmig_admin"),
             blacklist=entries("blacklist", data.get("blacklist", [])),
             genesis=entries("genesis", data.get("genesis", [])),
             failsafe=failsafe,
             at_risk=at_risk,
             steps=steps,
-            assertions=list(data.get("assertions", [])),
+            assertions=assertions,
         )
 
 
@@ -316,13 +338,14 @@ class ScenarioRunner:
     def _build_world(self) -> None:
         sc = self.scenario
         for name, attrs in sc.actors.items():
-            key = KeyPair.generate(self.rng)
-            self.actor_keys[name] = key
-            self.oracle.register_actor(key)
+            self.actor_keys[name] = KeyPair.generate(self.rng)
             if attrs.get("pq"):
                 self.actor_pq_keys[name] = PqKeyPair.generate(self.rng)
-        for role in sc.custodian_roles:
-            key = KeyPair.generate(self.rng)
+        role_keys = [(role, KeyPair.generate(self.rng)) for role in sc.custodian_roles]
+        fill_addresses([*self.actor_keys.values(), *(key for _, key in role_keys)])
+        for key in self.actor_keys.values():
+            self.oracle.register_actor(key)
+        for role, key in role_keys:
             with _reading("custodian_roles"):
                 self.custodian.add_role(role, key)
             self.oracle.register_actor(key)
@@ -662,9 +685,9 @@ class ScenarioRunner:
                 for ev in new_events:
                     self.risk.record_observation(ev)
             block = self.ledger.build_block()
-            for tx, outcome in block.txs:
-                self.tx_outcomes[tx.tx_id] = outcome
-                self.tx_heights[tx.tx_id] = block.height
+            for (tx, outcome), tx_id in zip(block.txs, block.tx_ids):
+                self.tx_outcomes[tx_id] = outcome
+                self.tx_heights[tx_id] = block.height
                 self.oracle.note_public_signer(tx.sender)
             self.oracle.advance_to(block.height)
             if self.qmig.inflection is not None and self.oracle.inflection_height is None:

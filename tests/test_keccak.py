@@ -76,3 +76,16 @@ def test_batch_matches_bit_level_reference():
 def test_batch_refuses_messages_of_a_full_block(length):
     with pytest.raises(ValueError):
         keccak256_batch([b"abc", bytes(length)])
+
+
+# batches under 3 messages take the scalar loop, larger ones the lane-packed run
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 64])
+def test_batch_equals_scalar_on_both_sides_of_the_scalar_cut(count):
+    messages = [bytes(range(i % 7, i % 7 + (31 * i) % 136)) for i in range(count)]
+    assert keccak256_batch(messages) == [keccak256(m) for m in messages]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 64])
+def test_batch_refuses_a_full_block_at_every_size(count):
+    with pytest.raises(ValueError):
+        keccak256_batch([b"abc"] * (count - 1) + [bytes(136)])

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failsafe.contract import DEFAULT_THRESHOLDS, KeyCustodian, OperationKind, deploy_failsafe
-from failsafe.crypto import Address, KeyPair, RecoverableSignature, sign
+from failsafe.crypto import Address, KeyPair, RecoverableSignature, keccak256, sign
 from failsafe.ledger import (
     NATIVE,
     UNLIMITED,
     Approve,
     BadSignature,
+    Block,
     ContractCall,
     FutureHeight,
     Ledger,
@@ -32,6 +33,7 @@ from failsafe.ledger import (
 )
 from failsafe.qmig import QmigContract
 from oracles import (
+    reference_block_digests,
     reference_block_order,
     replay_balance_from_blocks,
     replay_balance_from_events,
@@ -152,17 +154,34 @@ class _RaisingContract:
 
 
 def test_raising_contract_leaves_other_pending_transactions_pooled():
-    ledger = fresh_ledger((CAROL.address, NATIVE, 100))
+    ledger = fresh_ledger((BOB.address, NATIVE, 100), (CAROL.address, NATIVE, 100))
     buggy = Address(bytes(range(100, 120)))
     ledger.register_contract(buggy, _RaisingContract())
+    rich = submit_native(ledger, BOB, CAROL.address, 7, gas_price=9, nonce=0)
+    submit_native(ledger, BOB, ALICE.address, 5, gas_price=1, nonce=0)  # stale once rich runs
     valid = submit_native(ledger, CAROL, BOB.address, 30)
     ledger.submit_transaction(sign_transaction(ALICE, 0, 5, ContractCall(buggy, "run", ())))
+    events_before = len(ledger.events)
     with pytest.raises(RuntimeError):
-        ledger.build_block()  # the call outbids the transfer, so it runs first
+        ledger.build_block()  # rich runs, then the call outbids the transfer and raises
+    # what ran before the raise forms the block; the raising call left no trace
+    assert ledger.height == 1
+    assert [(tx.tx_id, outcome) for tx, outcome in ledger.blocks[1].txs] == [
+        (rich.tx_id, "Executed")
+    ]
+    assert {ev.height for ev in ledger.events[events_before:]} == {1}
+    assert ledger.balance_of(CAROL.address) == 107
+    assert ledger.next_nonce(BOB.address) == 1  # the stale duplicate is gone
     assert ledger.next_nonce(CAROL.address) == 1  # still pooled
+    assert ledger.next_nonce(ALICE.address) == 0
+    assert ALICE.address not in ledger.nonces
+    retry = sign_transaction(ALICE, 0, 1, NativeTransfer(BOB.address, 0))
+    ledger.submit_transaction(retry)  # the raising sender signs again at its old nonce
     block = ledger.build_block()
-    assert [(tx.tx_id, outcome) for tx, outcome in block.txs] == [(valid.tx_id, "Executed")]
-    assert ledger.balance_of(BOB.address) == 30
+    assert [(tx.tx_id, outcome) for tx, outcome in block.txs] == [
+        (valid.tx_id, "Executed"), (retry.tx_id, "Executed")
+    ]
+    assert ledger.balance_of(BOB.address) == 100 - 7 + 30
 
 
 # -- nonces ------------------------------------------------------------------
@@ -622,6 +641,48 @@ def test_take_pending_drains_once():
 
 
 # -- chain structure -----------------------------------------------------------
+
+
+def test_block_tx_ids_are_the_scalar_ids_in_block_order():
+    ledger = fresh_ledger((ALICE.address, NATIVE, 100), (BOB.address, NATIVE, 100))
+    chained = [submit_native(ledger, ALICE, CAROL.address, 1, gas_price=g) for g in (5, 4, 3)]
+    early = submit_native(ledger, BOB, CAROL.address, 1, gas_price=9)
+    early_id = early.tx_id  # read before the block is built, as FIS does
+    block = ledger.build_block()
+    assert [tx for tx, _ in block.txs] == [early, *chained]
+    assert not any("tx_id" in vars(tx) for tx in chained)  # hashed when read
+    expected = [keccak256(b"FS-TXID" + tx.digest + tx.signature.to_bytes())
+                for tx, _ in block.txs]
+    assert block.tx_ids == tuple(expected)
+    assert [vars(tx)["tx_id"] for tx, _ in block.txs] == expected
+    assert vars(early)["tx_id"] is early_id  # not hashed again
+
+
+def _chain_with_traffic() -> Ledger:
+    ledger = fresh_ledger((ALICE.address, NATIVE, 100))
+    for _ in range(4):
+        submit_native(ledger, ALICE, BOB.address, 1, gas_price=2)
+        submit_native(ledger, ALICE, CAROL.address, 2)
+        ledger.build_block()
+    ledger.build_block()
+    return ledger
+
+
+@pytest.mark.parametrize("first", [-1, 2], ids=["tip", "middle"])
+def test_block_digests_on_demand_match_the_eager_formula(first):
+    ledger = _chain_with_traffic()
+    assert not any("digest" in vars(block) for block in ledger.blocks)  # nothing hashed them
+    expected = reference_block_digests(ledger.blocks)
+    assert ledger.blocks[first].digest == expected[first]
+    assert [block.digest for block in ledger.blocks] == expected
+    assert [block.parent_digest for block in ledger.blocks] == [bytes(32), *expected[:-1]]
+
+
+def test_digest_of_a_long_chain_is_hashed_without_recursion():
+    blocks = [Block(0, None, ())]
+    for height in range(1, 3000):
+        blocks.append(Block(height, blocks[-1], ()))
+    assert blocks[-1].digest == reference_block_digests(blocks)[-1]
 
 
 def test_blocks_chain_by_digest():

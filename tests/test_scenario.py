@@ -75,6 +75,12 @@ def edited(**overrides):
         (edited(at_risk=["gold"]), "at_risk must be a mapping"),
         (edited(failsafe=[{"owner": "alice", "enrollments": [None]}]),
          "failsafe entry 0 enrollments entry 0 must be a mapping"),
+        (edited(services=["fis"]), "'services' must be a mapping"),
+        (edited(fbr_config=5), "'fbr_config' must be a mapping"),
+        (edited(custodian_roles=5), "'custodian_roles' must be a list of strings"),
+        (edited(custodian_roles=["intercept", 7]), "'custodian_roles' must be a list of strings"),
+        (edited(assertions=5), "'assertions' must be a list of mappings"),
+        (edited(assertions=["balance"]), "'assertions' must be a list of mappings"),
     ],
 )
 def test_structural_validation(broken, fragment):

@@ -17,6 +17,7 @@ from failsafe.crypto.secp256k1 import (
     _rfc6979_nonces,
     _shamir,
     derive_address,
+    fill_addresses,
     recover_signer,
     sign,
 )
@@ -187,3 +188,15 @@ def test_hint_and_serial_digest_leave_equality_hash_and_repr_alone():
     assert sig == parsed  # parsed has neither hint nor cached digest
     assert hash(sig) == hash(parsed)
     assert repr(sig) == repr(parsed) == f"RecoverableSignature(r={sig.r}, s={sig.s}, v={sig.v})"
+
+
+def test_fill_addresses_matches_derive_address():
+    rng = random.Random(21)
+    keys = [KeyPair.generate(rng) for _ in range(5)]
+    known = keys[1].address  # already cached: left as it is
+    fill_addresses(keys)
+    assert vars(keys[1])["address"] is known
+    assert [vars(key)["address"] for key in keys] == [
+        derive_address(key.public_bytes) for key in keys
+    ]
+    assert all(type(vars(key)["address"]) is Address for key in keys)
