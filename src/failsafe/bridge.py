@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .crypto import Address, PqPublicKey, PqSignature, keccak256, pq_verify
 from .encoding import encode_value
-from .ledger import InsufficientBalance, Ledger, LedgerEvent
+from .ledger import EXECUTED, InsufficientBalance, InvalidAmount, Ledger, LedgerEvent, make_event
 from .qmig import (
     BadPqSignature,
     InflectionUnset,
@@ -93,11 +93,7 @@ class QuantumSafeLedger:
         book = self.balances.setdefault(token, {})
         book[to] = book.get(to, 0) + amount
         self.events.append(
-            LedgerEvent(
-                self.height,
-                "BridgeMint",
-                (("to", to), ("token", token), ("amount", amount)),
-            )
+            make_event(self.height, "BridgeMint", {"to": to, "token": token, "amount": amount})
         )
 
     def transfer_digest(
@@ -115,32 +111,22 @@ class QuantumSafeLedger:
         signature: PqSignature,
     ) -> None:
         """Spend under a Lamport signature from the address-bound key."""
+        if isinstance(amount, bool) or not isinstance(amount, int) or amount < 0:
+            raise InvalidAmount(f"transfer amount must be a non-negative int, got {amount!r}")
         sender = pq_address(sender_public)
         nonce = self.nonces.get(sender, 0)
         digest = self.transfer_digest(sender, to, token, amount, nonce)
         if not pq_verify(sender_public, digest, signature):
             raise BadPqSignature("transfer requires a valid Lamport signature")
         book = self.balances.setdefault(token, {})
-        if book.get(sender, 0) < amount:
-            raise InsufficientBalance(
-                f"{sender} holds {book.get(sender, 0)} {token}, needs {amount}"
-            )
+        held = book.get(sender, 0)
+        if held < amount:
+            raise InsufficientBalance(f"{sender} holds {held} {token}, needs {amount}")
         self.nonces[sender] = nonce + 1
-        book[sender] -= amount
+        book[sender] = held - amount
         book[to] = book.get(to, 0) + amount
-        self.events.append(
-            LedgerEvent(
-                self.height,
-                "Transfer",
-                (
-                    ("from", sender),
-                    ("to", to),
-                    ("token", token),
-                    ("amount", amount),
-                    ("outcome", "Executed"),
-                ),
-            )
-        )
+        fields = {"from": sender, "to": to, "token": token, "amount": amount, "outcome": EXECUTED}
+        self.events.append(make_event(self.height, "Transfer", fields))
 
 
 class Bridge:

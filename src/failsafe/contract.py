@@ -172,9 +172,6 @@ class KeyCustodian:
             raise ValueError(f"role {role!r} already provisioned")
         self._keys[role] = key
 
-    def has_role(self, role: str) -> bool:
-        return role in self._keys
-
     def key_for(self, role: str) -> KeyPair:
         key = self._keys.get(role)
         if key is None:

@@ -3,20 +3,20 @@
 The oracle hands out a private key only when two conditions hold: the
 chain has passed the inflection height, and the target's public key has
 become observable (the address signed a transaction that made it into a
-block, or a raw signature of theirs was published). Key material is not
+block). Key material is not
 actually derived; the simulation registers every actor's key up front and
 the oracle gates access to them.
 """
 
 from __future__ import annotations
 
-from .secp256k1 import Address, KeyPair, RecoverableSignature, RecoveryError, recover_signer
+from .secp256k1 import Address, KeyPair
 
 
 class QuantumOracle:
     def __init__(self) -> None:
         self._keys: dict[Address, KeyPair] = {}
-        self._revealed: dict[Address, bool] = {}
+        self._revealed: set[Address] = set()
         self._granted: dict[Address, KeyPair] = {}
         self.inflection_height: int | None = None
         self.current_height: int = 0
@@ -35,17 +35,7 @@ class QuantumOracle:
 
     def note_public_signer(self, address: Address) -> None:
         """Record that an address's signature (hence public key) is on chain."""
-        self._revealed[address] = True
-
-    def note_raw_signature(self, digest: bytes, sig: RecoverableSignature) -> None:
-        """Record a signature published off chain, e.g. shown to a verifier."""
-        try:
-            self._revealed[recover_signer(digest, sig)] = True
-        except RecoveryError:
-            pass  # malformed signatures reveal nothing
-
-    def is_revealed(self, address: Address) -> bool:
-        return self._revealed.get(address, False)
+        self._revealed.add(address)
 
     def derive_private(self, target: Address) -> KeyPair | None:
         """Return the target's key, or None while the attack is infeasible."""
@@ -53,7 +43,7 @@ class QuantumOracle:
             return self._granted[target]
         if self.inflection_height is None or self.current_height < self.inflection_height:
             return None
-        if not self._revealed.get(target, False):
+        if target not in self._revealed:
             return None
         key = self._keys.get(target)
         if key is None:

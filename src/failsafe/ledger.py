@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -147,7 +147,8 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _event(height: int, kind: str, fields: dict) -> LedgerEvent:
+def make_event(height: int, kind: str, fields: dict) -> LedgerEvent:
+    """An event whose data are the fields in insertion order."""
     return LedgerEvent(height, kind, tuple(fields.items()))
 
 
@@ -311,7 +312,6 @@ def sign_transaction(key: KeyPair, nonce: int, gas_price: int, payload: Payload)
 @dataclass(frozen=True)
 class Block:
     height: int
-    parent: Block | None = field(compare=False, repr=False)  # None for genesis
     txs: tuple[tuple[Transaction, str], ...]  # (transaction, outcome string)
 
     @cached_property
@@ -321,26 +321,6 @@ class Block:
         for tx, tx_id in zip(todo, keccak256_batch([tx.tx_id_message for tx in todo])):
             vars(tx)["tx_id"] = tx_id
         return tuple(tx.tx_id for tx, _ in self.txs)
-
-    @property
-    def parent_digest(self) -> bytes:
-        return b"\x00" * 32 if self.parent is None else self.parent.digest
-
-    @cached_property
-    def digest(self) -> bytes:
-        """Hashed when first read. The walk back to the nearest block with a
-        known digest is a loop, so no chain length reaches the recursion limit."""
-        unknown = []
-        block = self
-        while block is not None and "digest" not in vars(block):
-            unknown.append(block)
-            block = block.parent
-        digest = unknown[-1].parent_digest  # genesis zeros, or a known digest
-        for block in reversed(unknown):
-            outcomes = tuple(zip(block.tx_ids, (out for _, out in block.txs)))
-            digest = keccak256(b"FS-BLOCK" + encode_value((block.height, digest, outcomes)))
-            vars(block)["digest"] = digest
-        return digest
 
 
 @dataclass
@@ -378,7 +358,7 @@ class ExecutionContext:
         return self.tx.sender
 
     def emit(self, kind: str, fields: dict) -> None:
-        self.ledger.events.append(_event(self.height, kind, fields))
+        self.ledger.events.append(make_event(self.height, kind, fields))
 
     def record_undo(self, undo: Callable[[], None]) -> None:
         """Register rollback for contract-local state touched in this call."""
@@ -418,8 +398,7 @@ class Ledger:
         self.chain_id = chain_id
         self.height = 0
         self.events: list[LedgerEvent] = []
-        genesis = Block(0, None, ())
-        self.blocks: list[Block] = [genesis]
+        self.blocks: list[Block] = [Block(0, ())]  # genesis
         self.native_balances: dict[Address, int] = {}
         self.tokens: dict[str, TokenState] = {}
         self.nonces: dict[Address, int] = {}
@@ -451,7 +430,7 @@ class Ledger:
             raise ValueError("genesis allocations only before the first built block")
         balances = self._balances_for(token)
         self._put(balances, to, balances.get(to, 0) + amount)
-        self.events.append(_event(0, "Genesis", {"to": to, "token": token, "amount": amount}))
+        self.events.append(make_event(0, "Genesis", {"to": to, "token": token, "amount": amount}))
 
     def genesis_allocate_nft(self, to: Address, token: str, token_id: int) -> None:
         if self.height != 0 or self.blocks[0].txs:
@@ -461,7 +440,7 @@ class Ledger:
             raise ValueError(f"nft {token}#{token_id} already allocated")
         self._put(owners, token_id, to)
         self.events.append(
-            _event(0, "Genesis", {"to": to, "token": token, "token_id": token_id})
+            make_event(0, "Genesis", {"to": to, "token": token, "token_id": token_id})
         )
 
     def register_contract(self, address: Address, contract: object) -> None:
@@ -522,7 +501,7 @@ class Ledger:
             raise BadSignature("exceptions-list registration must be signed by the address owner")
         if addr not in self.exceptions_list:
             self.exceptions_list.append(addr)
-            self.events.append(_event(self.height, "ExceptionAdded", {"address": addr}))
+            self.events.append(make_event(self.height, "ExceptionAdded", {"address": addr}))
 
     # -- submission ----------------------------------------------------------
 
@@ -582,7 +561,7 @@ class Ledger:
             for pool in pools:
                 pool[:] = [(seq, tx) for seq, tx in pool
                            if tx.nonce >= self.nonces.get(tx.sender, 0)]
-            block = Block(executing, self.blocks[-1], tuple(executed))
+            block = Block(executing, tuple(executed))
             self.blocks.append(block)
             self.height = executing
 
@@ -618,7 +597,7 @@ class Ledger:
     def _record(self, p: Payload, sender: Address, height: int, outcome: str, **fields) -> None:
         """Log a payload through its describe(), with fields overridden."""
         kind, described = p.describe(sender)
-        self.events.append(_event(height, kind, {**described, **fields, "outcome": outcome}))
+        self.events.append(make_event(height, kind, {**described, **fields, "outcome": outcome}))
 
     def _apply_payload(self, tx: Transaction, height: int) -> None:
         p = tx.payload
@@ -682,7 +661,7 @@ class Ledger:
         for addr, delta in ((frm, -amount), (to, amount)):
             self._put(balances, addr, balances.get(addr, 0) + delta)
         fields = {"from": frm, "to": to, "token": token, "amount": amount, **extra}
-        event = _event(height, kind, {**fields, "outcome": EXECUTED})
+        event = make_event(height, kind, {**fields, "outcome": EXECUTED})
         self.events.append(event)
         for addr in {frm, to}:
             records = self._transfers.setdefault((token, addr), [])
@@ -719,7 +698,7 @@ class Ledger:
             raise NotOwner(f"{frm} does not own {token}#{token_id}")
         self._put(owners, token_id, to)
         fields = {"from": frm, "to": to, "token": token, "token_id": token_id, "outcome": EXECUTED}
-        self.events.append(_event(height, "NftTransfer", fields))
+        self.events.append(make_event(height, "NftTransfer", fields))
 
     def _nft_move_by_operator(self, token: str, owner: Address, to: Address,
                               operator: Address, token_id: int, height: int) -> None:
@@ -746,4 +725,4 @@ class Ledger:
 
     def append_info_event(self, kind: str, fields: dict, height: int | None = None) -> None:
         """Record a non-balance event (bridge outcomes, exception listings)."""
-        self.events.append(_event(self.height if height is None else height, kind, fields))
+        self.events.append(make_event(self.height if height is None else height, kind, fields))

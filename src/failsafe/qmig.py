@@ -96,37 +96,22 @@ class TransferIntentSource:
             + bytes(self.dest_address)
         )
 
-    @classmethod
-    def deserialize(cls, data: bytes) -> "TransferIntentSource":
-        if len(data) != 56:
-            raise ValueError(f"intent source must be 56 bytes, got {len(data)}")
-        return cls(
-            int.from_bytes(data[0:8], "big"),
-            Address(data[8:28]),
-            int.from_bytes(data[28:36], "big"),
-            Address(data[36:56]),
-        )
-
     @cached_property
     def signing_digest(self) -> bytes:
         return keccak256(self.serialize())
 
 
-def intent_digest_of(sig: RecoverableSignature) -> bytes:
-    """The incognito digest: keccak256 of the 65-byte r||s||v signature."""
-    return sig.serial_digest
-
-
 def build_intent_digest(
     source: TransferIntentSource, signer_key: KeyPair
 ) -> tuple[RecoverableSignature, bytes]:
-    """Sign the intent with the source key and derive the incognito digest."""
+    """Sign the intent with the source key and derive the incognito digest,
+    keccak256 of the 65-byte r||s||v signature."""
     if signer_key.address != source.from_address:
         raise SignerMismatch(
             f"key controls {signer_key.address}, intent source is {source.from_address}"
         )
     sig = sign(signer_key, source.signing_digest)
-    return sig, intent_digest_of(sig)
+    return sig, sig.serial_digest
 
 
 def inflection_digest(height: int) -> bytes:
@@ -219,7 +204,7 @@ class QmigContract:
             raise SignerMismatch(
                 f"signature recovers to {signer}, intent source is {source.from_address}"
             )
-        registered_at = self.registry.get(intent_digest_of(sig))
+        registered_at = self.registry.get(sig.serial_digest)
         if registered_at is None:
             raise IntentNotFound("no registered intent matches this signature digest")
         if not registered_at < inflection:

@@ -14,6 +14,8 @@ event log.
 
 from __future__ import annotations
 
+import gc
+import operator
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -214,6 +216,12 @@ class Scenario:
             isinstance(assertions, list) and all(isinstance(a, dict) for a in assertions),
             "'assertions' must be a list of mappings",
         )
+        for i, raw in enumerate(assertions):
+            check = str(raw.get("check"))
+            need(check in _CHECKS, f"assertion {i}: unknown check {check!r}")
+            keys = _COMPARATORS[_CHECKS[check][1]]
+            need(any(key in raw for key in keys),
+                 f"assertion {i} ({check}) needs {'/'.join(keys)}")
         run_blocks = data.get("run_blocks")
         if run_blocks is None:
             run_blocks = (steps[-1].at if steps else 1) + 2
@@ -332,6 +340,11 @@ class ScenarioRunner:
         self._event_cursor = 0
 
         self._build_world()
+        # Leave the run with empty young generations: the collector's counts
+        # then depend on the run's own allocations, so its young collections
+        # fall in the same blocks on every run of one scenario, whatever the
+        # process allocated before.
+        gc.collect(1)
 
     # -- construction ---------------------------------------------------------
 
@@ -745,75 +758,10 @@ class ScenarioRunner:
 
     def _evaluate_assertion(self, raw: dict) -> tuple[bool, str]:
         try:
-            check = str(raw["check"])
-            if check == "balance":
-                where = str(raw.get("ledger", "source"))
-                addr = self.resolve_address(raw["address"])
-                token = str(raw["token"])
-                actual = (
-                    self.dest_ledger.balance_of(addr, token)
-                    if where == "dest"
-                    else self.ledger.balance_of(addr, token)
-                )
-                return self._compare(raw, actual, f"balance[{where}] {raw['address']}:{token}")
-            if check == "outcome":
-                tx = self.labels.get(str(raw["label"]))
-                actual = "not-included" if tx is None else self.tx_outcomes.get(
-                    tx.tx_id, "not-included"
-                )
-                return self._equals(raw, actual, f"outcome[{raw['label']}]")
-            labelled = {
-                "private_status": self.private_status,
-                "verify": self.verify_outcomes,
-                "bridge": self.bridge_outcomes,
-            }.get(check)
-            if labelled is not None:
-                actual = labelled.get(str(raw["label"]), "missing")
-                return self._equals(raw, actual, f"{check}[{raw['label']}]")
-            if check == "intercepts":
-                count = self.fis.intercept_count if self.fis is not None else 0
-                return self._compare(raw, count, "intercepts")
-            if check == "rebalances":
-                count = len(self.balancer.actions) if self.balancer is not None else 0
-                return self._compare(raw, count, "rebalances")
-            if check == "permitted":
-                actual = self.qmig.permitted_amount(
-                    self.resolve_address(raw["wallet"]), str(raw["token"])
-                )
-                return self._compare(raw, actual, f"permitted[{raw['wallet']}:{raw['token']}]")
-            if check == "registry_size":
-                return self._compare(raw, len(self.qmig.registry), "registry_size")
-            if check == "alerts":
-                user = str(raw["user"])
-                count = (
-                    len(self.fis.alerts_by_user.get(user, [])) if self.fis is not None else 0
-                )
-                return self._compare(raw, count, f"alerts[{user}]")
-            return False, f"unknown assertion check {check!r}"
+            read, judge = _CHECKS[str(raw["check"])]
+            return judge(raw, *read(self, raw))
         except Exception as exc:
             return False, f"assertion {raw!r} errored: {type(exc).__name__}: {exc}"
-
-    @staticmethod
-    def _equals(raw: dict, actual, label: str) -> tuple[bool, str]:
-        expected = str(raw["equals"])
-        ok = str(actual) == expected
-        return ok, f"{label} = {actual}" + ("" if ok else f" (expected {expected})")
-
-    @staticmethod
-    def _compare(raw: dict, actual: int, label: str) -> tuple[bool, str]:
-        if "equals" in raw:
-            expected = int(raw["equals"])
-            ok = actual == expected
-            return ok, f"{label} = {actual}" + ("" if ok else f" (expected {expected})")
-        if "at_least" in raw:
-            bound = int(raw["at_least"])
-            ok = actual >= bound
-            return ok, f"{label} = {actual}" + ("" if ok else f" (expected >= {bound})")
-        if "at_most" in raw:
-            bound = int(raw["at_most"])
-            ok = actual <= bound
-            return ok, f"{label} = {actual}" + ("" if ok else f" (expected <= {bound})")
-        return False, f"{label}: assertion needs equals/at_least/at_most"
 
     # -- log rendering ----------------------------------------------------------------------
 
@@ -823,3 +771,84 @@ class ScenarioRunner:
         if self.fis is not None:
             lines.extend(f"alert {line}" for line in self.fis.alerts)
         return lines
+
+
+# ---------------------------------------------------------------------------
+# Assertions: each check reads (actual value, label) from a finished run and
+# judges it against the assertion's expected value.
+
+def _equals(raw: dict, actual, label: str) -> tuple[bool, str]:
+    expected = str(raw["equals"])
+    ok = str(actual) == expected
+    return ok, f"{label} = {actual}" + ("" if ok else f" (expected {expected})")
+
+
+_BOUNDS = {"equals": (operator.eq, ""), "at_least": (operator.ge, ">= "),
+           "at_most": (operator.le, "<= ")}
+
+
+def _compare(raw: dict, actual: int, label: str) -> tuple[bool, str]:
+    key = next(key for key in _BOUNDS if key in raw)  # from_dict checked one is there
+    holds, relation = _BOUNDS[key]
+    bound = int(raw[key])
+    ok = holds(actual, bound)
+    return ok, f"{label} = {actual}" + ("" if ok else f" (expected {relation}{bound})")
+
+
+# the keys a judge reads its expected value from; an assertion needs one of them
+_COMPARATORS = {_equals: ("equals",), _compare: tuple(_BOUNDS)}
+
+
+def _balance(run: ScenarioRunner, raw: dict):
+    where = str(raw.get("ledger", "source"))
+    addr = run.resolve_address(raw["address"])
+    token = str(raw["token"])
+    ledger = run.dest_ledger if where == "dest" else run.ledger
+    return ledger.balance_of(addr, token), f"balance[{where}] {raw['address']}:{token}"
+
+
+def _outcome(run: ScenarioRunner, raw: dict):
+    tx = run.labels.get(str(raw["label"]))
+    actual = "not-included" if tx is None else run.tx_outcomes.get(tx.tx_id, "not-included")
+    return actual, f"outcome[{raw['label']}]"
+
+
+def _labelled(check: str, outcomes: str):
+    """A reader of the outcome a runner dict holds under the assertion's label."""
+    def read(run: ScenarioRunner, raw: dict):
+        return getattr(run, outcomes).get(str(raw["label"]), "missing"), f"{check}[{raw['label']}]"
+    return read
+
+
+def _permitted(run: ScenarioRunner, raw: dict):
+    actual = run.qmig.permitted_amount(run.resolve_address(raw["wallet"]), str(raw["token"]))
+    return actual, f"permitted[{raw['wallet']}:{raw['token']}]"
+
+
+def _alerts(run: ScenarioRunner, raw: dict):
+    user = str(raw["user"])
+    count = len(run.fis.alerts_by_user.get(user, [])) if run.fis is not None else 0
+    return count, f"alerts[{user}]"
+
+
+def _intercepts(run: ScenarioRunner, raw: dict):
+    return (run.fis.intercept_count if run.fis is not None else 0), "intercepts"
+
+
+def _rebalances(run: ScenarioRunner, raw: dict):
+    return (len(run.balancer.actions) if run.balancer is not None else 0), "rebalances"
+
+
+# check name -> (reader, judge)
+_CHECKS = {
+    "balance": (_balance, _compare),
+    "outcome": (_outcome, _equals),
+    "private_status": (_labelled("private_status", "private_status"), _equals),
+    "verify": (_labelled("verify", "verify_outcomes"), _equals),
+    "bridge": (_labelled("bridge", "bridge_outcomes"), _equals),
+    "intercepts": (_intercepts, _compare),
+    "rebalances": (_rebalances, _compare),
+    "permitted": (_permitted, _compare),
+    "registry_size": (lambda run, raw: (len(run.qmig.registry), "registry_size"), _compare),
+    "alerts": (_alerts, _compare),
+}

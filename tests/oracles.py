@@ -12,17 +12,13 @@ affine double-and-add with one modular inverse per step; the package
 accumulates window tables in Jacobian coordinates. The ledger oracles
 replay raw block/transaction outcomes or the event log and never read the
 package's transfer index; the block-order oracle is the copy-and-rescan
-selection loop the ledger used before it built blocks in place, and the
-block-digest oracle hashes every block eagerly from genesis, with each
-transaction id hashed on its own, as the ledger did before it hashed
-digests when read and ids in one batch per block.
+selection loop the ledger used before it built blocks in place.
 """
 
 from __future__ import annotations
 
 from failsafe.crypto.keccak import keccak256
 from failsafe.crypto.secp256k1 import GX, GY
-from failsafe.encoding import encode_value
 
 _W = 64  # lane width in bits for Keccak-f[1600]
 _RATE_BYTES = 136  # 1088-bit rate for 512-bit capacity (Keccak-256)
@@ -217,22 +213,6 @@ def reference_block_order(public, private, nonces):
     carried = {flag: [(seq, tx) for seq, tx, is_private in candidates if is_private == flag]
                for flag in (False, True)}
     return order, carried[False], carried[True]
-
-
-def reference_block_digests(blocks) -> list[bytes]:
-    """The digest of each block of a chain given from genesis on, hashed in
-    chain order: every block hashes its parent's digest (32 zero bytes for
-    genesis) with its height and its (transaction id, outcome) pairs."""
-    digests = []
-    parent = bytes(32)
-    for block in blocks:
-        pairs = tuple(
-            (keccak256(b"FS-TXID" + tx.digest + tx.signature.to_bytes()), outcome)
-            for tx, outcome in block.txs
-        )
-        parent = keccak256(b"FS-BLOCK" + encode_value((block.height, parent, pairs)))
-        digests.append(parent)
-    return digests
 
 
 def _apply_tx_to_balances(balances: dict, tx, token_kinds: dict) -> None:

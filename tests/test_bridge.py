@@ -18,6 +18,7 @@ from failsafe.crypto import Address, KeyPair, PqKeyPair, pq_sign, sign
 from failsafe.ledger import (
     ContractCall,
     InsufficientBalance,
+    InvalidAmount,
     Ledger,
     TokenTransfer,
     sign_transaction,
@@ -295,6 +296,45 @@ def test_dest_insufficient_balance():
     sig = pq_sign(world.dest_key, digest)
     with pytest.raises(InsufficientBalance):
         world.dest.transfer(world.dest_key.public, payee, "gold", 101, sig)
+
+
+@pytest.mark.parametrize(
+    "thief_holds, amount",
+    [(1, -100), (None, -100), (1, "100"), (1, True)],
+    ids=["negative", "negative-no-entry", "str", "bool"],
+)
+def test_dest_transfer_refuses_a_negative_or_non_int_amount(thief_holds, amount):
+    world = make_world()
+    world.bridge.bridge_transfer(request(world, 700))
+    world.ledger.build_block()
+    victim = pq_address(world.dest_key.public)
+    thief_key = PqKeyPair.generate(random.Random(9))
+    thief = pq_address(thief_key.public)
+    if thief_holds is not None:
+        world.dest.mint(thief, "gold", thief_holds)
+    events = list(world.dest.events)
+    # a valid Lamport signature over the bad amount: only the amount check stops it
+    digest = world.dest.transfer_digest(thief, victim, "gold", amount, nonce=0)
+    with pytest.raises(InvalidAmount):
+        world.dest.transfer(thief_key.public, victim, "gold", amount, pq_sign(thief_key, digest))
+    assert world.dest.balance_of(victim, "gold") == 700
+    assert world.dest.balance_of(thief, "gold") == (thief_holds or 0)
+    assert thief not in world.dest.nonces
+    assert world.dest.events == events
+
+
+def test_dest_zero_transfer_from_an_account_with_no_entry():
+    dest = QuantumSafeLedger(chain_id=DEST_CHAIN)
+    key = PqKeyPair.generate(random.Random(9))
+    sender = pq_address(key.public)
+    payee = Address(b"\x33" * 20)
+    sig = pq_sign(key, dest.transfer_digest(sender, payee, "gold", 0, nonce=0))
+    dest.transfer(key.public, payee, "gold", 0, sig)
+    assert dest.balance_of(sender, "gold") == dest.balance_of(payee, "gold") == 0
+    assert dest.nonces[sender] == 1
+    assert [ev.format_line() for ev in dest.events] == [
+        f"height=0 kind=Transfer from={sender} to={payee} token=gold amount=0 outcome=Executed"
+    ]
 
 
 def test_dest_height_never_regresses():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failsafe.crypto import keccak256
+from failsafe.crypto import keccak, keccak256
 from failsafe.crypto.keccak import keccak256_batch
 from oracles import reference_keccak256
 
@@ -72,13 +72,22 @@ def test_batch_matches_bit_level_reference():
     assert keccak256_batch([b""])[0].hex() == EMPTY_DIGEST
 
 
+def test_empty_batch_runs_no_permutation(monkeypatch):
+    # every block whose transaction ids are all known asks for an empty batch
+    def permute(*args):
+        raise AssertionError("permutation run over zero messages")
+
+    monkeypatch.setattr(keccak, "_keccak_f", permute)
+    assert keccak256_batch([]) == []
+
+
 @pytest.mark.parametrize("length", [136, 137, 300])
 def test_batch_refuses_messages_of_a_full_block(length):
     with pytest.raises(ValueError):
         keccak256_batch([b"abc", bytes(length)])
 
 
-# batches under 3 messages take the scalar loop, larger ones the lane-packed run
+# the empty, one-message, few-message and many-message batches against scalar hashing
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 64])
 def test_batch_equals_scalar_on_both_sides_of_the_scalar_cut(count):
     messages = [bytes(range(i % 7, i % 7 + (31 * i) % 136)) for i in range(count)]

@@ -13,7 +13,6 @@ from failsafe.ledger import (
     UNLIMITED,
     Approve,
     BadSignature,
-    Block,
     ContractCall,
     FutureHeight,
     Ledger,
@@ -33,7 +32,6 @@ from failsafe.ledger import (
 )
 from failsafe.qmig import QmigContract
 from oracles import (
-    reference_block_digests,
     reference_block_order,
     replay_balance_from_blocks,
     replay_balance_from_events,
@@ -656,43 +654,6 @@ def test_block_tx_ids_are_the_scalar_ids_in_block_order():
     assert block.tx_ids == tuple(expected)
     assert [vars(tx)["tx_id"] for tx, _ in block.txs] == expected
     assert vars(early)["tx_id"] is early_id  # not hashed again
-
-
-def _chain_with_traffic() -> Ledger:
-    ledger = fresh_ledger((ALICE.address, NATIVE, 100))
-    for _ in range(4):
-        submit_native(ledger, ALICE, BOB.address, 1, gas_price=2)
-        submit_native(ledger, ALICE, CAROL.address, 2)
-        ledger.build_block()
-    ledger.build_block()
-    return ledger
-
-
-@pytest.mark.parametrize("first", [-1, 2], ids=["tip", "middle"])
-def test_block_digests_on_demand_match_the_eager_formula(first):
-    ledger = _chain_with_traffic()
-    assert not any("digest" in vars(block) for block in ledger.blocks)  # nothing hashed them
-    expected = reference_block_digests(ledger.blocks)
-    assert ledger.blocks[first].digest == expected[first]
-    assert [block.digest for block in ledger.blocks] == expected
-    assert [block.parent_digest for block in ledger.blocks] == [bytes(32), *expected[:-1]]
-
-
-def test_digest_of_a_long_chain_is_hashed_without_recursion():
-    blocks = [Block(0, None, ())]
-    for height in range(1, 3000):
-        blocks.append(Block(height, blocks[-1], ()))
-    assert blocks[-1].digest == reference_block_digests(blocks)[-1]
-
-
-def test_blocks_chain_by_digest():
-    ledger = fresh_ledger((ALICE.address, NATIVE, 100))
-    submit_native(ledger, ALICE, BOB.address, 1)
-    b1 = ledger.build_block()
-    b2 = ledger.build_block()
-    assert b1.parent_digest == ledger.blocks[0].digest
-    assert b2.parent_digest == b1.digest
-    assert (b1.height, b2.height) == (1, 2)
 
 
 def test_identical_fields_yield_identical_tx_id():

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from failsafe.crypto import KeyPair, QuantumOracle, RecoverableSignature, sign
-from failsafe.crypto.keccak import keccak256
+from failsafe.crypto import KeyPair, QuantumOracle
 
 
 def _actor(seed: int) -> KeyPair:
@@ -37,7 +36,6 @@ def test_no_derivation_while_key_unexposed():
     oracle.register_actor(victim)
     oracle.set_inflection(5)
     oracle.advance_to(10)
-    assert not oracle.is_revealed(victim.address)
     assert oracle.derive_private(victim.address) is None
 
 
@@ -81,18 +79,3 @@ def test_height_never_regresses():
     with pytest.raises(ValueError):
         oracle.advance_to(2)
 
-
-def test_raw_signature_reveals_signer():
-    oracle = QuantumOracle()
-    victim = _actor(1)
-    oracle.register_actor(victim)
-    digest = keccak256(b"shown to a verifier, never broadcast")
-    sig = sign(victim, digest)
-    oracle.note_raw_signature(digest, sig)
-    assert oracle.is_revealed(victim.address)
-
-
-def test_malformed_raw_signature_reveals_nothing():
-    oracle = QuantumOracle()
-    oracle.note_raw_signature(keccak256(b"x"), RecoverableSignature(0, 1, 0))
-    assert not oracle._revealed

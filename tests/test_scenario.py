@@ -1,6 +1,7 @@
 """Scenario runner: parsing, determinism, service toggles, reporting, CLI."""
 
 import copy
+import gc
 import hashlib
 
 import pytest
@@ -81,6 +82,20 @@ def edited(**overrides):
         (edited(custodian_roles=["intercept", 7]), "'custodian_roles' must be a list of strings"),
         (edited(assertions=5), "'assertions' must be a list of mappings"),
         (edited(assertions=["balance"]), "'assertions' must be a list of mappings"),
+        (
+            edited(assertions=[{"check": "balanse", "address": "bob", "token": "gold",
+                                "equals": 40}]),
+            "assertion 0: unknown check 'balanse'",
+        ),
+        (edited(assertions=[{"address": "bob", "equals": 4}]), "assertion 0: unknown check 'None'"),
+        (
+            edited(assertions=[{"check": "balance", "address": "bob", "token": "gold"}]),
+            "assertion 0 (balance) needs equals/at_least/at_most",
+        ),
+        (
+            edited(assertions=[{"check": "outcome", "label": "pay", "at_least": 1}]),
+            "assertion 0 (outcome) needs equals",
+        ),
     ],
 )
 def test_structural_validation(broken, fragment):
@@ -100,6 +115,10 @@ def test_structural_validation(broken, fragment):
             {"steps": [{"at": 1, "action": "withdraw", "owner": "alice", "wallet": "alice",
                         "token": "gold", "amount": 1, "signers": ["alice"]}]},
             "step 0 (withdraw): no FailSafe vault deployed for 'alice'",
+        ),
+        (
+            {"assertions": [{"check": "intercepts"}]},
+            "assertion 0 (intercepts) needs equals/at_least/at_most",
         ),
     ],
 )
@@ -262,6 +281,15 @@ def test_same_seed_same_log():
     second = ScenarioRunner(Scenario.load(path)).run()
     assert first.log_lines == second.log_lines
     assert first.assets_saved == second.assets_saved
+
+
+def test_run_starts_with_empty_young_generations():
+    # whatever the process allocated before, the run's own allocations alone
+    # decide in which blocks the collector's young collections fall
+    before = [[] for _ in range(5000)]
+    ScenarioRunner(Scenario.load(scenario_path("key-theft-intercept")))
+    assert gc.get_count()[1] == 0
+    del before
 
 
 def test_seed_override_changes_addresses_not_verdicts():
