@@ -149,7 +149,7 @@ class Bridge:
         if reason is not None:
             fields["reason"] = reason
         # bridge steps run between blocks and belong to the upcoming one
-        self.source.append_info_event("Bridge", fields, height=self.source.height + 1)
+        self.source.events.append(make_event(self.source.height + 1, "Bridge", fields))
 
     def bridge_transfer(self, req: BridgeTransfer) -> None:
         holder = req.source.from_address

@@ -46,7 +46,7 @@ def intercept_gas_price(attacker_gas_price: int) -> int:
 @dataclass(frozen=True)
 class InterceptDecision:
     action: str
-    owner: str | None = None
+    contract: FailSafeContract | None = None
     wallet: Address | None = None
     assets: tuple = ()  # (asset kind, token, amount-or-None | token id)
     trigger: str | None = None
@@ -113,7 +113,6 @@ class InterceptorService:
         self.window = WindowAccumulator()
         self.alerts: list[str] = []
         self.alerts_by_user: dict[str, list[str]] = {}
-        self.intercept_count = 0
         # (decision, intercept tx, chain height when the threat was seen)
         self.intercept_records: list[tuple[InterceptDecision, Transaction, int]] = []
 
@@ -153,7 +152,7 @@ class InterceptorService:
             return _IGNORE
         return InterceptDecision(
             action=INTERCEPT if assets else ALERT,
-            owner=contract.owner,
+            contract=contract,
             wallet=record.wallet,
             assets=assets,
             trigger=trigger,
@@ -172,19 +171,9 @@ class InterceptorService:
 
     # -- acting ----------------------------------------------------------------------
 
-    def build_intercept_tx(self, decision: InterceptDecision) -> Transaction:
-        contract, _ = find_enrollment(self.contracts, decision.wallet)
-        return contract.execute_tx(
-            OperationKind.INTERCEPT,
-            (bytes(decision.wallet), decision.assets),
-            [self.custodian.key_for("intercept")],
-            self.custodian.key_for("relayer"),
-            decision.target_gas_price,
-        )
-
-    def notify_user(self, owner: str, line: str) -> None:
-        self.alerts.append(line)
-        self.alerts_by_user.setdefault(owner, []).append(line)
+    @property
+    def intercept_count(self) -> int:
+        return len(self.intercept_records)
 
     def on_tick(self, pending: list[Transaction]) -> None:
         for tx in pending:
@@ -193,20 +182,25 @@ class InterceptorService:
                 continue
             intercept_id = "none"
             if decision.action == INTERCEPT:
-                itx = self.build_intercept_tx(decision)
+                itx = decision.contract.execute_tx(
+                    OperationKind.INTERCEPT,
+                    (bytes(decision.wallet), decision.assets),
+                    [self.custodian.key_for("intercept")],
+                    self.custodian.key_for("relayer"),
+                    decision.target_gas_price,
+                )
                 self.ledger.submit_transaction(itx)
                 # the interceptor's own submission re-enters the pending
                 # stream; drain it so this tick does not re-examine it
                 self.ledger.take_pending()
-                self.intercept_count += 1
                 self.intercept_records.append((decision, itx, self.ledger.height))
                 intercept_id = itx.tx_id_hex
-            self.threat_flags.add(decision.owner)
-            self.notify_user(
-                decision.owner,
-                f"user={decision.owner} trigger={decision.trigger} "
-                f"attackerTx={decision.attacker_tx.tx_id_hex} interceptTx={intercept_id}",
-            )
+            owner = decision.contract.owner
+            self.threat_flags.add(owner)
+            line = (f"user={owner} trigger={decision.trigger} "
+                    f"attackerTx={decision.attacker_tx.tx_id_hex} interceptTx={intercept_id}")
+            self.alerts.append(line)
+            self.alerts_by_user.setdefault(owner, []).append(line)
 
     # -- window accounting (committed events) ------------------------------------------
 

@@ -426,14 +426,14 @@ class Ledger:
         self.tokens[token_id] = TokenState.create(token_id, kind)
 
     def genesis_allocate(self, to: Address, token: str, amount: int) -> None:
-        if self.height != 0 or self.blocks[0].txs:
+        if self.height != 0:
             raise ValueError("genesis allocations only before the first built block")
         balances = self._balances_for(token)
         self._put(balances, to, balances.get(to, 0) + amount)
         self.events.append(make_event(0, "Genesis", {"to": to, "token": token, "amount": amount}))
 
     def genesis_allocate_nft(self, to: Address, token: str, token_id: int) -> None:
-        if self.height != 0 or self.blocks[0].txs:
+        if self.height != 0:
             raise ValueError("genesis allocations only before the first built block")
         owners = self._token(token, "nft").nft_owners
         if token_id in owners:
@@ -722,7 +722,3 @@ class Ledger:
         if self._journal is not None:
             raise RuntimeError("bridge lock cannot run inside transaction execution")
         self._fungible_move(token, source, escrow, amount, self.height + 1, kind="BridgeLock")
-
-    def append_info_event(self, kind: str, fields: dict, height: int | None = None) -> None:
-        """Record a non-balance event (bridge outcomes, exception listings)."""
-        self.events.append(make_event(self.height if height is None else height, kind, fields))

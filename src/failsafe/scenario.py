@@ -29,6 +29,7 @@ from .bridge import ESCROW_ADDRESS, Bridge, BridgeTransfer, QuantumSafeLedger, p
 from .contract import (
     DEFAULT_THRESHOLDS,
     FailSafeContract,
+    InvalidThresholds,
     KeyCustodian,
     OperationKind,
     PolicyConfig,
@@ -99,11 +100,17 @@ class _Params(dict):
 @contextmanager
 def _reading(where: str):
     """Report a file value the program refuses (a bad number or address, a
-    duplicate name, a reused one-time key) as a ParseError naming where."""
+    duplicate name, a reused one-time key, a signer set or threshold a vault
+    refuses) as a ParseError naming where."""
     try:
         yield
-    except (ValueError, TypeError, KeyExhausted) as exc:
+    except (ValueError, TypeError, KeyExhausted, InvalidThresholds) as exc:
         raise ParseError(f"{where}: {exc}") from exc
+
+
+def _is_integer(value) -> bool:
+    """An int read from the file; YAML's true and false are bools, not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,9 @@ class Scenario:
         need(isinstance(services_over, dict), "'services' must be a mapping")
         for name, enabled in services_over.items():
             need(name in SERVICE_NAMES, f"unknown service {name!r}")
-            services[name] = bool(enabled)
+            need(isinstance(enabled, bool),
+                 f"service {name!r} must be true or false, got {enabled!r}")
+            services[name] = enabled
 
         fbr_over = data.get("fbr_config") or {}
         need(isinstance(fbr_over, dict), "'fbr_config' must be a mapping")
@@ -189,6 +198,8 @@ class Scenario:
             set(fbr_over) <= set(FbrConfig.__dataclass_fields__),
             f"unknown fbr_config keys: {sorted(set(fbr_over) - set(FbrConfig.__dataclass_fields__))}",
         )
+        for key, value in fbr_over.items():
+            need(_is_integer(value), f"fbr_config {key!r} must be an integer, got {value!r}")
 
         def section(where: str, raw) -> _Params:
             need(isinstance(raw, dict), f"{where} must be a mapping")
@@ -219,9 +230,17 @@ class Scenario:
         for i, raw in enumerate(assertions):
             check = str(raw.get("check"))
             need(check in _CHECKS, f"assertion {i}: unknown check {check!r}")
-            keys = _COMPARATORS[_CHECKS[check][1]]
+            _, judge, choices = _CHECKS[check]
+            keys, numeric = _COMPARATORS[judge]
             need(any(key in raw for key in keys),
                  f"assertion {i} ({check}) needs {'/'.join(keys)}")
+            for key in keys:
+                need(not numeric or _is_integer(raw.get(key, 0)),
+                     f"assertion {i} ({check}): {key!r} must be an integer, got {raw.get(key)!r}")
+            for key, allowed in choices.items():
+                need(raw.get(key, allowed[0]) in allowed,
+                     f"assertion {i} ({check}): {key!r} must be one of "
+                     f"{'/'.join(allowed)}, got {raw.get(key)!r}")
         run_blocks = data.get("run_blocks")
         if run_blocks is None:
             run_blocks = (steps[-1].at if steps else 1) + 2
@@ -389,10 +408,11 @@ class ScenarioRunner:
             with _reading(f"{deployment.where} thresholds"):
                 for op, n in (deployment.get("thresholds") or {}).items():
                     thresholds[OperationKind(str(op))] = int(n)
-            vault = deploy_failsafe(
-                self.ledger, owner, signers, thresholds, self.qmig.address,
-                self.custodian, self.rng,
-            )
+            with _reading(deployment.where):
+                vault = deploy_failsafe(
+                    self.ledger, owner, signers, thresholds, self.qmig.address,
+                    self.custodian, self.rng,
+                )
             self.oracle.register_actor(vault.key)
             self.vaults[owner] = vault
             for enrollment in deployment["enrollments"]:
@@ -561,7 +581,12 @@ class ScenarioRunner:
         self._sign_and_submit(step, self.resolve_key(p["signer"]), payload)
 
     def _step_quantum_steal(self, step: Step, p: dict) -> None:
-        key = self.oracle.derive_private(self.resolve_address(p["victim"]))
+        victim = self.resolve_address(p["victim"])
+        # a committed transaction, executed or reverted, wrote its sender's
+        # nonce: the senders in the nonce table are the exposed public keys
+        key = self.oracle.derive_private(
+            victim, self.ledger.height, self.qmig.inflection, victim in self.ledger.nonces
+        )
         if key is None:
             self.step_failures.append(
                 f"quantum_steal at block {step.at}: key for {p['victim']} not derivable"
@@ -698,13 +723,9 @@ class ScenarioRunner:
                 for ev in new_events:
                     self.risk.record_observation(ev)
             block = self.ledger.build_block()
-            for (tx, outcome), tx_id in zip(block.txs, block.tx_ids):
+            for (_, outcome), tx_id in zip(block.txs, block.tx_ids):
                 self.tx_outcomes[tx_id] = outcome
                 self.tx_heights[tx_id] = block.height
-                self.oracle.note_public_signer(tx.sender)
-            self.oracle.advance_to(block.height)
-            if self.qmig.inflection is not None and self.oracle.inflection_height is None:
-                self.oracle.set_inflection(self.qmig.inflection)
 
         if step_index < len(sc.steps):
             raise ParseError(
@@ -758,7 +779,7 @@ class ScenarioRunner:
 
     def _evaluate_assertion(self, raw: dict) -> tuple[bool, str]:
         try:
-            read, judge = _CHECKS[str(raw["check"])]
+            read, judge, _ = _CHECKS[str(raw["check"])]
             return judge(raw, *read(self, raw))
         except Exception as exc:
             return False, f"assertion {raw!r} errored: {type(exc).__name__}: {exc}"
@@ -790,13 +811,14 @@ _BOUNDS = {"equals": (operator.eq, ""), "at_least": (operator.ge, ">= "),
 def _compare(raw: dict, actual: int, label: str) -> tuple[bool, str]:
     key = next(key for key in _BOUNDS if key in raw)  # from_dict checked one is there
     holds, relation = _BOUNDS[key]
-    bound = int(raw[key])
+    bound = raw[key]
     ok = holds(actual, bound)
     return ok, f"{label} = {actual}" + ("" if ok else f" (expected {relation}{bound})")
 
 
-# the keys a judge reads its expected value from; an assertion needs one of them
-_COMPARATORS = {_equals: ("equals",), _compare: tuple(_BOUNDS)}
+# judge -> (the keys it reads its expected value from, whether that value is
+# an integer); an assertion needs one of the keys
+_COMPARATORS = {_equals: (("equals",), False), _compare: (tuple(_BOUNDS), True)}
 
 
 def _balance(run: ScenarioRunner, raw: dict):
@@ -839,16 +861,16 @@ def _rebalances(run: ScenarioRunner, raw: dict):
     return (len(run.balancer.actions) if run.balancer is not None else 0), "rebalances"
 
 
-# check name -> (reader, judge)
+# check name -> (reader, judge, {optional key: the values it may take, default first})
 _CHECKS = {
-    "balance": (_balance, _compare),
-    "outcome": (_outcome, _equals),
-    "private_status": (_labelled("private_status", "private_status"), _equals),
-    "verify": (_labelled("verify", "verify_outcomes"), _equals),
-    "bridge": (_labelled("bridge", "bridge_outcomes"), _equals),
-    "intercepts": (_intercepts, _compare),
-    "rebalances": (_rebalances, _compare),
-    "permitted": (_permitted, _compare),
-    "registry_size": (lambda run, raw: (len(run.qmig.registry), "registry_size"), _compare),
-    "alerts": (_alerts, _compare),
+    "balance": (_balance, _compare, {"ledger": ("source", "dest")}),
+    "outcome": (_outcome, _equals, {}),
+    "private_status": (_labelled("private_status", "private_status"), _equals, {}),
+    "verify": (_labelled("verify", "verify_outcomes"), _equals, {}),
+    "bridge": (_labelled("bridge", "bridge_outcomes"), _equals, {}),
+    "intercepts": (_intercepts, _compare, {}),
+    "rebalances": (_rebalances, _compare, {}),
+    "permitted": (_permitted, _compare, {}),
+    "registry_size": (lambda run, raw: (len(run.qmig.registry), "registry_size"), _compare, {}),
+    "alerts": (_alerts, _compare, {}),
 }

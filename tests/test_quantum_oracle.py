@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from failsafe.crypto import KeyPair, QuantumOracle
 
 
@@ -11,71 +9,37 @@ def _actor(seed: int) -> KeyPair:
     return KeyPair.generate(random.Random(seed))
 
 
-def test_no_derivation_before_inflection():
+def _oracle_for(victim: KeyPair) -> QuantumOracle:
     oracle = QuantumOracle()
-    victim = _actor(1)
     oracle.register_actor(victim)
-    oracle.note_public_signer(victim.address)
-    oracle.set_inflection(5)
-    oracle.advance_to(4)
-    assert oracle.derive_private(victim.address) is None
+    return oracle
+
+
+def test_no_derivation_before_inflection():
+    victim = _actor(1)
+    oracle = _oracle_for(victim)
+    assert oracle.derive_private(victim.address, 4, 5, True) is None
 
 
 def test_no_derivation_without_inflection_set():
-    oracle = QuantumOracle()
     victim = _actor(1)
-    oracle.register_actor(victim)
-    oracle.note_public_signer(victim.address)
-    oracle.advance_to(100)
-    assert oracle.derive_private(victim.address) is None
+    oracle = _oracle_for(victim)
+    assert oracle.derive_private(victim.address, 100, None, True) is None
 
 
 def test_no_derivation_while_key_unexposed():
-    oracle = QuantumOracle()
     victim = _actor(1)
-    oracle.register_actor(victim)
-    oracle.set_inflection(5)
-    oracle.advance_to(10)
-    assert oracle.derive_private(victim.address) is None
+    oracle = _oracle_for(victim)
+    assert oracle.derive_private(victim.address, 10, 5, False) is None
 
 
 def test_derivation_after_both_conditions():
-    oracle = QuantumOracle()
     victim = _actor(1)
-    oracle.register_actor(victim)
-    oracle.set_inflection(5)
-    oracle.advance_to(5)
-    oracle.note_public_signer(victim.address)
-    derived = oracle.derive_private(victim.address)
-    assert derived is victim
-
-
-def test_grant_is_monotone():
-    oracle = QuantumOracle()
-    victim = _actor(1)
-    oracle.register_actor(victim)
-    oracle.set_inflection(1)
-    oracle.advance_to(1)
-    oracle.note_public_signer(victim.address)
-    assert oracle.derive_private(victim.address) is victim
-    # Later state changes never revoke a key the adversary already holds.
-    oracle.set_inflection(10 ** 9)
-    assert oracle.derive_private(victim.address) is victim
+    oracle = _oracle_for(victim)
+    assert oracle.derive_private(victim.address, 5, 5, True) is victim
 
 
 def test_unregistered_target_yields_nothing():
     oracle = QuantumOracle()
     stranger = _actor(2)
-    oracle.set_inflection(1)
-    oracle.advance_to(1)
-    oracle.note_public_signer(stranger.address)
-    assert oracle.derive_private(stranger.address) is None
-
-
-def test_height_never_regresses():
-    oracle = QuantumOracle()
-    oracle.advance_to(3)
-    oracle.advance_to(3)
-    with pytest.raises(ValueError):
-        oracle.advance_to(2)
-
+    assert oracle.derive_private(stranger.address, 1, 1, True) is None

@@ -96,6 +96,20 @@ def edited(**overrides):
             edited(assertions=[{"check": "outcome", "label": "pay", "at_least": 1}]),
             "assertion 0 (outcome) needs equals",
         ),
+        (edited(services={"fis": "no"}), "service 'fis' must be true or false, got 'no'"),
+        (edited(fbr_config={"window_length": "x"}),
+         "fbr_config 'window_length' must be an integer, got 'x'"),
+        (edited(fbr_config={"window_length": True}),
+         "fbr_config 'window_length' must be an integer, got True"),
+        (
+            edited(assertions=[{"check": "intercepts", "at_least": "many"}]),
+            "assertion 0 (intercepts): 'at_least' must be an integer, got 'many'",
+        ),
+        (
+            edited(assertions=[{"check": "balance", "address": "bob", "token": "gold",
+                                "ledger": "dset", "equals": 40}]),
+            "assertion 0 (balance): 'ledger' must be one of source/dest, got 'dset'",
+        ),
     ],
 )
 def test_structural_validation(broken, fragment):
@@ -167,10 +181,24 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
              "steps": [dict(_INFLECTION, at=1), dict(_INFLECTION, at=2)]},
             "step 1 (set_inflection): Lamport key already used",
         ),
+        ({"failsafe": [{"owner": "alice", "signers": []}]},
+         "failsafe entry 0: signer set must not be empty"),
+        ({"failsafe": [{"owner": "alice", "signers": ["bob", "bob"]}]},
+         "failsafe entry 0: signer addresses must be distinct"),
+        (
+            {"failsafe": [{"owner": "alice", "signers": ["alice", "bob"],
+                           "thresholds": {"withdraw": 3}}]},
+            "failsafe entry 0: threshold 3 for withdraw outside 1..2",
+        ),
+        (
+            {"failsafe": [{"owner": "alice", "signers": ["alice", "bob"]}] * 2},
+            "failsafe entry 1: role 'contract:alice' already provisioned",
+        ),
     ],
     ids=["amount", "gas-price", "bridge-amount", "hex-address", "genesis-amount",
          "duplicate-role", "duplicate-token", "threshold-name", "steps-not-a-list",
-         "reused-lamport-key"],
+         "reused-lamport-key", "no-signers", "repeated-signer", "threshold-range",
+         "duplicate-owner"],
 )
 def test_refused_file_value_is_a_parse_error(overrides, message, tmp_path, capsys):
     path = tmp_path / "bad-value.yaml"
@@ -186,6 +214,51 @@ def test_missing_step_parameter_is_a_parse_error(tmp_path, capsys):
     path.write_text(yaml.safe_dump(data))
     assert main(["run", "--scenario", str(path)]) == 2
     assert "error: step 0 (transfer): missing parameter 'to'" in capsys.readouterr().err
+
+
+# grace and hal sign at block 1, hal's transfer reverting; ivy never signs.
+# The inflection is height 3, so a theft first succeeds in block 4.
+_THEFT = {
+    "name": "theft",
+    "seed": 9,
+    "actors": {"grace": {}, "hal": {}, "ivy": {}, "mallory": {}, "admin": {"pq": True}},
+    "qmig_admin": "admin",
+    "tokens": [{"id": "gold"}],
+    "genesis": [{"to": victim, "token": "gold", "amount": 500}
+                for victim in ("grace", "hal", "ivy")],
+    "steps": [
+        {"at": 1, "action": "transfer", "signer": "grace", "to": "mallory",
+         "token": "gold", "amount": 10},
+        {"at": 1, "action": "transfer", "signer": "hal", "to": "mallory",
+         "token": "gold", "amount": 1000},
+        {"at": 1, "action": "set_inflection", "signer": "admin", "height": 3},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "at, victim, derivable",
+    [(3, "grace", False), (4, "ivy", False), (4, "grace", True), (4, "hal", True)],
+    ids=["before-inflection", "never-signed", "exposed", "exposed-by-revert"],
+)
+def test_quantum_steal_needs_inflection_and_exposed_key(at, victim, derivable):
+    steal = {"at": at, "action": "quantum_steal", "victim": victim, "to": "mallory",
+             "token": "gold", "amount": 400, "label": "steal"}
+    data = dict(_THEFT, steps=[*_THEFT["steps"], steal])
+    runner = ScenarioRunner(Scenario.from_dict(data))
+    report = runner.run()
+    stolen = runner.ledger.balance_of(runner.resolve_address("mallory"), "gold") - 10
+    if derivable:
+        assert report.assertion_results == []
+        assert runner.tx_outcomes[runner.labels["steal"].tx_id] == "Executed"
+        assert stolen == 400
+    else:
+        failure = f"quantum_steal at block {at}: key for {victim} not derivable"
+        assert report.assertion_results == [(False, failure)]
+        assert f"assert FAIL: {failure}" in report.format_summary()
+        assert "steal" not in runner.labels
+        assert runner.ledger.blocks[at].txs == ()
+        assert stolen == 0
 
 
 def test_private_register_intent_goes_through_the_relay():
