@@ -87,7 +87,7 @@ class UnknownActor(Exception):
 
 
 class _Params(dict):
-    """A mapping read from the file: reading a missing key is a ParseError naming where."""
+    """A mapping read from the file: a missing or mistyped value is a ParseError naming where."""
 
     def __init__(self, where: str, items):
         super().__init__(items)
@@ -96,10 +96,24 @@ class _Params(dict):
     def __missing__(self, key):
         raise ParseError(f"{self.where}: missing parameter {key!r}")
 
+    def integer(self, key, *default) -> int:
+        """The key's value, an int: YAML's true and false are bools, not numbers."""
+        return self._typed(key, default, int, "an integer")
+
+    def flag(self, key, *default) -> bool:
+        """The key's value, YAML's true or false."""
+        return self._typed(key, default, bool, "true or false")
+
+    def _typed(self, key, default: tuple, kind: type, name: str):
+        value = self.get(key, *default) if default else self[key]
+        if type(value) is not kind:
+            raise ParseError(f"{self.where}: {key!r} must be {name}, got {value!r}")
+        return value
+
 
 @contextmanager
 def _reading(where: str):
-    """Report a file value the program refuses (a bad number or address, a
+    """Report a file value the program refuses (a bad fraction or address, a
     duplicate name, a reused one-time key, a signer set or threshold a vault
     refuses) as a ParseError naming where."""
     try:
@@ -108,16 +122,11 @@ def _reading(where: str):
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def _is_integer(value) -> bool:
-    """An int read from the file; YAML's true and false are bools, not numbers."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Step:
     at: int
     action: str
-    params: dict
+    params: _Params
     label: str | None
 
 
@@ -158,39 +167,35 @@ class Scenario:
             if not condition:
                 raise ParseError(message)
 
-        def integer(value, what: str) -> int:
-            try:
-                return int(value)
-            except (TypeError, ValueError):
-                raise ParseError(f"{what} must be an integer, got {value!r}") from None
-
+        data = _Params("scenario", data)
         steps = []
         last_at = 1
         need(isinstance(data.get("steps", []), list), "'steps' must be a list")
         for i, raw in enumerate(data.get("steps", [])):
             need(isinstance(raw, dict), f"step {i} must be a mapping")
             need("at" in raw and "action" in raw, f"step {i} needs 'at' and 'action'")
-            at = integer(raw["at"], f"step {i}: 'at'")
+            at = _Params(f"step {i}", raw).integer("at")
             need(at >= 1, f"step {i}: 'at' must be >= 1")
             need(at >= last_at, f"step {i}: steps must be sorted by 'at'")
             last_at = at
             action = str(raw["action"])
+            need(action in ScenarioRunner._STEP_HANDLERS, f"step {i}: unknown action {action!r}")
             params = _Params(
                 f"step {i} ({action})",
                 ((k, v) for k, v in raw.items() if k not in ("at", "action", "label")),
             )
-            steps.append(Step(at, action, params, raw.get("label")))
+            label = raw.get("label")
+            steps.append(Step(at, action, params, None if label is None else str(label)))
 
         actors = data.get("actors", {})
         need(isinstance(actors, dict) and actors, "scenario needs a non-empty 'actors' mapping")
         services = {name: True for name in SERVICE_NAMES}
         services_over = data.get("services") or {}
         need(isinstance(services_over, dict), "'services' must be a mapping")
-        for name, enabled in services_over.items():
+        services_over = _Params("services", services_over)
+        for name in services_over:
             need(name in SERVICE_NAMES, f"unknown service {name!r}")
-            need(isinstance(enabled, bool),
-                 f"service {name!r} must be true or false, got {enabled!r}")
-            services[name] = enabled
+            services[name] = services_over.flag(name)
 
         fbr_over = data.get("fbr_config") or {}
         need(isinstance(fbr_over, dict), "'fbr_config' must be a mapping")
@@ -198,8 +203,7 @@ class Scenario:
             set(fbr_over) <= set(FbrConfig.__dataclass_fields__),
             f"unknown fbr_config keys: {sorted(set(fbr_over) - set(FbrConfig.__dataclass_fields__))}",
         )
-        for key, value in fbr_over.items():
-            need(_is_integer(value), f"fbr_config {key!r} must be an integer, got {value!r}")
+        fbr_over = _Params("fbr_config", fbr_over)
 
         def section(where: str, raw) -> _Params:
             need(isinstance(raw, dict), f"{where} must be a mapping")
@@ -210,10 +214,12 @@ class Scenario:
             return [section(f"{name} entry {i}", entry) for i, entry in enumerate(raw)]
 
         failsafe = entries("failsafe", data.get("failsafe", []))
-        for i, deployment in enumerate(failsafe):
-            deployment["enrollments"] = entries(
-                f"failsafe entry {i} enrollments", deployment.get("enrollments", [])
-            )
+        for entry in failsafe:
+            where = entry.where
+            entry["thresholds"] = section(f"{where} thresholds", entry.get("thresholds") or {})
+            entry["enrollments"] = entries(f"{where} enrollments", entry.get("enrollments", []))
+            for enrollment in entry["enrollments"]:
+                enrollment["policy"] = section(f"{enrollment.where} policy", enrollment["policy"])
         at_risk = data.get("at_risk")
         if at_risk is not None:
             at_risk = section("at_risk", at_risk)
@@ -230,30 +236,29 @@ class Scenario:
         for i, raw in enumerate(assertions):
             check = str(raw.get("check"))
             need(check in _CHECKS, f"assertion {i}: unknown check {check!r}")
-            _, judge, choices = _CHECKS[check]
+            raw = _Params(f"assertion {i} ({check})", raw)
+            _, judge, reads = _CHECKS[check]
             keys, numeric = _COMPARATORS[judge]
             need(any(key in raw for key in keys),
                  f"assertion {i} ({check}) needs {'/'.join(keys)}")
-            for key in keys:
-                need(not numeric or _is_integer(raw.get(key, 0)),
-                     f"assertion {i} ({check}): {key!r} must be an integer, got {raw.get(key)!r}")
-            for key, allowed in choices.items():
-                need(raw.get(key, allowed[0]) in allowed,
+            if numeric:
+                for key in keys:
+                    raw.integer(key, 0)
+            for key, allowed in reads.items():
+                value = raw.get(key, allowed[0]) if allowed else raw[key]
+                need(not allowed or value in allowed,
                      f"assertion {i} ({check}): {key!r} must be one of "
                      f"{'/'.join(allowed)}, got {raw.get(key)!r}")
-        run_blocks = data.get("run_blocks")
-        if run_blocks is None:
-            run_blocks = (steps[-1].at if steps else 1) + 2
 
         return cls(
             name=str(data.get("name", default_name)),
             description=str(data.get("description", "")).strip(),
-            seed=integer(data.get("seed", 0), "'seed'"),
-            chain_id=integer(data.get("chain_id", 1), "'chain_id'"),
-            dest_chain_id=integer(data.get("dest_chain_id", 9001), "'dest_chain_id'"),
-            run_blocks=integer(run_blocks, "'run_blocks'"),
+            seed=data.integer("seed", 0),
+            chain_id=data.integer("chain_id", 1),
+            dest_chain_id=data.integer("dest_chain_id", 9001),
+            run_blocks=data.integer("run_blocks", (steps[-1].at if steps else 1) + 2),
             services=services,
-            fbr_config=FbrConfig(**fbr_over),
+            fbr_config=FbrConfig(**{key: fbr_over.integer(key) for key in fbr_over}),
             tokens=entries("tokens", data.get("tokens", [])),
             actors={str(k): section(f"actor {k!r}", v or {}) for k, v in actors.items()},
             custodian_roles=tuple(roles),
@@ -310,22 +315,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _policy_fraction(value) -> Fraction:
-    return Fraction(str(value))
-
-
-def _parse_policy(raw: dict) -> PolicyConfig:
-    try:
-        return PolicyConfig(
-            hot_fraction_target=_policy_fraction(raw["hot_fraction_target"]),
-            hot_fraction_tolerance=_policy_fraction(raw["hot_fraction_tolerance"]),
-            max_value_per_window=int(raw["max_value_per_window"]),
-            window_length=int(raw["window_length"]),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"bad policy {raw!r}: {exc}") from exc
-
-
 class ScenarioRunner:
     def __init__(self, scenario: Scenario, seed: int | None = None,
                  disabled: tuple[str, ...] = ()):
@@ -371,7 +360,7 @@ class ScenarioRunner:
         sc = self.scenario
         for name, attrs in sc.actors.items():
             self.actor_keys[name] = KeyPair.generate(self.rng)
-            if attrs.get("pq"):
+            if attrs.flag("pq", False):
                 self.actor_pq_keys[name] = PqKeyPair.generate(self.rng)
         role_keys = [(role, KeyPair.generate(self.rng)) for role in sc.custodian_roles]
         fill_addresses([*self.actor_keys.values(), *(key for _, key in role_keys)])
@@ -405,9 +394,10 @@ class ScenarioRunner:
             owner = str(deployment["owner"])
             signers = [self.resolve_address(s) for s in deployment["signers"]]
             thresholds = dict(DEFAULT_THRESHOLDS)
-            with _reading(f"{deployment.where} thresholds"):
-                for op, n in (deployment.get("thresholds") or {}).items():
-                    thresholds[OperationKind(str(op))] = int(n)
+            over = deployment["thresholds"]
+            with _reading(over.where):
+                for op in over:
+                    thresholds[OperationKind(str(op))] = over.integer(op)
             with _reading(deployment.where):
                 vault = deploy_failsafe(
                     self.ledger, owner, signers, thresholds, self.qmig.address,
@@ -420,13 +410,21 @@ class ScenarioRunner:
                 hot_key = self.actor_keys.get(wallet_name)
                 if hot_key is None:
                     raise UnknownActor(f"enrollment wallet {wallet_name!r} is not an actor")
+                policy = enrollment["policy"]
+                with _reading(policy.where):
+                    config = PolicyConfig(
+                        Fraction(str(policy["hot_fraction_target"])),
+                        Fraction(str(policy["hot_fraction_tolerance"])),
+                        policy.integer("max_value_per_window"),
+                        policy.integer("window_length"),
+                    )
                 receipt = enroll_wallet(
                     self.ledger,
                     vault,
                     hot_key,
-                    _parse_policy(enrollment["policy"]),
+                    config,
                     [str(t) for t in enrollment["tokens"]],
-                    int(enrollment.get("dest_chain", sc.dest_chain_id)),
+                    enrollment.integer("dest_chain", sc.dest_chain_id),
                     self.resolve_address(enrollment["dest"]),
                 )
                 self.intents[f"{wallet_name}:enroll"] = (
@@ -440,9 +438,9 @@ class ScenarioRunner:
                 to = self.resolve_address(alloc["to"])
                 token = str(alloc["token"])
                 if "token_id" in alloc:
-                    self.ledger.genesis_allocate_nft(to, token, int(alloc["token_id"]))
+                    self.ledger.genesis_allocate_nft(to, token, alloc.integer("token_id"))
                 else:
-                    self.ledger.genesis_allocate(to, token, int(alloc["amount"]))
+                    self.ledger.genesis_allocate(to, token, alloc.integer("amount"))
 
         if self.services["fbr"]:
             for entry in sc.blacklist:
@@ -517,7 +515,7 @@ class ScenarioRunner:
     # -- step execution --------------------------------------------------------------
 
     def _submit(self, step: Step, tx: Transaction) -> None:
-        if step.params.get("private"):
+        if step.params.flag("private", False):
             status = self.ledger.submit_private_transaction(tx)
             if step.label:
                 self.private_status[step.label] = status.value
@@ -527,60 +525,57 @@ class ScenarioRunner:
             self.labels[step.label] = tx
 
     def _sign_and_submit(self, step: Step, key: KeyPair, payload) -> None:
-        gas_price = int(step.params.get("gas_price", 1))
+        gas_price = step.params.integer("gas_price", 1)
         nonce = self.ledger.next_nonce(key.address)
         self._submit(step, sign_transaction(key, nonce, gas_price, payload))
 
-    def _transfer_payload(self, p: dict):
+    def _transfer_payload(self, p: _Params):
         token = str(p.get("token", NATIVE))
         to = self.resolve_address(p["to"])
-        amount = int(p["amount"])
+        amount = p.integer("amount")
         return NativeTransfer(to, amount) if token == NATIVE else TokenTransfer(token, to, amount)
 
-    def _build_intent(self, p: dict) -> tuple[TransferIntentSource, object, bytes]:
+    def _build_intent(self, p: _Params) -> tuple[TransferIntentSource, object, bytes]:
         source_key = self.resolve_key(p["source"])
         source = TransferIntentSource(
             self.ledger.chain_id,
             source_key.address,
-            int(p.get("dest_chain", self.scenario.dest_chain_id)),
+            p.integer("dest_chain", self.scenario.dest_chain_id),
             self.resolve_address(p["dest"]),
         )
         sig, digest = build_intent_digest(source, source_key)
         return source, sig, digest
 
     def execute_step(self, step: Step) -> None:
-        handler = self._STEP_HANDLERS.get(step.action)
-        if handler is None:
-            raise ParseError(f"unknown step action {step.action!r}")
         with _reading(step.params.where):
-            handler(self, step, step.params)
+            self._STEP_HANDLERS[step.action](self, step, step.params)
 
-    def _step_transfer(self, step: Step, p: dict) -> None:
+    def _step_transfer(self, step: Step, p: _Params) -> None:
         self._sign_and_submit(step, self.resolve_key(p["signer"]), self._transfer_payload(p))
 
-    def _step_transfer_from(self, step: Step, p: dict) -> None:
+    def _step_transfer_from(self, step: Step, p: _Params) -> None:
         payload = TokenTransferFrom(
             str(p["token"]),
             self.resolve_address(p["owner"]),
             self.resolve_address(p["to"]),
-            int(p["amount"]),
+            p.integer("amount"),
         )
         self._sign_and_submit(step, self.resolve_key(p["signer"]), payload)
 
-    def _step_approve(self, step: Step, p: dict) -> None:
+    def _step_approve(self, step: Step, p: _Params) -> None:
         amount = p.get("amount", "unlimited")
         payload = Approve(
             str(p["token"]),
             self.resolve_address(p["spender"]),
-            UNLIMITED if amount == "unlimited" else int(amount),
+            UNLIMITED if amount == "unlimited" else p.integer("amount"),
         )
         self._sign_and_submit(step, self.resolve_key(p["signer"]), payload)
 
-    def _step_nft_transfer(self, step: Step, p: dict) -> None:
-        payload = NftTransfer(str(p["token"]), self.resolve_address(p["to"]), int(p["token_id"]))
+    def _step_nft_transfer(self, step: Step, p: _Params) -> None:
+        payload = NftTransfer(str(p["token"]), self.resolve_address(p["to"]), p.integer("token_id"))
         self._sign_and_submit(step, self.resolve_key(p["signer"]), payload)
 
-    def _step_quantum_steal(self, step: Step, p: dict) -> None:
+    def _step_quantum_steal(self, step: Step, p: _Params) -> None:
         victim = self.resolve_address(p["victim"])
         # a committed transaction, executed or reverted, wrote its sender's
         # nonce: the senders in the nonce table are the exposed public keys
@@ -594,23 +589,23 @@ class ScenarioRunner:
             return
         self._sign_and_submit(step, key, self._transfer_payload(p))
 
-    def _step_add_exception(self, step: Step, p: dict) -> None:
+    def _step_add_exception(self, step: Step, p: _Params) -> None:
         wallet_key = self.resolve_key(p["wallet"])
         digest = self.ledger.exceptions_digest(wallet_key.address)
         self.ledger.add_exception(wallet_key.address, sign(wallet_key, digest))
 
-    def _step_set_inflection(self, step: Step, p: dict) -> None:
+    def _step_set_inflection(self, step: Step, p: _Params) -> None:
         admin_pq = self.actor_pq_keys.get(self.scenario.qmig_admin or "")
         if admin_pq is None:
             raise UnknownActor("set_inflection requires a 'qmig_admin' pq actor")
-        height = int(p["height"])
+        height = p.integer("height")
         pq_sig = pq_sign(admin_pq, inflection_digest(height))
         payload = ContractCall(
             self.qmig.address, "setInflectionPoint", (height, pq_sig.to_bytes())
         )
         self._sign_and_submit(step, self.resolve_key(p["signer"]), payload)
 
-    def _step_register_intent(self, step: Step, p: dict) -> None:
+    def _step_register_intent(self, step: Step, p: _Params) -> None:
         source, sig, digest = self._build_intent(p)
         submitter = self.resolve_key(p.get("submitter", p["source"]))
         payload = register_intent_call(
@@ -620,12 +615,12 @@ class ScenarioRunner:
         if "store" in p:
             self.intents[str(p["store"])] = (source, sig)
 
-    def _step_make_intent(self, step: Step, p: dict) -> None:
+    def _step_make_intent(self, step: Step, p: _Params) -> None:
         # sign and store an intent without ever registering it on chain
         source, sig, _ = self._build_intent(p)
         self.intents[str(p["store"])] = (source, sig)
 
-    def _step_verify_intent(self, step: Step, p: dict) -> None:
+    def _step_verify_intent(self, step: Step, p: _Params) -> None:
         source, sig = self.resolve_intent(str(p["intent"]))
         try:
             self.qmig.verify_transfer_intent(source, sig)
@@ -635,10 +630,10 @@ class ScenarioRunner:
         if step.label:
             self.verify_outcomes[step.label] = outcome
 
-    def _step_bridge(self, step: Step, p: dict) -> None:
+    def _step_bridge(self, step: Step, p: _Params) -> None:
         source, sig = self.resolve_intent(str(p["intent"]))
         request = BridgeTransfer(
-            source, str(p["token"]), int(p["amount"]), sig, self.ledger.height
+            source, str(p["token"]), p.integer("amount"), sig, self.ledger.height
         )
         try:
             self.bridge.bridge_transfer(request)
@@ -648,23 +643,23 @@ class ScenarioRunner:
         if step.label:
             self.bridge_outcomes[step.label] = outcome
 
-    def _step_withdraw(self, step: Step, p: dict) -> None:
+    def _step_withdraw(self, step: Step, p: _Params) -> None:
         vault = self.vaults.get(str(p["owner"]))
         if vault is None:
             raise ParseError(f"{p.where}: no FailSafe vault deployed for {p['owner']!r}")
         wallet = self.resolve_address(p["wallet"])
         asset_kind = str(p.get("asset_kind", "fungible"))
-        value = int(p["amount"]) if asset_kind == "fungible" else int(p["token_id"])
+        value = p.integer("amount") if asset_kind == "fungible" else p.integer("token_id")
         tx = vault.execute_tx(
             OperationKind.WITHDRAW,
             (asset_kind, bytes(wallet), str(p["token"]), value),
             [self.resolve_key(s) for s in p["signers"]],
             self.custodian.key_for("relayer"),
-            int(p.get("gas_price", 1)),
+            p.integer("gas_price", 1),
         )
         self._submit(step, tx)
 
-    def _step_clear_threat(self, step: Step, p: dict) -> None:
+    def _step_clear_threat(self, step: Step, p: _Params) -> None:
         self.threat_flags.discard(str(p["owner"]))
 
     _STEP_HANDLERS = {
@@ -693,16 +688,13 @@ class ScenarioRunner:
     def run(self) -> RunReport:
         sc = self.scenario
         at_risk_amount = 0
-        attacker_addresses: list[Address] = []
+        attacker = None
         attacker_start = 0
         if sc.at_risk is not None:
             # snapshot at genesis, before any step or block runs
-            at_risk_amount = int(sc.at_risk["amount"])
-            attacker_addresses = [self.resolve_address(sc.at_risk["attacker"])]
-            attacker_start = sum(
-                self.ledger.balance_of(a, str(sc.at_risk["token"]))
-                for a in attacker_addresses
-            )
+            at_risk_amount = sc.at_risk.integer("amount")
+            attacker = self.resolve_address(sc.at_risk["attacker"])
+            attacker_start = self.ledger.balance_of(attacker, str(sc.at_risk["token"]))
 
         step_index = 0
         for target_height in range(1, sc.run_blocks + 1):
@@ -732,23 +724,22 @@ class ScenarioRunner:
                 f"step at block {sc.steps[step_index].at} beyond run_blocks={sc.run_blocks}"
             )
 
-        return self._report(at_risk_amount, attacker_addresses, attacker_start)
+        return self._report(at_risk_amount, attacker, attacker_start)
 
     # -- reporting -----------------------------------------------------------------------
 
-    def _attacker_holdings(self, addresses: list[Address], token: str) -> int:
-        total = sum(self.ledger.balance_of(a, token) for a in addresses)
-        attacker = str(self.scenario.at_risk["attacker"])
-        dest_key = self.dest_keys.get(attacker)
+    def _attacker_holdings(self, attacker: Address, token: str) -> int:
+        total = self.ledger.balance_of(attacker, token)
+        dest_key = self.dest_keys.get(str(self.scenario.at_risk["attacker"]))
         if dest_key is not None:
             total += self.dest_ledger.balance_of(pq_address(dest_key.public), token)
         return total
 
-    def _report(self, at_risk_amount, attacker_addresses, attacker_start) -> RunReport:
+    def _report(self, at_risk_amount, attacker, attacker_start) -> RunReport:
         lost = 0
         if self.scenario.at_risk is not None:
             token = str(self.scenario.at_risk["token"])
-            gained = self._attacker_holdings(attacker_addresses, token) - attacker_start
+            gained = self._attacker_holdings(attacker, token) - attacker_start
             lost = min(max(gained, 0), at_risk_amount)
         saved = at_risk_amount - lost
 
@@ -861,16 +852,20 @@ def _rebalances(run: ScenarioRunner, raw: dict):
     return (len(run.balancer.actions) if run.balancer is not None else 0), "rebalances"
 
 
-# check name -> (reader, judge, {optional key: the values it may take, default first})
+_LABEL = {"label": ()}
+
+# check name -> (reader, judge, {key the reader reads: the values it may take,
+# default first, or () when the assertion must give the key})
 _CHECKS = {
-    "balance": (_balance, _compare, {"ledger": ("source", "dest")}),
-    "outcome": (_outcome, _equals, {}),
-    "private_status": (_labelled("private_status", "private_status"), _equals, {}),
-    "verify": (_labelled("verify", "verify_outcomes"), _equals, {}),
-    "bridge": (_labelled("bridge", "bridge_outcomes"), _equals, {}),
+    "balance": (_balance, _compare,
+                {"address": (), "token": (), "ledger": ("source", "dest")}),
+    "outcome": (_outcome, _equals, _LABEL),
+    "private_status": (_labelled("private_status", "private_status"), _equals, _LABEL),
+    "verify": (_labelled("verify", "verify_outcomes"), _equals, _LABEL),
+    "bridge": (_labelled("bridge", "bridge_outcomes"), _equals, _LABEL),
     "intercepts": (_intercepts, _compare, {}),
     "rebalances": (_rebalances, _compare, {}),
-    "permitted": (_permitted, _compare, {}),
+    "permitted": (_permitted, _compare, {"wallet": (), "token": ()}),
     "registry_size": (lambda run, raw: (len(run.qmig.registry), "registry_size"), _compare, {}),
-    "alerts": (_alerts, _compare, {}),
+    "alerts": (_alerts, _compare, {"user": ()}),
 }

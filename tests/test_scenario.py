@@ -96,11 +96,11 @@ def edited(**overrides):
             edited(assertions=[{"check": "outcome", "label": "pay", "at_least": 1}]),
             "assertion 0 (outcome) needs equals",
         ),
-        (edited(services={"fis": "no"}), "service 'fis' must be true or false, got 'no'"),
+        (edited(services={"fis": "no"}), "services: 'fis' must be true or false, got 'no'"),
         (edited(fbr_config={"window_length": "x"}),
-         "fbr_config 'window_length' must be an integer, got 'x'"),
+         "fbr_config: 'window_length' must be an integer, got 'x'"),
         (edited(fbr_config={"window_length": True}),
-         "fbr_config 'window_length' must be an integer, got True"),
+         "fbr_config: 'window_length' must be an integer, got True"),
         (
             edited(assertions=[{"check": "intercepts", "at_least": "many"}]),
             "assertion 0 (intercepts): 'at_least' must be an integer, got 'many'",
@@ -110,6 +110,9 @@ def edited(**overrides):
                                 "ledger": "dset", "equals": 40}]),
             "assertion 0 (balance): 'ledger' must be one of source/dest, got 'dset'",
         ),
+        (edited(steps=[{"at": 2, "action": "transfr"}]), "step 0: unknown action 'transfr'"),
+        (edited(failsafe=[{"owner": "alice", "thresholds": 5}]),
+         "failsafe entry 0 thresholds must be a mapping"),
     ],
 )
 def test_structural_validation(broken, fragment):
@@ -134,6 +137,20 @@ def test_structural_validation(broken, fragment):
             {"assertions": [{"check": "intercepts"}]},
             "assertion 0 (intercepts) needs equals/at_least/at_most",
         ),
+        (
+            {"assertions": [{"check": "balance", "token": "gold", "equals": 40}]},
+            "assertion 0 (balance): missing parameter 'address'",
+        ),
+        (
+            {"assertions": [{"check": "outcome", "equals": "Executed"}]},
+            "assertion 0 (outcome): missing parameter 'label'",
+        ),
+        (
+            {"assertions": [{"check": "permitted", "token": "gold", "equals": 0}]},
+            "assertion 0 (permitted): missing parameter 'wallet'",
+        ),
+        ({"assertions": [{"check": "alerts", "equals": 0}]},
+         "assertion 0 (alerts): missing parameter 'user'"),
     ],
 )
 def test_incomplete_section_is_a_parse_error(overrides, message, tmp_path, capsys):
@@ -154,8 +171,10 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"steps": _transfer(amount="ten")}, "step 0 (transfer): invalid literal for int()"),
-        ({"steps": _transfer(gas_price="high")}, "step 0 (transfer): invalid literal for int()"),
+        ({"steps": _transfer(amount="ten")},
+         "step 0 (transfer): 'amount' must be an integer, got 'ten'"),
+        ({"steps": _transfer(gas_price="high")},
+         "step 0 (transfer): 'gas_price' must be an integer, got 'high'"),
         (
             {"steps": [_INTENT, {"at": 1, "action": "bridge", "intent": "x", "token": "gold",
                                  "amount": 0}]},
@@ -164,7 +183,7 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
         ({"steps": _transfer(to="0x" + "zz" * 20)}, "step 0 (transfer): non-hexadecimal"),
         (
             {"genesis": [{"to": "alice", "token": "gold", "amount": "lots"}]},
-            "genesis entry 0: invalid literal for int()",
+            "genesis entry 0: 'amount' must be an integer, got 'lots'",
         ),
         (
             {"custodian_roles": ["relayer", "relayer"]},
@@ -205,6 +224,101 @@ def test_refused_file_value_is_a_parse_error(overrides, message, tmp_path, capsy
     path.write_text(yaml.safe_dump(edited(**overrides)))
     assert main(["run", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+_ART = {"tokens": [{"id": "gold"}, {"id": "art", "kind": "nft"}],
+        "genesis": [MINIMAL["genesis"][0], {"to": "alice", "token": "art", "token_id": 7}]}
+_POLICY = {"hot_fraction_target": 1, "hot_fraction_tolerance": 0,
+           "max_value_per_window": 100, "window_length": 5}
+
+
+def _enrolled(policy=None, **fields):
+    enrollment = {"wallet": "alice", "policy": dict(_POLICY, **(policy or {})),
+                  "tokens": ["gold"], "dest": "bob", **fields}
+    return [{"owner": "alice", "signers": ["alice", "bob"], "enrollments": [enrollment]}]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"seed": 5.9}, "scenario: 'seed' must be an integer, got 5.9"),
+        ({"chain_id": "7"}, "scenario: 'chain_id' must be an integer, got '7'"),
+        ({"dest_chain_id": True}, "scenario: 'dest_chain_id' must be an integer, got True"),
+        ({"run_blocks": 3.5}, "scenario: 'run_blocks' must be an integer, got 3.5"),
+        ({"steps": _transfer(at=1.7)}, "step 0: 'at' must be an integer, got 1.7"),
+        ({"steps": _transfer(amount=40.9)},
+         "step 0 (transfer): 'amount' must be an integer, got 40.9"),
+        ({"steps": _transfer(amount=True)},
+         "step 0 (transfer): 'amount' must be an integer, got True"),
+        ({"steps": _transfer(gas_price=True)},
+         "step 0 (transfer): 'gas_price' must be an integer, got True"),
+        (
+            {"steps": [{"at": 1, "action": "approve", "signer": "alice", "token": "gold",
+                        "spender": "bob", "amount": True}]},
+            "step 0 (approve): 'amount' must be an integer, got True",
+        ),
+        (
+            dict(_ART, steps=[{"at": 1, "action": "nft_transfer", "signer": "alice",
+                               "to": "bob", "token": "art", "token_id": "7"}]),
+            "step 0 (nft_transfer): 'token_id' must be an integer, got '7'",
+        ),
+        (
+            {"actors": {"alice": {"pq": True}, "bob": {}}, "qmig_admin": "alice",
+             "steps": [dict(_INFLECTION, at=1, height=5.5)]},
+            "step 0 (set_inflection): 'height' must be an integer, got 5.5",
+        ),
+        ({"steps": [dict(_INTENT, dest_chain="9001")]},
+         "step 0 (make_intent): 'dest_chain' must be an integer, got '9001'"),
+        (
+            {"steps": [_INTENT, {"at": 1, "action": "bridge", "intent": "x", "token": "gold",
+                                 "amount": 2.5}]},
+            "step 1 (bridge): 'amount' must be an integer, got 2.5",
+        ),
+        ({"genesis": [{"to": "alice", "token": "gold", "amount": 100.5}]},
+         "genesis entry 0: 'amount' must be an integer, got 100.5"),
+        (dict(_ART, genesis=[{"to": "alice", "token": "art", "token_id": 7.0}]),
+         "genesis entry 0: 'token_id' must be an integer, got 7.0"),
+        ({"at_risk": {"token": "gold", "amount": True, "attacker": "bob"}},
+         "at_risk: 'amount' must be an integer, got True"),
+        (
+            {"failsafe": [{"owner": "alice", "signers": ["alice", "bob"],
+                           "thresholds": {"withdraw": True}}]},
+            "failsafe entry 0 thresholds: 'withdraw' must be an integer, got True",
+        ),
+        ({"failsafe": _enrolled({"max_value_per_window": 100.7})},
+         "failsafe entry 0 enrollments entry 0 policy: 'max_value_per_window' must be an "
+         "integer, got 100.7"),
+        ({"failsafe": _enrolled({"window_length": True})},
+         "failsafe entry 0 enrollments entry 0 policy: 'window_length' must be an integer, "
+         "got True"),
+        ({"failsafe": _enrolled(dest_chain="9001")},
+         "failsafe entry 0 enrollments entry 0: 'dest_chain' must be an integer, got '9001'"),
+        ({"fbr_config": {"window_length": 2.5}},
+         "fbr_config: 'window_length' must be an integer, got 2.5"),
+        ({"services": {"fis": 1}}, "services: 'fis' must be true or false, got 1"),
+        ({"steps": _transfer(private="false")},
+         "step 0 (transfer): 'private' must be true or false, got 'false'"),
+        ({"actors": {"alice": {"pq": "no"}, "bob": {}}},
+         "actor 'alice': 'pq' must be true or false, got 'no'"),
+    ],
+    ids=["seed", "chain-id", "dest-chain-id", "run-blocks", "at", "amount-float",
+         "amount-bool", "gas-price", "approve-amount", "token-id", "height", "dest-chain",
+         "bridge-amount", "genesis-amount", "genesis-token-id", "at-risk-amount", "threshold",
+         "policy-cap", "policy-window", "enrollment-dest-chain", "fbr-config", "service",
+         "private", "pq"],
+)
+def test_mistyped_file_value_is_a_parse_error(overrides, message, tmp_path, capsys):
+    path = tmp_path / "mistyped.yaml"
+    path.write_text(yaml.safe_dump(edited(**overrides)))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_numeric_label_is_text():
+    data = edited(steps=_transfer(label=5),
+                  assertions=[{"check": "outcome", "label": 5, "equals": "Executed"}])
+    report = ScenarioRunner(Scenario.from_dict(data)).run()
+    assert report.assertion_results == [(True, "outcome[5] = Executed")]
 
 
 def test_missing_step_parameter_is_a_parse_error(tmp_path, capsys):
