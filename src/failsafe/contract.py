@@ -404,11 +404,10 @@ def deploy_failsafe(
     thresholds: dict[OperationKind, int],
     qmig_address: Address,
     custodian: KeyCustodian,
-    rng,
+    key: KeyPair,
 ) -> FailSafeContract:
-    """Factory: provision a contract key, register the instance on the ledger."""
+    """Factory: provision the contract key, register the instance on the ledger."""
     config = MultisigConfig(tuple(signers), dict(thresholds))
-    key = KeyPair.generate(rng)
     custodian.add_role(f"contract:{owner}", key)
     contract = FailSafeContract(ledger, key, owner, config, qmig_address)
     ledger.register_contract(contract.address, contract)

@@ -4,8 +4,11 @@ Pure Python on purpose: the simulation needs deterministic, dependency-free
 signing, and signature recovery (which standard library bindings do not
 expose). All point arithmetic goes through one routine, `_accumulate`, which
 adds affine points to a Jacobian accumulator. Signing and key generation feed
-it a fixed-base table of 4-bit windows for the generator; recovery feeds it
-2-bit Straus–Shamir windows over the generator and the recovered point.
+it a fixed-base table of signed 7-bit windows for the generator (digits in
+[-63, 64], so 37 additions and no doublings per multiply; cf. libsecp256k1's
+`ecmult_gen`); recovery feeds it 2-bit Straus–Shamir windows over the
+generator and the recovered point. Key generation makes many public points
+with one shared inversion.
 
 A signature made by `sign` remembers its digest and signer, so recovering it
 over that digest skips the point arithmetic; parsed or hand-built signatures
@@ -120,29 +123,48 @@ def _normalize(points: list[tuple[int, int, int]]) -> list[tuple[int, int] | Non
     return out
 
 
+_ROWS = 37  # 7-bit digits: 37 * 7 = 259 bits hold a 256-bit scalar and its last carry
 _G_TABLE: list[list[tuple[int, int] | None]] | None = None
 
 
 def _g_table() -> list[list[tuple[int, int] | None]]:
-    """4-bit fixed-base windows: table[w][d] = d * 16^w * G in affine, None for d = 0."""
+    """Signed 7-bit fixed-base windows: table[w][d] = d * 128^w * G in affine
+    for d = 0..64, None for d = 0; a digit -d reads table[w][d] negated."""
     global _G_TABLE
     if _G_TABLE is None:
         table = []
         base = (GX, GY)
-        for _ in range(64):
-            row = [(*base, 1)]
-            for _ in range(15):
-                row.append(_accumulate(row[-1], (base,), 0))
-            *multiples, base = _normalize(row)  # 1..15 * base, then 16 * base
+        for _ in range(_ROWS):
+            row = [(*base, 1)]  # Jacobian d * base for d = 1..64, then 128 * base
+            for d in (*range(2, 65), 128):
+                # an even multiple doubles its half (row[d // 2 - 1]): a
+                # doubling costs two thirds of an addition
+                row.append(_accumulate(row[d // 2 - 1], (None,), 1) if d % 2 == 0
+                           else _accumulate(row[-1], (base,), 0))
+            *multiples, base = _normalize(row)  # 1..64 * base, then 128 * base
             table.append([None, *multiples])
         _G_TABLE = table
     return _G_TABLE
 
 
-def _mult_g(k: int) -> tuple[int, int] | None:
-    """k * G in affine: one table entry per 4-bit digit of k."""
-    entries = (row[k >> 4 * w & 15] for w, row in enumerate(_g_table()))
-    return _normalize([_accumulate(_INFINITY, entries, 0)])[0]
+def _signed_windows(k: int):
+    """The table entries whose sum is k * G: k in signed 7-bit digits, low first."""
+    carry = 0
+    for row in _g_table():
+        d = (k & 127) + carry
+        k >>= 7
+        if d > 64:  # digit d - 128 in [-63, 0]: add -(128 - d) * 128^w * G, carry 1
+            pt = row[128 - d]
+            yield None if pt is None else (pt[0], P - pt[1])
+            carry = 1
+        else:
+            yield row[d]
+            carry = 0
+
+
+def _mult_g(scalars: list[int]) -> list[tuple[int, int] | None]:
+    """k * G in affine for each k below 2^256 (None for infinity), with one shared inversion."""
+    return _normalize([_accumulate(_INFINITY, _signed_windows(k), 0) for k in scalars])
 
 
 def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
@@ -185,14 +207,16 @@ class KeyPair:
     public: tuple[int, int]
 
     @classmethod
-    def from_private(cls, private: int | bytes) -> "KeyPair":
-        if isinstance(private, bytes):
-            private = int.from_bytes(private, "big")
-        if not 1 <= private < N:
-            raise ValueError("private scalar out of range [1, n-1]")
-        pub = _mult_g(private)
-        assert pub is not None
-        return cls(private, pub)
+    def from_privates(cls, privates: list[int]) -> list["KeyPair"]:
+        """One key pair per private scalar; the public points share one inversion."""
+        for private in privates:
+            if not 1 <= private < N:
+                raise ValueError("private scalar out of range [1, n-1]")
+        return [cls(private, public) for private, public in zip(privates, _mult_g(privates))]
+
+    @classmethod
+    def from_private(cls, private: int) -> "KeyPair":
+        return cls.from_privates([private])[0]
 
     @classmethod
     def generate(cls, rng) -> "KeyPair":
@@ -273,7 +297,7 @@ def sign(key: KeyPair, digest: bytes) -> RecoverableSignature:
         raise ValueError("digest must be 32 bytes")
     z = int.from_bytes(digest, "big") % N
     for k in _rfc6979_nonces(key.private, digest):
-        point = _mult_g(k)
+        (point,) = _mult_g([k])
         assert point is not None
         xr, yr = point
         if xr >= N:  # would need a recovery id outside {0, 1}; draw again

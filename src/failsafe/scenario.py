@@ -47,6 +47,7 @@ from .crypto import (
     pq_sign,
     sign,
 )
+from .crypto.secp256k1 import N
 from .fbr import FbrConfig, RiskService
 from .fis import InterceptorService
 from .ledger import (
@@ -239,8 +240,10 @@ class Scenario:
             raw = _Params(f"assertion {i} ({check})", raw)
             _, judge, reads = _CHECKS[check]
             keys, numeric = _COMPARATORS[judge]
-            need(any(key in raw for key in keys),
-                 f"assertion {i} ({check}) needs {'/'.join(keys)}")
+            given = [key for key in keys if key in raw]
+            need(given, f"assertion {i} ({check}) needs {'/'.join(keys)}")
+            need(len(given) == 1, f"assertion {i} ({check}) takes one of {'/'.join(keys)}, "
+                                  f"got {' and '.join(given)}")
             if numeric:
                 for key in keys:
                     raw.integer(key, 0)
@@ -356,14 +359,42 @@ class ScenarioRunner:
 
     # -- construction ---------------------------------------------------------
 
+    def _draw_world_keys(self) -> list[KeyPair]:
+        """The secp256k1 keys of the actors, roles, qMig and vaults, in that order.
+
+        Their private scalars are drawn in the order the world is built, with
+        the Lamport keys drawn between them; the public points and addresses
+        are then made in one batch each.
+        """
+        sc, rng = self.scenario, self.rng
+        scalars = []
+        for name, attrs in sc.actors.items():
+            scalars.append(rng.randrange(1, N))
+            if attrs.flag("pq", False):
+                self.actor_pq_keys[name] = PqKeyPair.generate(rng)
+        scalars.extend(rng.randrange(1, N) for _ in sc.custodian_roles)
+        scalars.append(rng.randrange(1, N))  # qMig
+        if sc.qmig_admin is None:
+            # no administrator, so the inflection can never be set; draw the
+            # bytes a Lamport keygen would so later keys keep their addresses
+            rng.randbytes(2 * 256 * 32)
+        for deployment in sc.failsafe:
+            # a vault's signers resolve before its key is drawn and its
+            # enrollments' destinations after, each drawing its @dest key;
+            # a missing value is reported where the world is built
+            self._draw_dest_keys(deployment.get("signers", ()))
+            scalars.append(rng.randrange(1, N))
+            self._draw_dest_keys(e.get("dest") for e in deployment["enrollments"])
+        keys = KeyPair.from_privates(scalars)
+        fill_addresses(keys)
+        return keys
+
     def _build_world(self) -> None:
         sc = self.scenario
-        for name, attrs in sc.actors.items():
-            self.actor_keys[name] = KeyPair.generate(self.rng)
-            if attrs.flag("pq", False):
-                self.actor_pq_keys[name] = PqKeyPair.generate(self.rng)
-        role_keys = [(role, KeyPair.generate(self.rng)) for role in sc.custodian_roles]
-        fill_addresses([*self.actor_keys.values(), *(key for _, key in role_keys)])
+        keys = iter(self._draw_world_keys())
+        self.actor_keys.update(zip(sc.actors, keys))
+        role_keys = list(zip(sc.custodian_roles, keys))
+        qmig_key = next(keys)
         for key in self.actor_keys.values():
             self.oracle.register_actor(key)
         for role, key in role_keys:
@@ -375,17 +406,12 @@ class ScenarioRunner:
             with _reading(token.where):
                 self.ledger.create_token(str(token["id"]), str(token.get("kind", "fungible")))
 
-        qmig_key = KeyPair.generate(self.rng)
         admin_pq_public = None
         if sc.qmig_admin is not None:
             admin_pq = self.actor_pq_keys.get(sc.qmig_admin)
             if admin_pq is None:
                 raise UnknownActor(f"qmig_admin {sc.qmig_admin!r} is not a pq actor")
             admin_pq_public = admin_pq.public
-        else:
-            # no administrator, so the inflection can never be set; draw the
-            # bytes a Lamport keygen would so later keys keep their addresses
-            self.rng.randbytes(2 * 256 * 32)
         self.qmig = QmigContract(self.ledger, qmig_key.address, admin_pq_public)
         self.ledger.register_contract(self.qmig.address, self.qmig)
         self.bridge = Bridge(self.ledger, self.dest_ledger, self.qmig)
@@ -401,7 +427,7 @@ class ScenarioRunner:
             with _reading(deployment.where):
                 vault = deploy_failsafe(
                     self.ledger, owner, signers, thresholds, self.qmig.address,
-                    self.custodian, self.rng,
+                    self.custodian, next(keys),
                 )
             self.oracle.register_actor(vault.key)
             self.vaults[owner] = vault
@@ -468,6 +494,9 @@ class ScenarioRunner:
 
     def resolve_address(self, alias) -> Address:
         alias = str(alias)
+        dest = self._dest_name(alias)
+        if dest is not None:
+            return pq_address(self._dest_key(dest).public)
         if alias in self.actor_keys:
             return self.actor_keys[alias].address
         if alias.startswith("role:"):
@@ -478,13 +507,24 @@ class ScenarioRunner:
             if vault is None:
                 raise UnknownActor(f"no FailSafe contract deployed for {owner!r}")
             return vault.address
-        if alias.endswith("@dest"):
-            return pq_address(self._dest_key(alias[: -len("@dest")]).public)
         if alias == "escrow":
             return ESCROW_ADDRESS
         if alias.startswith("0x") and len(alias) == 42:
             return Address.from_hex(alias)
         raise UnknownActor(f"cannot resolve address {alias!r}")
+
+    def _dest_name(self, alias: str) -> str | None:
+        """The destination key `<name>@dest` names, unless it is an actor or a role."""
+        if alias in self.scenario.actors or alias.startswith("role:"):
+            return None
+        return alias[: -len("@dest")] if alias.endswith("@dest") else None
+
+    def _draw_dest_keys(self, aliases) -> None:
+        """Draw, in order, the destination keys that resolving these aliases draws."""
+        for alias in aliases:
+            name = self._dest_name(str(alias))
+            if name is not None:
+                self._dest_key(name)
 
     def _dest_key(self, name: str) -> PqKeyPair:
         key = self.dest_keys.get(name)
@@ -800,7 +840,7 @@ _BOUNDS = {"equals": (operator.eq, ""), "at_least": (operator.ge, ">= "),
 
 
 def _compare(raw: dict, actual: int, label: str) -> tuple[bool, str]:
-    key = next(key for key in _BOUNDS if key in raw)  # from_dict checked one is there
+    key = next(key for key in _BOUNDS if key in raw)  # from_dict checked there is exactly one
     holds, relation = _BOUNDS[key]
     bound = raw[key]
     ok = holds(actual, bound)
@@ -808,7 +848,7 @@ def _compare(raw: dict, actual: int, label: str) -> tuple[bool, str]:
 
 
 # judge -> (the keys it reads its expected value from, whether that value is
-# an integer); an assertion needs one of the keys
+# an integer); an assertion gives exactly one of the keys
 _COMPARATORS = {_equals: (("equals",), False), _compare: (tuple(_BOUNDS), True)}
 
 

@@ -259,7 +259,7 @@ def test_criterion_05_multisig_thresholds(capsys):
             },
             qmig_addr,
             custodian,
-            rng,
+            KeyPair.generate(rng),
         )
         custodian.add_role("intercept", signers[0])
         hot = KeyPair.generate(rng)

@@ -35,7 +35,7 @@ def make_world(hot_amount, cold_amount, target=Fraction(1, 5), tolerance=Fractio
         {**DEFAULT_THRESHOLDS, OperationKind.WITHDRAW: 1, OperationKind.UPDATE_CONFIG: 1},
         QMIG_ADDRESS,
         custodian,
-        rng,
+        KeyPair.generate(rng),
     )
     hot = KeyPair.generate(rng)
     ledger.genesis_allocate(hot.address, "gold", hot_amount)

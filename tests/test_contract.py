@@ -42,7 +42,7 @@ def make_world(n_signers=3, thresholds=None, enroll=True):
         thresholds or DEFAULT_THRESHOLDS,
         QMIG_ADDRESS,
         custodian,
-        rng,
+        KeyPair.generate(rng),
     )
     hot = KeyPair.generate(rng)
     relayer = KeyPair.generate(rng)

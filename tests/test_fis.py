@@ -49,7 +49,7 @@ def make_world(window_cap=500, window_len=5):
         {**DEFAULT_THRESHOLDS, OperationKind.WITHDRAW: 2, OperationKind.UPDATE_CONFIG: 2},
         QMIG_ADDRESS,
         custodian,
-        rng,
+        KeyPair.generate(rng),
     )
     hot = KeyPair.generate(rng)
     attacker = KeyPair.generate(rng)

@@ -268,7 +268,7 @@ def test_malformed_contract_call_reverts_without_dropping_other_transactions(met
     signers = [KeyPair.generate(rng) for _ in range(2)]
     vault = deploy_failsafe(
         ledger, "alice", [k.address for k in signers], DEFAULT_THRESHOLDS, qmig.address,
-        KeyCustodian(), rng,
+        KeyCustodian(), KeyPair.generate(rng),
     )
     valid = submit_native(ledger, CAROL, BOB.address, 30)
     if method == "updateConfig":

@@ -113,6 +113,11 @@ def edited(**overrides):
         (edited(steps=[{"at": 2, "action": "transfr"}]), "step 0: unknown action 'transfr'"),
         (edited(failsafe=[{"owner": "alice", "thresholds": 5}]),
          "failsafe entry 0 thresholds must be a mapping"),
+        (
+            edited(assertions=[{"check": "balance", "address": "bob", "token": "gold",
+                                "equals": 40, "at_most": 3}]),
+            "assertion 0 (balance) takes one of equals/at_least/at_most, got equals and at_most",
+        ),
     ],
 )
 def test_structural_validation(broken, fragment):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from failsafe.crypto import keccak256
+from failsafe.crypto import PqKeyPair, keccak256
 from failsafe.crypto.secp256k1 import (
     Address,
     KeyPair,
     N,
     RecoverableSignature,
     RecoveryError,
+    _g_table,
     _mult_g,
     _rfc6979_nonces,
     _shamir,
@@ -21,6 +22,7 @@ from failsafe.crypto.secp256k1 import (
     recover_signer,
     sign,
 )
+from failsafe.scenario import DEFAULT_CUSTODIAN_ROLES, Scenario, ScenarioRunner
 from oracles import reference_point_add, reference_point_mul
 
 # deterministic-nonce test vector for secp256k1 with SHA-256, private key 1,
@@ -115,6 +117,11 @@ def test_generated_keys_are_seed_deterministic():
 scalars = st.integers(min_value=1, max_value=N - 1)
 
 
+# every signed 7-bit digit is 65, read as -63 and a carry: the carry runs
+# through the 36 full rows into the top one
+ALL_65 = sum(65 * 128**w for w in range(36))
+
+
 @settings(max_examples=20)
 @given(scalars)
 @example(1)
@@ -124,10 +131,69 @@ scalars = st.integers(min_value=1, max_value=N - 1)
 @example(17)
 @example(16**63)
 @example(15 * 16**63)
+@example(64)  # the largest positive digit
+@example(65)  # the smallest digit read as negative
+@example(127)  # digit -1 and a carry
+@example(128)
+@example(129)
+@example(2**255)
+@example(ALL_65)
 @example(N - 2)
 @example(N - 1)
 def test_fixed_base_multiply_matches_oracle(k):
-    assert _mult_g(k) == reference_point_mul(k)
+    assert _mult_g([k]) == [reference_point_mul(k)]
+
+
+@pytest.mark.parametrize("row", [0, 1, 36])
+@pytest.mark.parametrize("digit", [1, 2, 63, 64])
+def test_fixed_base_table_entries_match_oracle(row, digit):
+    assert _g_table()[row][digit] == reference_point_mul(digit * 128**row % N)
+
+
+def test_batched_keys_match_one_at_a_time_generation():
+    rng = random.Random(5)
+    scalars = [rng.randrange(1, N) for _ in range(6)]
+    one_by_one = random.Random(5)
+    expected = [KeyPair.generate(one_by_one) for _ in range(6)]
+    assert KeyPair.from_privates(scalars) == expected
+    assert _mult_g([*scalars, 0]) == [key.public for key in expected] + [None]
+
+
+def test_world_keys_match_one_at_a_time_generation():
+    policy = {"hot_fraction_target": 1, "hot_fraction_tolerance": 0,
+              "max_value_per_window": 100, "window_length": 10}
+    runner = ScenarioRunner(Scenario.from_dict({
+        "seed": 8,
+        "tokens": [{"id": "gold"}],
+        "actors": {"alice": {}, "bob": {"pq": True}, "carol": {}},
+        "qmig_admin": "bob",
+        "failsafe": [
+            {"owner": "alice", "signers": ["role:intercept", "role:guardian"],
+             "enrollments": [{"wallet": "alice", "policy": policy, "tokens": ["gold"],
+                              "dest": "zed@dest"}]},
+            {"owner": "carol", "signers": ["role:intercept", "role:guardian"]},
+        ],
+    }))
+    # the order the world drew its keys in when each was made on its own
+    rng = random.Random(8)
+    alice, bob = KeyPair.generate(rng), KeyPair.generate(rng)
+    bob_pq = PqKeyPair.generate(rng)
+    carol = KeyPair.generate(rng)
+    roles = [KeyPair.generate(rng) for _ in DEFAULT_CUSTODIAN_ROLES]
+    qmig, alice_vault = KeyPair.generate(rng), KeyPair.generate(rng)
+    zed_pq = PqKeyPair.generate(rng)  # alice's enrollment resolves zed@dest
+    carol_vault = KeyPair.generate(rng)
+
+    assert runner.actor_keys == {"alice": alice, "bob": bob, "carol": carol}
+    assert runner.actor_pq_keys["bob"].public == bob_pq.public
+    assert [runner.custodian.key_for(role) for role in DEFAULT_CUSTODIAN_ROLES] == roles
+    assert runner.qmig.address == qmig.address
+    assert runner.vaults["alice"].key == alice_vault
+    assert runner.dest_keys["zed"].public == zed_pq.public
+    assert runner.vaults["carol"].key == carol_vault
+    world = [*runner.actor_keys.values(), *map(runner.custodian.key_for, DEFAULT_CUSTODIAN_ROLES),
+             *(vault.key for vault in runner.vaults.values())]
+    assert all(vars(key)["address"] == derive_address(key.public_bytes) for key in world)
 
 
 @settings(max_examples=20)
