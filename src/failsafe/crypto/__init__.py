@@ -19,6 +19,7 @@ from .secp256k1 import (
     fill_addresses,
     recover_signer,
     sign,
+    sign_later,
 )
 
 __all__ = [
@@ -38,4 +39,5 @@ __all__ = [
     "pq_verify",
     "recover_signer",
     "sign",
+    "sign_later",
 ]

@@ -14,14 +14,16 @@ _TAG_BYTES = b"\x03"
 _TAG_TUPLE = b"\x04"
 _TAG_NEG_INT = b"\x05"
 
+MAX_INT_BITS = 8 * 255  # a magnitude's byte count must fit its one length byte
+
 
 def _encode_uint(n: int) -> bytes:
     """Length byte followed by the big-endian magnitude (0 -> just b'\\x00')."""
     if n == 0:
         return b"\x00"
-    raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
-    if len(raw) > 255:
+    if n.bit_length() > MAX_INT_BITS:
         raise ValueError("integer too large to encode")
+    raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
     return bytes([len(raw)]) + raw
 
 

@@ -9,6 +9,18 @@ observe ordered event streams.
 Gas is a pure priority number; nothing is charged. Transactions with
 future nonces wait in the pool, reverted transactions consume their nonce,
 and stale ones are dropped at selection time.
+
+`sign_transaction` hashes and signs nothing: the transaction's digest and
+RFC 6979 signature are computed together on the first read of its digest,
+its id, its signature's fields or bytes, or its equality or hash. They are
+the bytes an eager signer makes, as long as the fields do not change after
+signing; submission refuses a field that the digest's encoding cannot take.
+Submission trusts the signature of the exact object `sign_transaction`
+returned, whose signer is its sender by construction; every other
+transaction (one rebuilt by `dataclasses.replace`, built by hand, or
+carrying a signature parsed from bytes or taken from another transaction)
+is recovered from its digest. Equality, `in` and dict keys on transactions
+compare signatures and so compute them; the ledger uses none.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Callable, Union
 
@@ -28,10 +40,10 @@ from .crypto import (
     RecoveryError,
     keccak256,
     recover_signer,
-    sign,
+    sign_later,
 )
 from .crypto.keccak import keccak256_batch
-from .encoding import encode_value
+from .encoding import MAX_INT_BITS, encode_value
 
 logger = logging.getLogger(__name__)
 
@@ -266,6 +278,15 @@ def _check_fields(tx: Transaction) -> None:
             raise MalformedTransaction(
                 f"{type(p).__name__} {name} must be {want.__name__}, got {value!r}"
             )
+        # the digest, made when first read, encodes every field: refuse here
+        # what the encoding refuses (an int over 255 bytes, a float in args)
+        if want is int and value.bit_length() > MAX_INT_BITS:
+            raise MalformedTransaction(f"{type(p).__name__} {name}: integer too large to encode")
+        if want is tuple:
+            try:
+                encode_value(value)
+            except (TypeError, ValueError) as exc:
+                raise MalformedTransaction(f"{type(p).__name__} {name}: {exc}") from exc
 
 
 def compute_tx_digest(sender: Address, nonce: int, gas_price: int, payload: Payload) -> bytes:
@@ -281,8 +302,15 @@ class Transaction:
     payload: Payload
     signature: RecoverableSignature
 
+    @property
+    def _bound(self) -> bool:
+        """Whether the signature is the one `sign_transaction` made for this object."""
+        return vars(self).get("_signed") is self.signature
+
     @cached_property
     def digest(self) -> bytes:
+        if self._bound:  # computed with the signature, which was made over it
+            return self.signature._signer[0]
         return compute_tx_digest(self.sender, self.nonce, self.gas_price, self.payload)
 
     @property
@@ -299,10 +327,12 @@ class Transaction:
 
 
 def sign_transaction(key: KeyPair, nonce: int, gas_price: int, payload: Payload) -> Transaction:
+    """A transaction from key's address whose digest and signature are made when first read."""
     sender = key.address
-    digest = compute_tx_digest(sender, nonce, gas_price, payload)
-    tx = Transaction(sender, nonce, gas_price, payload, sign(key, digest))
-    vars(tx)["digest"] = digest  # fills the cached_property: the body is hashed once
+    signature = sign_later(key, partial(compute_tx_digest, sender, nonce, gas_price, payload))
+    tx = Transaction(sender, nonce, gas_price, payload, signature)
+    # binds the signature to this object: replace() and the constructor leave it out
+    vars(tx)["_signed"] = signature
     return tx
 
 
@@ -316,7 +346,10 @@ class Block:
 
     @cached_property
     def tx_ids(self) -> tuple[bytes, ...]:
-        """Each transaction's id in block order; ids not known yet are hashed in one batch."""
+        """Each transaction's id in block order; ids not known yet are hashed in one batch.
+
+        Reading them signs every transaction of the block not signed yet.
+        """
         todo = [tx for tx, _ in self.txs if "tx_id" not in vars(tx)]
         for tx, tx_id in zip(todo, keccak256_batch([tx.tx_id_message for tx in todo])):
             vars(tx)["tx_id"] = tx_id
@@ -507,12 +540,13 @@ class Ledger:
 
     def _validate(self, tx: Transaction) -> None:
         _check_fields(tx)
-        try:
-            signer = recover_signer(tx.digest, tx.signature)
-        except RecoveryError as exc:
-            raise BadSignature(str(exc)) from exc
-        if signer != tx.sender:
-            raise BadSignature(f"signature recovers to {signer}, not {tx.sender}")
+        if not tx._bound:
+            try:
+                signer = recover_signer(tx.digest, tx.signature)
+            except RecoveryError as exc:
+                raise BadSignature(str(exc)) from exc
+            if signer != tx.sender:
+                raise BadSignature(f"signature recovers to {signer}, not {tx.sender}")
         if tx.nonce < self.nonces.get(tx.sender, 0):
             raise StaleNonce(f"nonce {tx.nonce} < account nonce {self.nonces.get(tx.sender, 0)}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import operator
 import random
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,8 +53,10 @@ from .fbr import FbrConfig, RiskService
 from .fis import InterceptorService
 from .ledger import (
     Approve,
+    Block,
     ContractCall,
     Ledger,
+    MalformedTransaction,
     NATIVE,
     NativeTransfer,
     NftTransfer,
@@ -105,6 +108,10 @@ class _Params(dict):
         """The key's value, YAML's true or false."""
         return self._typed(key, default, bool, "true or false")
 
+    def sequence(self, key, *default) -> list:
+        """The key's value, a YAML list."""
+        return self._typed(key, default, list, "a list")
+
     def _typed(self, key, default: tuple, kind: type, name: str):
         value = self.get(key, *default) if default else self[key]
         if type(value) is not kind:
@@ -116,10 +123,10 @@ class _Params(dict):
 def _reading(where: str):
     """Report a file value the program refuses (a bad fraction or address, a
     duplicate name, a reused one-time key, a signer set or threshold a vault
-    refuses) as a ParseError naming where."""
+    refuses, a number no transaction can encode) as a ParseError naming where."""
     try:
         yield
-    except (ValueError, TypeError, KeyExhausted, InvalidThresholds) as exc:
+    except (ValueError, TypeError, KeyExhausted, InvalidThresholds, MalformedTransaction) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -318,6 +325,46 @@ class RunReport:
         return "\n".join(lines)
 
 
+class TxOutcomes(Mapping):
+    """Each committed transaction's outcome by tx id, read from the blocks.
+
+    Reading the outcomes hashes nothing, and neither does `committed`, which
+    finds a transaction by identity. A lookup by id reads `Block.tx_ids`,
+    which signs and hashes each block's transactions once.
+    """
+
+    def __init__(self, blocks: list[Block]):
+        self._blocks = blocks
+        # id(tx) -> (height, outcome) over the first _indexed blocks; the
+        # blocks keep each indexed transaction alive, so no other takes its id
+        self._by_identity: dict[int, tuple[int, str]] = {}
+        self._indexed = 0
+
+    def committed(self, tx: Transaction) -> tuple[int, str] | None:
+        """The height and outcome of tx, this very object, if a block holds it."""
+        for block in self._blocks[self._indexed:]:
+            self._by_identity.update((id(t), (block.height, outcome)) for t, outcome in block.txs)
+        self._indexed = len(self._blocks)
+        return self._by_identity.get(id(tx))
+
+    def __getitem__(self, tx_id) -> str:
+        for block in self._blocks:
+            ids = block.tx_ids
+            if tx_id in ids:
+                return block.txs[ids.index(tx_id)][1]
+        raise KeyError(tx_id)
+
+    def __iter__(self):
+        for block in self._blocks:
+            yield from block.tx_ids
+
+    def __len__(self) -> int:
+        return sum(len(block.txs) for block in self._blocks)
+
+    def values(self) -> list[str]:
+        return [outcome for block in self._blocks for _, outcome in block.txs]
+
+
 class ScenarioRunner:
     def __init__(self, scenario: Scenario, seed: int | None = None,
                  disabled: tuple[str, ...] = ()):
@@ -341,8 +388,7 @@ class ScenarioRunner:
         self.dest_keys: dict[str, PqKeyPair] = {}
         self.vaults: dict[str, FailSafeContract] = {}
         self.intents: dict[str, tuple[TransferIntentSource, object]] = {}
-        self.tx_outcomes: dict[bytes, str] = {}
-        self.tx_heights: dict[bytes, int] = {}
+        self.tx_outcomes = TxOutcomes(self.ledger.blocks)
         self.labels: dict[str, Transaction] = {}
         self.private_status: dict[str, str] = {}
         self.verify_outcomes: dict[str, str] = {}
@@ -382,7 +428,7 @@ class ScenarioRunner:
             # a vault's signers resolve before its key is drawn and its
             # enrollments' destinations after, each drawing its @dest key;
             # a missing value is reported where the world is built
-            self._draw_dest_keys(deployment.get("signers", ()))
+            self._draw_dest_keys(deployment.sequence("signers", []))
             scalars.append(rng.randrange(1, N))
             self._draw_dest_keys(e.get("dest") for e in deployment["enrollments"])
         keys = KeyPair.from_privates(scalars)
@@ -418,7 +464,7 @@ class ScenarioRunner:
 
         for deployment in sc.failsafe:
             owner = str(deployment["owner"])
-            signers = [self.resolve_address(s) for s in deployment["signers"]]
+            signers = [self.resolve_address(s) for s in deployment.sequence("signers")]
             thresholds = dict(DEFAULT_THRESHOLDS)
             over = deployment["thresholds"]
             with _reading(over.where):
@@ -693,7 +739,7 @@ class ScenarioRunner:
         tx = vault.execute_tx(
             OperationKind.WITHDRAW,
             (asset_kind, bytes(wallet), str(p["token"]), value),
-            [self.resolve_key(s) for s in p["signers"]],
+            [self.resolve_key(s) for s in p.sequence("signers")],
             self.custodian.key_for("relayer"),
             p.integer("gas_price", 1),
         )
@@ -754,10 +800,7 @@ class ScenarioRunner:
                 self.risk.advance_to(self.ledger.height)
                 for ev in new_events:
                     self.risk.record_observation(ev)
-            block = self.ledger.build_block()
-            for (_, outcome), tx_id in zip(block.txs, block.tx_ids):
-                self.tx_outcomes[tx_id] = outcome
-                self.tx_heights[tx_id] = block.height
+            self.ledger.build_block()
 
         if step_index < len(sc.steps):
             raise ParseError(
@@ -787,9 +830,9 @@ class ScenarioRunner:
         latency = None
         if self.fis is not None and self.fis.intercept_records:
             _, itx, seen = self.fis.intercept_records[0]
-            included = self.tx_heights.get(itx.tx_id)
+            included = self.tx_outcomes.committed(itx)
             if included is not None:
-                latency = included - seen
+                latency = included[0] - seen
 
         results = [(False, failure) for failure in self.step_failures]
         for raw in self.scenario.assertions:
@@ -862,8 +905,8 @@ def _balance(run: ScenarioRunner, raw: dict):
 
 def _outcome(run: ScenarioRunner, raw: dict):
     tx = run.labels.get(str(raw["label"]))
-    actual = "not-included" if tx is None else run.tx_outcomes.get(tx.tx_id, "not-included")
-    return actual, f"outcome[{raw['label']}]"
+    included = None if tx is None else run.tx_outcomes.committed(tx)
+    return "not-included" if included is None else included[1], f"outcome[{raw['label']}]"
 
 
 def _labelled(check: str, outcomes: str):

@@ -83,9 +83,10 @@ def test_criterion_01_front_run_interception(capsys):
         decision, itx, _ = runner.fis.intercept_records[0]
         assert decision.attacker_tx.tx_id == drain.tx_id
         assert itx.gas_price == 110
-        block = runner.ledger.blocks[runner.tx_heights[itx.tx_id]]
-        order = [tx.tx_id for tx, _ in block.txs]
-        assert order.index(itx.tx_id) < order.index(drain.tx_id)
+        height, outcome = runner.tx_outcomes.committed(itx)
+        assert outcome == "Executed"
+        order = [tx for tx, _ in runner.ledger.blocks[height].txs]
+        assert order.index(itx) < order.index(drain)
         assert runner.tx_outcomes[drain.tx_id] == "Reverted:InsufficientBalance"
         assert report.assets_lost == 0
 

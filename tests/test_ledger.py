@@ -1,13 +1,14 @@
 """Ledger core: ordering, nonces, reverts, history queries, private relay."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failsafe.contract import DEFAULT_THRESHOLDS, KeyCustodian, OperationKind, deploy_failsafe
-from failsafe.crypto import Address, KeyPair, RecoverableSignature, keccak256, sign
+from failsafe.crypto import Address, KeyPair, RecoverableSignature, keccak256, secp256k1, sign
 from failsafe.ledger import (
     NATIVE,
     UNLIMITED,
@@ -305,8 +306,14 @@ def test_malformed_contract_call_reverts_without_dropping_other_transactions(met
         (1, TokenTransfer(["gold"], BOB.address, 5)),
         (1, NativeTransfer(bytes(BOB.address), 5)),  # plain bytes, not an Address
         ("1", NativeTransfer(BOB.address, 5)),
+        # what the digest's encoding refuses, refused before anything reads the digest
+        (1, NativeTransfer(BOB.address, 2**2040)),
+        (2**2040, NativeTransfer(BOB.address, 5)),
+        (1, ContractCall(BOB.address, "run", (1.5,))),
+        (1, ContractCall(BOB.address, "run", ((1, -(2**2040)),))),
     ],
-    ids=["str-amount", "list-token", "bytes-recipient", "str-gas-price"],
+    ids=["str-amount", "list-token", "bytes-recipient", "str-gas-price", "huge-amount",
+         "huge-gas-price", "float-arg", "huge-arg"],
 )
 def test_malformed_transaction_is_refused_at_submission(gas_price, payload):
     ledger = fresh_ledger((ALICE.address, NATIVE, 100), (CAROL.address, NATIVE, 100))
@@ -629,6 +636,98 @@ def test_forged_sender_rejected():
         ledger.submit_transaction(forged)
     with pytest.raises(BadSignature):
         ledger.submit_private_transaction(forged)
+
+
+# -- the signature binding that submission trusts ---------------------------------
+
+
+@pytest.fixture
+def recoveries(monkeypatch):
+    """Lists that get an entry per submission check by recover_signer ("checked")
+    and per Straus-Shamir point recovery ("full") from now on."""
+    import failsafe.ledger as ledger_module
+
+    calls = {"checked": [], "full": []}
+    for module, name, kind in ((ledger_module, "recover_signer", "checked"),
+                               (secp256k1, "_shamir", "full")):
+        def counted(*args, original=getattr(module, name), kind=kind):
+            calls[kind].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _call(args: tuple) -> ContractCall:
+    return ContractCall(Address(bytes(20)), "run", args)
+
+
+def test_submission_trusts_the_binding_without_signing(recoveries):
+    ledger = fresh_ledger((ALICE.address, NATIVE, 100))
+    tx = submit_native(ledger, ALICE, BOB.address, 5)
+    assert "_pending" in vars(tx.signature)  # nothing read its bytes
+    assert "digest" not in vars(tx)
+    assert recoveries == {"checked": [], "full": []}
+    assert ledger.take_pending() == [tx]
+
+
+@pytest.mark.parametrize(
+    "borrow",
+    [
+        lambda tx: replace(tx, nonce=tx.nonce + 1),
+        lambda tx: replace(tx, payload=replace(tx.payload, amount=tx.payload.amount + 1)),
+        lambda tx: replace(tx, sender=BOB.address),
+        lambda tx: Transaction(BOB.address, 0, 1, NativeTransfer(CAROL.address, 5), tx.signature),
+    ],
+    ids=["nonce", "amount", "sender", "moved-signature"],
+)
+@pytest.mark.parametrize("read_first", [False, True], ids=["unsigned", "signed"])
+def test_a_borrowed_signature_is_recovered_in_full_and_refused(borrow, read_first, recoveries):
+    ledger = fresh_ledger((ALICE.address, NATIVE, 100), (BOB.address, NATIVE, 100))
+    honest = sign_transaction(ALICE, 0, 1, NativeTransfer(CAROL.address, 5))
+    borrowed = borrow(honest)
+    if read_first:  # the signature's hint then names the honest digest
+        borrowed.signature.to_bytes()
+    for submit in (ledger.submit_transaction, ledger.submit_private_transaction):
+        with pytest.raises(BadSignature):
+            submit(borrowed)
+    assert len(recoveries["checked"]) == len(recoveries["full"]) == 2
+    assert ledger.take_pending() == [] and ledger.next_nonce(ALICE.address) == 0
+
+
+def test_a_parsed_signature_is_recovered_in_full_and_accepted(recoveries):
+    ledger = fresh_ledger((ALICE.address, NATIVE, 100))
+    signed = sign_transaction(ALICE, 0, 1, NativeTransfer(BOB.address, 5))
+    parsed = RecoverableSignature.from_bytes(signed.signature.to_bytes())
+    by_hand = Transaction(signed.sender, signed.nonce, signed.gas_price, signed.payload, parsed)
+    ledger.submit_transaction(by_hand)
+    assert len(recoveries["checked"]) == len(recoveries["full"]) == 1
+    assert ledger.take_pending() == [by_hand]
+
+
+@pytest.mark.parametrize(
+    "rebuild",
+    [
+        lambda tx: Transaction(tx.sender, tx.nonce, tx.gas_price, tx.payload, tx.signature),
+        lambda tx: replace(tx),
+        # equal arguments that encode alike (a bool takes the int tag): same digest
+        lambda tx: replace(tx, payload=_call((True,))),
+    ],
+    ids=["hand-built", "replaced", "args-1-vs-true"],
+)
+def test_a_rebuilt_transaction_is_recovered_not_trusted(rebuild, recoveries):
+    ledger = fresh_ledger((ALICE.address, NATIVE, 100))
+    signed = sign_transaction(ALICE, 0, 1, _call((1,)))
+    rebuilt = rebuild(signed)
+    assert rebuilt.signature is signed.signature
+    assert rebuilt.digest == compute_tx_digest(ALICE.address, 0, 1, rebuilt.payload)
+    ledger.submit_transaction(rebuilt)
+    # recovered over its own digest, which is the one the signature was made
+    # over: the signer hint answers without the point arithmetic
+    assert recoveries["checked"] == [(rebuilt.digest, signed.signature)]
+    assert recoveries["full"] == []
+    ledger.submit_transaction(signed)  # the bound object itself is not recovered
+    assert len(recoveries["checked"]) == 1
 
 
 def test_take_pending_drains_once():

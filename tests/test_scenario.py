@@ -10,8 +10,8 @@ import yaml
 from failsafe.bridge import ESCROW_ADDRESS
 from failsafe.cli import bundled_scenarios, main
 from failsafe.contract import CustodianUnavailable
-from failsafe.crypto import RecoverableSignature, recover_signer
-from failsafe.ledger import NATIVE
+from failsafe.crypto import RecoverableSignature, keccak256, recover_signer, sign
+from failsafe.ledger import NATIVE, compute_tx_digest
 from failsafe.scenario import ParseError, Scenario, ScenarioRunner, UnknownActor
 from oracles import replay_balance_from_events
 
@@ -186,6 +186,8 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
             "step 1 (bridge): bridge amount must be positive, got 0",
         ),
         ({"steps": _transfer(to="0x" + "zz" * 20)}, "step 0 (transfer): non-hexadecimal"),
+        ({"steps": _transfer(amount=2**2040)},
+         "step 0 (transfer): TokenTransfer amount: integer too large to encode"),
         (
             {"genesis": [{"to": "alice", "token": "gold", "amount": "lots"}]},
             "genesis entry 0: 'amount' must be an integer, got 'lots'",
@@ -219,7 +221,8 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
             "failsafe entry 1: role 'contract:alice' already provisioned",
         ),
     ],
-    ids=["amount", "gas-price", "bridge-amount", "hex-address", "genesis-amount",
+    ids=["amount", "gas-price", "bridge-amount", "hex-address", "unencodable-amount",
+         "genesis-amount",
          "duplicate-role", "duplicate-token", "threshold-name", "steps-not-a-list",
          "reused-lamport-key", "no-signers", "repeated-signer", "threshold-range",
          "duplicate-owner"],
@@ -305,12 +308,20 @@ def _enrolled(policy=None, **fields):
          "step 0 (transfer): 'private' must be true or false, got 'false'"),
         ({"actors": {"alice": {"pq": "no"}, "bob": {}}},
          "actor 'alice': 'pq' must be true or false, got 'no'"),
+        ({"failsafe": [{"owner": "alice", "signers": 5}]},
+         "failsafe entry 0: 'signers' must be a list, got 5"),
+        (
+            {"failsafe": [{"owner": "alice", "signers": ["alice", "bob"]}],
+             "steps": [{"at": 1, "action": "withdraw", "owner": "alice", "wallet": "alice",
+                        "token": "gold", "amount": 1, "signers": "alice"}]},
+            "step 0 (withdraw): 'signers' must be a list, got 'alice'",
+        ),
     ],
     ids=["seed", "chain-id", "dest-chain-id", "run-blocks", "at", "amount-float",
          "amount-bool", "gas-price", "approve-amount", "token-id", "height", "dest-chain",
          "bridge-amount", "genesis-amount", "genesis-token-id", "at-risk-amount", "threshold",
          "policy-cap", "policy-window", "enrollment-dest-chain", "fbr-config", "service",
-         "private", "pq"],
+         "private", "pq", "vault-signers", "withdraw-signers"],
 )
 def test_mistyped_file_value_is_a_parse_error(overrides, message, tmp_path, capsys):
     path = tmp_path / "mistyped.yaml"
@@ -572,6 +583,51 @@ def test_committed_signatures_recover_from_their_bytes():
             assert recover_signer(source.signing_digest, parsed) == source.from_address
             intents += 1
     assert intents > 0
+
+
+def _unsigned(tx) -> bool:
+    """Whether nothing has read tx's digest or signature since sign_transaction made it."""
+    return "_pending" in vars(tx.signature)
+
+
+def test_signatures_made_when_read_equal_eager_ones():
+    deferred = 0
+    for path in bundled_scenarios().values():
+        runner = ScenarioRunner(Scenario.load(path))
+        runner.run()
+        keys = {key.address: key for key in (
+            *runner.actor_keys.values(),
+            *map(runner.custodian.key_for, runner.scenario.custodian_roles),
+        )}
+        for i, (tx, _) in enumerate(tx for block in runner.ledger.blocks for tx in block.txs):
+            deferred += _unsigned(tx)
+            # the first read differs from one transaction to the next
+            (lambda: tx.digest, tx.signature.to_bytes, lambda: tx.tx_id)[i % 3]()
+            digest = compute_tx_digest(tx.sender, tx.nonce, tx.gas_price, tx.payload)
+            eager = sign(keys[tx.sender], digest).to_bytes()
+            assert tx.digest == digest
+            assert tx.signature.to_bytes() == eager
+            assert tx.tx_id == keccak256(b"FS-TXID" + digest + eager)
+    assert deferred > 0
+
+
+def test_a_run_signs_only_the_transactions_whose_ids_it_prints():
+    runner = ScenarioRunner(Scenario.load(scenario_path("key-theft-intercept")))
+    runner.run()
+    committed = [tx for block in runner.ledger.blocks for tx, _ in block.txs]
+    printed = {part.split("=")[1] for line in runner.fis.alerts for part in line.split()
+               if part.startswith(("attackerTx=", "interceptTx="))}
+    signed = [tx for tx in committed if not _unsigned(tx)]
+    assert {tx.tx_id_hex for tx in signed} == printed and len(printed) == 2
+    assert sorted(runner.tx_outcomes.values()) == sorted(outcome for block in runner.ledger.blocks
+                                                         for _, outcome in block.txs)
+    assert len(runner.tx_outcomes) == len(committed)
+    assert [tx for tx in committed if not _unsigned(tx)] == signed  # counting signed nothing
+    drain = runner.labels["drain"]
+    assert runner.tx_outcomes[drain.tx_id] == "Reverted:InsufficientBalance"
+    assert runner.tx_outcomes.get(drain.tx_id) == "Reverted:InsufficientBalance"
+    assert runner.tx_outcomes.get(bytes(32), "none") == "none"
+    assert list(runner.tx_outcomes) == [tx.tx_id for tx in committed]
 
 
 # -- command line ------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from failsafe.crypto.secp256k1 import (
     fill_addresses,
     recover_signer,
     sign,
+    sign_later,
 )
 from failsafe.scenario import DEFAULT_CUSTODIAN_ROLES, Scenario, ScenarioRunner
 from oracles import reference_point_add, reference_point_mul
@@ -266,3 +267,49 @@ def test_fill_addresses_matches_derive_address():
         derive_address(key.public_bytes) for key in keys
     ]
     assert all(type(vars(key)["address"]) is Address for key in keys)
+
+
+# -- signatures that `sign_later` computes when first read ----------------------------
+
+
+def _later(key, message):
+    digests = []
+
+    def digest():
+        digests.append(keccak256(message))
+        return digests[-1]
+
+    return sign_later(key, digest), digests
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda sig: sig.r, lambda sig: sig.s, lambda sig: sig.v, lambda sig: sig.to_bytes(),
+     lambda sig: sig.serial_digest, lambda sig: sig._signer, repr, hash,
+     lambda sig: sig == RecoverableSignature(1, 1, 0), lambda sig: replace(sig)],
+    ids=["r", "s", "v", "to_bytes", "serial_digest", "hint", "repr", "hash", "eq", "replace"],
+)
+def test_a_deferred_signature_is_made_on_first_read_and_equals_the_eager_one(read):
+    key = KeyPair.from_private(42)
+    sig, digests = _later(key, b"message")
+    assert digests == []  # nothing computed yet
+    read(sig)
+    eager = sign(key, keccak256(b"message"))
+    assert digests == [eager._signer[0]]
+    assert (sig.r, sig.s, sig.v) == (eager.r, eager.s, eager.v)
+    assert sig.to_bytes() == eager.to_bytes()
+    assert sig._signer == eager._signer == (keccak256(b"message"), key.address)
+    assert digests == [eager._signer[0]]  # made once
+    assert sig == eager and hash(sig) == hash(eager) and repr(sig) == repr(eager)
+    assert recover_signer(keccak256(b"message"), sig) == key.address
+
+
+def test_a_deferred_signature_is_recovered_like_an_eager_one():
+    key = KeyPair.from_private(42)
+    sig, _ = _later(key, b"real")
+    forged = keccak256(b"forged")
+    recovered = recover_signer(forged, sig)  # the hint is for another digest
+    assert recovered != key.address
+    assert recovered == recover_signer(forged, RecoverableSignature.from_bytes(sig.to_bytes()))
+    assert replace(sig)._signer is None  # rebuilt: no hint
+    assert not hasattr(sig, "q")
