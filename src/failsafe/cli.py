@@ -122,8 +122,9 @@ def _cmd_verify_intent(args) -> int:
         raise BadInput(f"bad --sig: {exc}") from exc
     qmig = QmigContract(Ledger(), Address(bytes(20)), admin_pq_public=None)
     qmig.registry = _load_registry(args.registry)
+    qmig.inflection = args.inflection
     try:
-        qmig.verify_transfer_intent(source, sig, inflection_height=args.inflection)
+        qmig.verify_transfer_intent(source, sig)
     except (VerifyError, InflectionUnset) as exc:
         print(f"{type(exc).__name__}: {exc}")
         return 1

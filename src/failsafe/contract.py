@@ -178,9 +178,6 @@ class KeyCustodian:
             raise CustodianUnavailable(f"no custodian key for role {role!r}")
         return key
 
-    def address_of(self, role: str) -> Address:
-        return self.key_for(role).address
-
 
 class FailSafeContract:
     def __init__(
@@ -422,11 +419,8 @@ class EnrollmentReceipt:
     kept off chain to preserve the incognito property.
     """
 
-    contract_address: Address
-    wallet: Address
     intent_source: TransferIntentSource
     intent_sig: RecoverableSignature
-    intent_digest: bytes
     txs: tuple[Transaction, ...]  # the approvals, then the enroll call
 
 
@@ -468,14 +462,7 @@ def enroll_wallet(
     ))
     for tx in txs:
         ledger.submit_transaction(tx)
-    return EnrollmentReceipt(
-        contract_address=contract.address,
-        wallet=hot_key.address,
-        intent_source=source_a,
-        intent_sig=sig_a,
-        intent_digest=digest_a,
-        txs=tuple(txs),
-    )
+    return EnrollmentReceipt(intent_source=source_a, intent_sig=sig_a, txs=tuple(txs))
 
 
 def build_execute_tx(

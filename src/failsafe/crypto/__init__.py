@@ -6,7 +6,6 @@ from .lamport import (
     PqKeyPair,
     PqPublicKey,
     PqSignature,
-    pq_sign,
     pq_verify,
 )
 from .quantum import QuantumOracle
@@ -35,7 +34,6 @@ __all__ = [
     "derive_address",
     "fill_addresses",
     "keccak256",
-    "pq_sign",
     "pq_verify",
     "recover_signer",
     "sign",

@@ -82,10 +82,6 @@ class PqKeyPair:
         return PqSignature(tuple(pair[bit] for pair, bit in zip(self._private, _bits(digest))))
 
 
-def pq_sign(key: PqKeyPair, digest: bytes) -> PqSignature:
-    return key.sign(digest)
-
-
 def pq_verify(public: PqPublicKey, digest: bytes, sig: PqSignature) -> bool:
     if (len(digest) != 32 or len(sig.preimages) != _BITS
             or any(len(p) != 32 for p in sig.preimages)):

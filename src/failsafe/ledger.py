@@ -10,6 +10,11 @@ Gas is a pure priority number; nothing is charged. Transactions with
 future nonces wait in the pool, reverted transactions consume their nonce,
 and stale ones are dropped at selection time.
 
+A transaction's digest is the Keccak-256 of the encoded sender, nonce, gas
+price and payload, a payload being its kind's tag followed by its fields in
+declaration order. Its id is the Keccak-256 of that digest and the
+signature's bytes, hashed on first read and kept.
+
 `sign_transaction` hashes and signs nothing: the transaction's digest and
 RFC 6979 signature are computed together on the first read of its digest,
 its id, its signature's fields or bytes, or its equality or hash. They are
@@ -42,7 +47,6 @@ from .crypto import (
     recover_signer,
     sign_later,
 )
-from .crypto.keccak import keccak256_batch
 from .encoding import MAX_INT_BITS, encode_value
 
 logger = logging.getLogger(__name__)
@@ -167,17 +171,14 @@ def make_event(height: int, kind: str, fields: dict) -> LedgerEvent:
 # ---------------------------------------------------------------------------
 # Transactions
 #
-# Each payload gives its canonical encoding and, through describe(), the
-# event kind and fields that log it: every reverted transaction, and every
-# executed contract call, is recorded this way.
+# Each payload gives, through describe(), the event kind and fields that
+# log it: every reverted transaction, and every executed contract call, is
+# recorded this way.
 
 @dataclass(frozen=True)
 class NativeTransfer:
     to: Address
     amount: int
-
-    def canonical(self) -> tuple:
-        return (1, bytes(self.to), self.amount)
 
     def describe(self, sender: Address) -> tuple[str, dict]:
         return "Transfer", {"from": sender, "to": self.to, "token": NATIVE, "amount": self.amount}
@@ -188,9 +189,6 @@ class TokenTransfer:
     token: str
     to: Address
     amount: int
-
-    def canonical(self) -> tuple:
-        return (2, self.token, bytes(self.to), self.amount)
 
     def describe(self, sender: Address) -> tuple[str, dict]:
         return "Transfer", {"from": sender, "to": self.to, "token": self.token,
@@ -204,9 +202,6 @@ class TokenTransferFrom:
     to: Address
     amount: int
 
-    def canonical(self) -> tuple:
-        return (3, self.token, bytes(self.owner), bytes(self.to), self.amount)
-
     def describe(self, sender: Address) -> tuple[str, dict]:
         return "Transfer", {"from": self.owner, "to": self.to, "token": self.token,
                             "amount": self.amount, "spender": sender}
@@ -217,9 +212,6 @@ class Approve:
     token: str
     spender: Address
     amount: int | None  # UNLIMITED for never-decremented approvals
-
-    def canonical(self) -> tuple:
-        return (4, self.token, bytes(self.spender), self.amount)
 
     def describe(self, sender: Address) -> tuple[str, dict]:
         return "Approval", {"from": sender, "to": self.spender, "token": self.token,
@@ -232,9 +224,6 @@ class NftTransfer:
     to: Address
     token_id: int
 
-    def canonical(self) -> tuple:
-        return (5, self.token, bytes(self.to), self.token_id)
-
     def describe(self, sender: Address) -> tuple[str, dict]:
         return "NftTransfer", {"from": sender, "to": self.to, "token": self.token,
                                "token_id": self.token_id}
@@ -246,16 +235,18 @@ class ContractCall:
     method: str
     args: tuple
 
-    def canonical(self) -> tuple:
-        return (6, bytes(self.contract), self.method, self.args)
-
     def describe(self, sender: Address) -> tuple[str, dict]:
         return "Call", {"from": sender, "contract": self.contract, "method": self.method}
 
 
-Payload = Union[
-    NativeTransfer, TokenTransfer, TokenTransferFrom, Approve, NftTransfer, ContractCall
-]
+# each payload kind's tag. A digest encodes a payload as its tag followed by
+# vars(payload): a payload holds only its fields (a frozen dataclass that
+# caches nothing on itself), so vars() is exactly its fields in declaration
+# order, which _check_fields also reads.
+_PAYLOAD_TAGS = {NativeTransfer: 1, TokenTransfer: 2, TokenTransferFrom: 3, Approve: 4,
+                 NftTransfer: 5, ContractCall: 6}
+
+Payload = Union[tuple(_PAYLOAD_TAGS)]
 
 
 # the type every transaction and payload field must have, checked at
@@ -267,7 +258,7 @@ _FIELD_TYPES = {"sender": Address, "nonce": int, "gas_price": int, "to": Address
 
 def _check_fields(tx: Transaction) -> None:
     p = tx.payload
-    if not isinstance(p, Payload):
+    if type(p) not in _PAYLOAD_TAGS:
         raise MalformedTransaction(f"unknown payload {type(p).__name__}")
     fields = {"sender": tx.sender, "nonce": tx.nonce, "gas_price": tx.gas_price, **vars(p)}
     for name, value in fields.items():
@@ -290,8 +281,8 @@ def _check_fields(tx: Transaction) -> None:
 
 
 def compute_tx_digest(sender: Address, nonce: int, gas_price: int, payload: Payload) -> bytes:
-    body = encode_value((bytes(sender), nonce, gas_price, payload.canonical()))
-    return keccak256(b"FS-TX" + body)
+    canonical = (_PAYLOAD_TAGS[type(payload)], *vars(payload).values())
+    return keccak256(b"FS-TX" + encode_value((sender, nonce, gas_price, canonical)))
 
 
 @dataclass(frozen=True)
@@ -313,13 +304,9 @@ class Transaction:
             return self.signature._signer[0]
         return compute_tx_digest(self.sender, self.nonce, self.gas_price, self.payload)
 
-    @property
-    def tx_id_message(self) -> bytes:
-        return b"FS-TXID" + self.digest + self.signature.to_bytes()
-
     @cached_property
     def tx_id(self) -> bytes:
-        return keccak256(self.tx_id_message)
+        return keccak256(b"FS-TXID" + self.digest + self.signature.to_bytes())
 
     @property
     def tx_id_hex(self) -> str:
@@ -343,17 +330,6 @@ def sign_transaction(key: KeyPair, nonce: int, gas_price: int, payload: Payload)
 class Block:
     height: int
     txs: tuple[tuple[Transaction, str], ...]  # (transaction, outcome string)
-
-    @cached_property
-    def tx_ids(self) -> tuple[bytes, ...]:
-        """Each transaction's id in block order; ids not known yet are hashed in one batch.
-
-        Reading them signs every transaction of the block not signed yet.
-        """
-        todo = [tx for tx, _ in self.txs if "tx_id" not in vars(tx)]
-        for tx, tx_id in zip(todo, keccak256_batch([tx.tx_id_message for tx in todo])):
-            vars(tx)["tx_id"] = tx_id
-        return tuple(tx.tx_id for tx, _ in self.txs)
 
 
 @dataclass

@@ -34,7 +34,6 @@ from .ledger import (
     Ledger,
     RevertError,
     UnknownMethod,
-    sign_transaction,
 )
 
 LATE_INTENT_MESSAGE = "Intent to transfer registered after the quantum inflection point!"
@@ -182,10 +181,7 @@ class QmigContract:
     # -- reads -------------------------------------------------------------------
 
     def verify_transfer_intent(
-        self,
-        source: TransferIntentSource,
-        sig: RecoverableSignature,
-        inflection_height: int | None = None,
+        self, source: TransferIntentSource, sig: RecoverableSignature
     ) -> bool:
         """Check a revealed intent against the registry; True or a VerifyError.
 
@@ -193,8 +189,7 @@ class QmigContract:
         registeredAt < inflection. A successful intra-chain verification
         also marks the (from, dest) pair as an authorized inflow route.
         """
-        inflection = self.inflection if inflection_height is None else inflection_height
-        if inflection is None:
+        if self.inflection is None:
             raise InflectionUnset("quantum inflection point is not set")
         try:
             signer = recover_signer(source.signing_digest, sig)
@@ -207,7 +202,7 @@ class QmigContract:
         registered_at = self.registry.get(sig.serial_digest)
         if registered_at is None:
             raise IntentNotFound("no registered intent matches this signature digest")
-        if not registered_at < inflection:
+        if not registered_at < self.inflection:
             raise LateIntent(LATE_INTENT_MESSAGE)
         if (
             source.from_chain_id == source.dest_chain_id == self.ledger.chain_id
@@ -268,19 +263,3 @@ def register_intent_call(
     exposed = source_address is not None and submitter == source_address
     return ContractCall(qmig_address, "registerTransferIntent", (incognito, exposed))
 
-
-def register_intent(
-    ledger: Ledger,
-    qmig_address: Address,
-    submitter_key: KeyPair,
-    incognito: bytes,
-    source_address: Address | None = None,
-    gas_price: int = 1,
-):
-    """Submit an intent registration transaction (see register_intent_call)."""
-    payload = register_intent_call(qmig_address, submitter_key.address, incognito, source_address)
-    tx = sign_transaction(
-        submitter_key, ledger.next_nonce(submitter_key.address), gas_price, payload
-    )
-    ledger.submit_transaction(tx)
-    return tx

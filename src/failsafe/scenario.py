@@ -45,7 +45,6 @@ from .crypto import (
     PqKeyPair,
     QuantumOracle,
     fill_addresses,
-    pq_sign,
     sign,
 )
 from .crypto.secp256k1 import N
@@ -329,8 +328,8 @@ class TxOutcomes(Mapping):
     """Each committed transaction's outcome by tx id, read from the blocks.
 
     Reading the outcomes hashes nothing, and neither does `committed`, which
-    finds a transaction by identity. A lookup by id reads `Block.tx_ids`,
-    which signs and hashes each block's transactions once.
+    finds a transaction by identity. A lookup by id reads each committed
+    transaction's `tx_id`, which signs and hashes it the first time.
     """
 
     def __init__(self, blocks: list[Block]):
@@ -349,14 +348,13 @@ class TxOutcomes(Mapping):
 
     def __getitem__(self, tx_id) -> str:
         for block in self._blocks:
-            ids = block.tx_ids
-            if tx_id in ids:
-                return block.txs[ids.index(tx_id)][1]
+            for tx, outcome in block.txs:
+                if tx.tx_id == tx_id:
+                    return outcome
         raise KeyError(tx_id)
 
     def __iter__(self):
-        for block in self._blocks:
-            yield from block.tx_ids
+        return (tx.tx_id for block in self._blocks for tx, _ in block.txs)
 
     def __len__(self) -> int:
         return sum(len(block.txs) for block in self._blocks)
@@ -546,7 +544,7 @@ class ScenarioRunner:
         if alias in self.actor_keys:
             return self.actor_keys[alias].address
         if alias.startswith("role:"):
-            return self.custodian.address_of(alias[len("role:"):])
+            return self.custodian.key_for(alias[len("role:"):]).address
         if alias.endswith(".contract"):
             owner = alias[: -len(".contract")]
             vault = self.vaults.get(owner)
@@ -685,7 +683,7 @@ class ScenarioRunner:
         if admin_pq is None:
             raise UnknownActor("set_inflection requires a 'qmig_admin' pq actor")
         height = p.integer("height")
-        pq_sig = pq_sign(admin_pq, inflection_digest(height))
+        pq_sig = admin_pq.sign(inflection_digest(height))
         payload = ContractCall(
             self.qmig.address, "setInflectionPoint", (height, pq_sig.to_bytes())
         )

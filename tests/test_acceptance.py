@@ -25,7 +25,7 @@ from failsafe.contract import (
     deploy_failsafe,
     enroll_wallet,
 )
-from failsafe.crypto import Address, KeyPair, PqKeyPair, keccak256, pq_sign
+from failsafe.crypto import Address, KeyPair, PqKeyPair, keccak256
 from failsafe.ledger import (
     NATIVE,
     ContractCall,
@@ -41,9 +41,9 @@ from failsafe.qmig import (
     TransferIntentSource,
     build_intent_digest,
     inflection_digest,
-    register_intent,
 )
 from failsafe.scenario import Scenario, ScenarioRunner
+from conftest import register_intent
 from oracles import (
     reference_keccak256,
     replay_balance_from_blocks,
@@ -129,7 +129,7 @@ def test_criterion_03_qmig_round_trip(capsys):
         # the inflection lands at height 2; an intent in the same block is late
         boundary_owner = KeyPair.generate(rng)
         boundary = registered(boundary_owner, dest)
-        pq_sig = pq_sign(admin, inflection_digest(2)).to_bytes()
+        pq_sig = admin.sign(inflection_digest(2)).to_bytes()
         tx = sign_transaction(
             courier,
             ledger.next_nonce(courier.address),
@@ -185,7 +185,7 @@ def test_criterion_04_stolen_funds_exclusion(capsys):
         honest_intent = intent_for(honest)
         ledger.build_block()  # height 1: intents registered
 
-        pq_sig = pq_sign(admin, inflection_digest(2)).to_bytes()
+        pq_sig = admin.sign(inflection_digest(2)).to_bytes()
         tx = sign_transaction(
             courier, ledger.next_nonce(courier.address), 1,
             ContractCall(qmig_addr, "setInflectionPoint", (2, pq_sig)),

@@ -31,7 +31,7 @@ def make_world(hot_amount, cold_amount, target=Fraction(1, 5), tolerance=Fractio
     contract = deploy_failsafe(
         ledger,
         "erin",
-        [custodian.address_of("rebalance")],
+        [custodian.key_for("rebalance").address],
         {**DEFAULT_THRESHOLDS, OperationKind.WITHDRAW: 1, OperationKind.UPDATE_CONFIG: 1},
         QMIG_ADDRESS,
         custodian,

@@ -14,7 +14,7 @@ from failsafe.bridge import (
     WrongChain,
     pq_address,
 )
-from failsafe.crypto import Address, KeyPair, PqKeyPair, pq_sign, sign
+from failsafe.crypto import Address, KeyPair, PqKeyPair, sign
 from failsafe.ledger import (
     ContractCall,
     InsufficientBalance,
@@ -31,8 +31,9 @@ from failsafe.qmig import (
     TransferIntentSource,
     build_intent_digest,
     inflection_digest,
-    register_intent,
 )
+
+from conftest import register_intent
 
 QMIG_ADDRESS = Address(bytes(range(120, 140)))
 DEST_CHAIN = 2
@@ -58,7 +59,7 @@ def make_world(inflection=2, set_point=True):
     register_intent(ledger, QMIG_ADDRESS, courier, digest)
     ledger.build_block()  # height 1: intent registered
     if set_point:
-        pq_sig = pq_sign(admin, inflection_digest(inflection)).to_bytes()
+        pq_sig = admin.sign(inflection_digest(inflection)).to_bytes()
         tx = sign_transaction(
             courier,
             ledger.next_nonce(courier.address),
@@ -253,7 +254,7 @@ def test_dest_transfers_require_the_bound_lamport_key():
     sender = pq_address(world.dest_key.public)
     payee = pq_address(PqKeyPair.generate(random.Random(6)).public)
     digest = world.dest.transfer_digest(sender, payee, "gold", 250, nonce=0)
-    sig = pq_sign(world.dest_key, digest)
+    sig = world.dest_key.sign(digest)
     world.dest.transfer(world.dest_key.public, payee, "gold", 250, sig)
     assert world.dest.balance_of(sender, "gold") == 450
     assert world.dest.balance_of(payee, "gold") == 250
@@ -269,7 +270,7 @@ def test_dest_transfer_rejects_foreign_signature():
     imposter = PqKeyPair.generate(random.Random(7))
     digest = world.dest.transfer_digest(sender, payee, "gold", 250, nonce=0)
     with pytest.raises(BadPqSignature):
-        world.dest.transfer(world.dest_key.public, payee, "gold", 250, pq_sign(imposter, digest))
+        world.dest.transfer(world.dest_key.public, payee, "gold", 250, imposter.sign(digest))
     assert world.dest.balance_of(sender, "gold") == 700
 
 
@@ -281,7 +282,7 @@ def test_dest_signature_binds_amount_and_nonce():
     payee = pq_address(PqKeyPair.generate(random.Random(6)).public)
     # signed for 250 at nonce 1, but the account nonce is still 0
     digest = world.dest.transfer_digest(sender, payee, "gold", 250, nonce=1)
-    sig = pq_sign(world.dest_key, digest)
+    sig = world.dest_key.sign(digest)
     with pytest.raises(BadPqSignature):
         world.dest.transfer(world.dest_key.public, payee, "gold", 250, sig)
 
@@ -293,7 +294,7 @@ def test_dest_insufficient_balance():
     sender = pq_address(world.dest_key.public)
     payee = pq_address(PqKeyPair.generate(random.Random(6)).public)
     digest = world.dest.transfer_digest(sender, payee, "gold", 101, nonce=0)
-    sig = pq_sign(world.dest_key, digest)
+    sig = world.dest_key.sign(digest)
     with pytest.raises(InsufficientBalance):
         world.dest.transfer(world.dest_key.public, payee, "gold", 101, sig)
 
@@ -316,7 +317,7 @@ def test_dest_transfer_refuses_a_negative_or_non_int_amount(thief_holds, amount)
     # a valid Lamport signature over the bad amount: only the amount check stops it
     digest = world.dest.transfer_digest(thief, victim, "gold", amount, nonce=0)
     with pytest.raises(InvalidAmount):
-        world.dest.transfer(thief_key.public, victim, "gold", amount, pq_sign(thief_key, digest))
+        world.dest.transfer(thief_key.public, victim, "gold", amount, thief_key.sign(digest))
     assert world.dest.balance_of(victim, "gold") == 700
     assert world.dest.balance_of(thief, "gold") == (thief_holds or 0)
     assert thief not in world.dest.nonces
@@ -328,7 +329,7 @@ def test_dest_zero_transfer_from_an_account_with_no_entry():
     key = PqKeyPair.generate(random.Random(9))
     sender = pq_address(key.public)
     payee = Address(b"\x33" * 20)
-    sig = pq_sign(key, dest.transfer_digest(sender, payee, "gold", 0, nonce=0))
+    sig = key.sign(dest.transfer_digest(sender, payee, "gold", 0, nonce=0))
     dest.transfer(key.public, payee, "gold", 0, sig)
     assert dest.balance_of(sender, "gold") == dest.balance_of(payee, "gold") == 0
     assert dest.nonces[sender] == 1

@@ -94,7 +94,7 @@ def test_enrollment_registers_wallet_and_both_intents():
     assert record.policy == world.policy
     assert record.tokens == ("gold",)
     # intent (a): wallet -> destination chain, registered via the receipt digest
-    assert world.receipt.intent_digest in world.qmig.registry
+    assert world.receipt.intent_sig.serial_digest in world.qmig.registry
     # intent (b): contract -> wallet custody-release route
     source_b, _sig_b = world.contract.outbound_intents[world.hot.address]
     assert source_b.from_address == world.contract.address
@@ -409,6 +409,6 @@ def test_custodian_guards_missing_roles():
     custodian = KeyCustodian()
     key = KeyPair.generate(random.Random(2))
     custodian.add_role("relayer", key)
-    assert custodian.address_of("relayer") == key.address
+    assert custodian.key_for("relayer").address == key.address
     with pytest.raises(CustodianUnavailable):
         custodian.key_for("guardian")

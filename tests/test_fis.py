@@ -45,7 +45,7 @@ def make_world(window_cap=500, window_len=5):
     contract = deploy_failsafe(
         ledger,
         "alice",
-        [custodian.address_of("intercept"), custodian.address_of("rebalance")],
+        [custodian.key_for("intercept").address, custodian.key_for("rebalance").address],
         {**DEFAULT_THRESHOLDS, OperationKind.WITHDRAW: 2, OperationKind.UPDATE_CONFIG: 2},
         QMIG_ADDRESS,
         custodian,

@@ -10,7 +10,6 @@ from failsafe.crypto import (
     KeyExhausted,
     PqKeyPair,
     PqSignature,
-    pq_sign,
     pq_verify,
 )
 from failsafe.crypto.keccak import keccak256
@@ -24,13 +23,13 @@ def _rng(seed: int = 7) -> random.Random:
 def test_sign_verify_roundtrip():
     key = PqKeyPair.generate(_rng())
     digest = keccak256(b"payload")
-    sig = pq_sign(key, digest)
+    sig = key.sign(digest)
     assert pq_verify(key.public, digest, sig)
 
 
 def test_wrong_digest_rejected():
     key = PqKeyPair.generate(_rng())
-    sig = pq_sign(key, keccak256(b"payload"))
+    sig = key.sign(keccak256(b"payload"))
     assert not pq_verify(key.public, keccak256(b"other"), sig)
 
 
@@ -38,14 +37,14 @@ def test_wrong_key_rejected():
     signer = PqKeyPair.generate(_rng(1))
     other = PqKeyPair.generate(_rng(2))
     digest = keccak256(b"payload")
-    sig = pq_sign(signer, digest)
+    sig = signer.sign(digest)
     assert not pq_verify(other.public, digest, sig)
 
 
 def test_tampered_preimage_rejected():
     key = PqKeyPair.generate(_rng())
     digest = keccak256(b"payload")
-    sig = pq_sign(key, digest)
+    sig = key.sign(digest)
     preimages = list(sig.preimages)
     preimages[0] = bytes(32)
     assert not pq_verify(key.public, digest, PqSignature(tuple(preimages)))
@@ -53,10 +52,10 @@ def test_tampered_preimage_rejected():
 
 def test_second_signature_raises():
     key = PqKeyPair.generate(_rng())
-    pq_sign(key, keccak256(b"first"))
+    key.sign(keccak256(b"first"))
     assert key.uses_remaining == 0
     with pytest.raises(KeyExhausted):
-        pq_sign(key, keccak256(b"second"))
+        key.sign(keccak256(b"second"))
 
 
 def test_digest_length_enforced():
@@ -68,7 +67,7 @@ def test_digest_length_enforced():
 def test_signature_serialization_roundtrip():
     key = PqKeyPair.generate(_rng())
     digest = keccak256(b"payload")
-    sig = pq_sign(key, digest)
+    sig = key.sign(digest)
     raw = sig.to_bytes()
     assert len(raw) == 256 * 32
     restored = PqSignature.from_bytes(raw)
@@ -83,7 +82,7 @@ def test_signature_from_bytes_rejects_bad_length():
 
 def test_verify_rejects_malformed_inputs():
     key = PqKeyPair.generate(_rng())
-    sig = pq_sign(key, keccak256(b"payload"))
+    sig = key.sign(keccak256(b"payload"))
     assert not pq_verify(key.public, b"short", sig)
     assert not pq_verify(key.public, keccak256(b"payload"), PqSignature(sig.preimages[:10]))
 
@@ -141,7 +140,7 @@ def test_public_images_match_scalar_hashes(seed):
 )
 def test_verify_agrees_with_scalar_oracle(case, seed, digest, position):
     key = PqKeyPair.generate(_rng(seed))
-    preimages = list(pq_sign(key, digest).preimages)
+    preimages = list(key.sign(digest).preimages)
     if case == "wrong digest":
         digest = bytes([digest[0] ^ 0x80]) + digest[1:]
     elif case == "tampered":

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failsafe.contract import DEFAULT_THRESHOLDS, KeyCustodian, OperationKind, deploy_failsafe
-from failsafe.crypto import Address, KeyPair, RecoverableSignature, keccak256, secp256k1, sign
+from failsafe.crypto import Address, KeyPair, RecoverableSignature, secp256k1, sign
 from failsafe.ledger import (
     NATIVE,
     UNLIMITED,
@@ -740,19 +740,37 @@ def test_take_pending_drains_once():
 # -- chain structure -----------------------------------------------------------
 
 
-def test_block_tx_ids_are_the_scalar_ids_in_block_order():
-    ledger = fresh_ledger((ALICE.address, NATIVE, 100), (BOB.address, NATIVE, 100))
-    chained = [submit_native(ledger, ALICE, CAROL.address, 1, gas_price=g) for g in (5, 4, 3)]
-    early = submit_native(ledger, BOB, CAROL.address, 1, gas_price=9)
-    early_id = early.tx_id  # read before the block is built, as FIS does
-    block = ledger.build_block()
-    assert [tx for tx, _ in block.txs] == [early, *chained]
-    assert not any("tx_id" in vars(tx) for tx in chained)  # hashed when read
-    expected = [keccak256(b"FS-TXID" + tx.digest + tx.signature.to_bytes())
-                for tx, _ in block.txs]
-    assert block.tx_ids == tuple(expected)
-    assert [vars(tx)["tx_id"] for tx, _ in block.txs] == expected
-    assert vars(early)["tx_id"] is early_id  # not hashed again
+# each payload kind's digest, sent by ALICE at nonce 3 and gas price 7. The
+# fields are passed by name and differ from each other, so a tag, or a field
+# declared out of order, changes the digest.
+GOLDEN_TX_DIGESTS = {
+    "native": (NativeTransfer(to=BOB.address, amount=10),
+               "c914a4023a86d963e2353146d000803d4e8bdde164b51018ec029a9e3270705f"),
+    "token": (TokenTransfer(token="gold", to=BOB.address, amount=25),
+              "43b0cf3a9ce10e3c115ef7dac43636ed0ecfc4fccfc1a88270bfd8512755b66e"),
+    "transfer-from": (TokenTransferFrom(token="gold", owner=CAROL.address, to=BOB.address,
+                                        amount=5),
+                      "4463ee6a6a1770fff2d0b084d0dcccbba59b5bfae651c6ded4a03fe4e5c6ae54"),
+    "approve": (Approve(token="gold", spender=BOB.address, amount=40),
+                "685c93190b927961b40f73f203b5104ea33a8f6844167c763e592419c3e78454"),
+    "approve-unlimited": (Approve(token="gold", spender=BOB.address, amount=UNLIMITED),
+                          "733bde166ed151ed16f342eb58fc64b5a05b43b9ab9bfd0dba88660b438bbfb7"),
+    "nft": (NftTransfer(token="deeds", to=BOB.address, token_id=2),
+            "29141ad485442b27cafe1a81f28d90fa4069257c72b16e63f6b19657709fa929"),
+    "call": (ContractCall(contract=CAROL.address, method="execute",
+                          args=("withdraw", (1, b"\x01", ("gold", -3)), None)),
+             "9b6e7c90f7c5b621a5e15ad14d5526dbbd7cfeddccf307ceec7d06a0cad7d1f0"),
+}
+
+
+@pytest.mark.parametrize("payload, digest", GOLDEN_TX_DIGESTS.values(), ids=GOLDEN_TX_DIGESTS)
+def test_each_payload_kind_has_a_pinned_digest(payload, digest):
+    assert compute_tx_digest(ALICE.address, 3, 7, payload).hex() == digest
+
+
+def test_a_transaction_id_is_pinned():
+    tx = sign_transaction(ALICE, 3, 7, NativeTransfer(BOB.address, 10))
+    assert tx.tx_id.hex() == "8569bac67f569d07f811ecc2fd0b5d8e34bc7feb41dcc995c71ee2f351383d35"
 
 
 def test_identical_fields_yield_identical_tx_id():

@@ -466,7 +466,8 @@ def test_address_aliases_resolve():
     alice = runner.resolve_address("alice")
     assert runner.resolve_address("0x" + alice.hex()) == alice
     assert runner.resolve_address("escrow") == ESCROW_ADDRESS
-    assert runner.resolve_address("role:intercept") == runner.custodian.address_of("intercept")
+    intercept = runner.custodian.key_for("intercept")
+    assert runner.resolve_address("role:intercept") == intercept.address
     vault = runner.resolve_address("alice.contract")
     assert vault == runner.vaults["alice"].address
     with pytest.raises(UnknownActor):
