@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .crypto import Address, PqPublicKey, PqSignature, keccak256, pq_verify
 from .encoding import encode_value
-from .ledger import EXECUTED, InsufficientBalance, InvalidAmount, Ledger, LedgerEvent, make_event
+from .ledger import EXECUTED, InsufficientBalance, InvalidAmount, Ledger, LedgerEvent
 from .qmig import (
     BadPqSignature,
     InflectionUnset,
@@ -93,7 +93,7 @@ class QuantumSafeLedger:
         book = self.balances.setdefault(token, {})
         book[to] = book.get(to, 0) + amount
         self.events.append(
-            make_event(self.height, "BridgeMint", {"to": to, "token": token, "amount": amount})
+            LedgerEvent(self.height, "BridgeMint", {"to": to, "token": token, "amount": amount})
         )
 
     def transfer_digest(
@@ -126,7 +126,7 @@ class QuantumSafeLedger:
         book[sender] = held - amount
         book[to] = book.get(to, 0) + amount
         fields = {"from": sender, "to": to, "token": token, "amount": amount, "outcome": EXECUTED}
-        self.events.append(make_event(self.height, "Transfer", fields))
+        self.events.append(LedgerEvent(self.height, "Transfer", fields))
 
 
 class Bridge:
@@ -149,7 +149,7 @@ class Bridge:
         if reason is not None:
             fields["reason"] = reason
         # bridge steps run between blocks and belong to the upcoming one
-        self.source.events.append(make_event(self.source.height + 1, "Bridge", fields))
+        self.source.events.append(LedgerEvent(self.source.height + 1, "Bridge", fields))
 
     def bridge_transfer(self, req: BridgeTransfer) -> None:
         holder = req.source.from_address

@@ -18,7 +18,6 @@ from .secp256k1 import (
     fill_addresses,
     recover_signer,
     sign,
-    sign_later,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "pq_verify",
     "recover_signer",
     "sign",
-    "sign_later",
 ]

@@ -11,20 +11,18 @@ generator and the recovered point. Key generation makes many public points
 with one shared inversion.
 
 A signature made by `sign` remembers its digest and signer, so recovering it
-over that digest skips the point arithmetic; parsed or hand-built signatures
-carry no such hint and always take the full recovery. `sign_later` defers
-`sign` until the signature's r, s, v or hint is first read. RFC 6979 makes a
-signature a pure function of (key, digest), so the deferred value is the
-same bytes an eager `sign` gives.
+over that digest skips the point arithmetic; parsed, hand-built or rebuilt
+signatures carry no such hint and always take the full recovery. RFC 6979
+makes a signature a pure function of (key, digest), so a caller may sign
+whenever it first needs the signature and get the same bytes.
 """
 
 from __future__ import annotations
 
 import hmac
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 from .keccak import keccak256, keccak256_batch
 
@@ -235,35 +233,21 @@ class KeyPair:
         return derive_address(self.public_bytes)
 
 
-_DEFERRED = ("r", "s", "v", "_signer")  # what `sign_later` leaves to be computed
-
-
 @dataclass(frozen=True)
 class RecoverableSignature:
     """Canonical low-s ECDSA signature with recovery id, serialized r||s||v.
 
-    `_signer`, read as an attribute, is (digest, address) for a signature
-    that `sign` made and None for one parsed or built by hand; recovery is a
-    pure function of (digest, r, s, v), so over that digest it must return
-    that address.
+    `_signer` is (digest, address) for a signature that `sign` made and None
+    for one parsed, built by hand or rebuilt by `replace`; recovery is a pure
+    function of (digest, r, s, v), so over that digest it must return that
+    address.
     """
 
     r: int
     s: int
     v: int
-
-    def __getattr__(self, name: str):
-        # Reached only for an attribute the instance lacks. A `sign_later`
-        # signature lacks all of _DEFERRED until one of them is read: then it
-        # takes r, s, v and the hint of the eager signature, made now.
-        pending = vars(self).pop("_pending", None) if name in _DEFERRED else None
-        if pending is not None:
-            key, digest = pending
-            vars(self).update(vars(sign(key, digest())))
-            return vars(self)[name]
-        if name == "_signer":
-            return None
-        raise AttributeError(name)
+    _signer: tuple[bytes, Address] | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def to_bytes(self) -> bytes:
         return self.r.to_bytes(32, "big") + self.s.to_bytes(32, "big") + bytes([self.v])
@@ -337,13 +321,6 @@ def sign(key: KeyPair, digest: bytes) -> RecoverableSignature:
         vars(sig)["_signer"] = (bytes(digest), key.address)
         return sig
     raise AssertionError("unreachable: nonce stream is infinite")
-
-
-def sign_later(key: KeyPair, digest: Callable[[], bytes]) -> RecoverableSignature:
-    """The signature `sign(key, digest())` returns, computed when first read."""
-    sig = object.__new__(RecoverableSignature)
-    vars(sig)["_pending"] = (key, digest)
-    return sig
 
 
 def recover_signer(digest: bytes, sig: RecoverableSignature) -> Address:

@@ -15,17 +15,17 @@ price and payload, a payload being its kind's tag followed by its fields in
 declaration order. Its id is the Keccak-256 of that digest and the
 signature's bytes, hashed on first read and kept.
 
-`sign_transaction` hashes and signs nothing: the transaction's digest and
-RFC 6979 signature are computed together on the first read of its digest,
-its id, its signature's fields or bytes, or its equality or hash. They are
-the bytes an eager signer makes, as long as the fields do not change after
+`sign_transaction` hashes and signs nothing: the transaction it returns
+holds its sender's key instead of a signature. Its digest is hashed on first
+read; its RFC 6979 signature is made over the digest on the first read of the
+signature or id, or by equality, hash, repr or `dataclasses.replace`. That is
+what an eager signer makes, as long as the fields do not change after
 signing; submission refuses a field that the digest's encoding cannot take.
-Submission trusts the signature of the exact object `sign_transaction`
-returned, whose signer is its sender by construction; every other
-transaction (one rebuilt by `dataclasses.replace`, built by hand, or
-carrying a signature parsed from bytes or taken from another transaction)
-is recovered from its digest. Equality, `in` and dict keys on transactions
-compare signatures and so compute them; the ledger uses none.
+Submission trusts a transaction that holds its key (its signer is its sender
+by construction) and recovers every other one from its digest: one rebuilt by
+`replace`, built by hand, or carrying a signature parsed from bytes or taken
+from another transaction. Equality, `in` and dict keys on transactions
+compare signatures and so make them; the ledger uses none.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Union
 
@@ -45,7 +45,7 @@ from .crypto import (
     RecoveryError,
     keccak256,
     recover_signer,
-    sign_later,
+    sign,
 )
 from .encoding import MAX_INT_BITS, encode_value
 
@@ -138,17 +138,14 @@ class LedgerEvent:
 
     height: int
     kind: str
-    data: tuple[tuple[str, object], ...]
+    data: dict  # field name -> value, in log order
 
     def get(self, key: str, default=None):
-        for k, v in self.data:
-            if k == key:
-                return v
-        return default
+        return self.data.get(key, default)
 
     def format_line(self) -> str:
         parts = [f"height={self.height}", f"kind={self.kind}"]
-        for key, value in self.data:
+        for key, value in self.data.items():
             parts.append(f"{key}={_format_value(value)}")
         return " ".join(parts)
 
@@ -161,11 +158,6 @@ def _format_value(value) -> str:
     if isinstance(value, (bytes, bytearray)):
         return bytes(value).hex()
     return str(value)
-
-
-def make_event(height: int, kind: str, fields: dict) -> LedgerEvent:
-    """An event whose data are the fields in insertion order."""
-    return LedgerEvent(height, kind, tuple(fields.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +285,8 @@ class Transaction:
     payload: Payload
     signature: RecoverableSignature
 
-    @property
-    def _bound(self) -> bool:
-        """Whether the signature is the one `sign_transaction` made for this object."""
-        return vars(self).get("_signed") is self.signature
-
     @cached_property
     def digest(self) -> bytes:
-        if self._bound:  # computed with the signature, which was made over it
-            return self.signature._signer[0]
         return compute_tx_digest(self.sender, self.nonce, self.gas_price, self.payload)
 
     @cached_property
@@ -313,13 +298,21 @@ class Transaction:
         return "0x" + self.tx_id.hex()
 
 
+# The signature of a transaction that holds its key, made over its digest on
+# first read and kept; a signature the instance holds shadows it. Set after
+# @dataclass, which would take it for the field's default. (A __getattr__
+# would also do, but it stops CPython specialising any attribute read of a
+# transaction, and block building reads nonce and sender over the whole pool.)
+Transaction.signature = cached_property(lambda tx: sign(tx._key, tx.digest))
+Transaction.signature.__set_name__(Transaction, "signature")
+
+
 def sign_transaction(key: KeyPair, nonce: int, gas_price: int, payload: Payload) -> Transaction:
-    """A transaction from key's address whose digest and signature are made when first read."""
-    sender = key.address
-    signature = sign_later(key, partial(compute_tx_digest, sender, nonce, gas_price, payload))
-    tx = Transaction(sender, nonce, gas_price, payload, signature)
-    # binds the signature to this object: replace() and the constructor leave it out
-    vars(tx)["_signed"] = signature
+    """A transaction from key's address that key signs when its signature is first read."""
+    tx = object.__new__(Transaction)
+    # _key is no field: replace(), the constructor, asdict() and fields() leave it out
+    vars(tx).update(sender=key.address, nonce=nonce, gas_price=gas_price, payload=payload,
+                    _key=key)
     return tx
 
 
@@ -367,7 +360,7 @@ class ExecutionContext:
         return self.tx.sender
 
     def emit(self, kind: str, fields: dict) -> None:
-        self.ledger.events.append(make_event(self.height, kind, fields))
+        self.ledger.events.append(LedgerEvent(self.height, kind, fields))
 
     def record_undo(self, undo: Callable[[], None]) -> None:
         """Register rollback for contract-local state touched in this call."""
@@ -439,7 +432,7 @@ class Ledger:
             raise ValueError("genesis allocations only before the first built block")
         balances = self._balances_for(token)
         self._put(balances, to, balances.get(to, 0) + amount)
-        self.events.append(make_event(0, "Genesis", {"to": to, "token": token, "amount": amount}))
+        self.events.append(LedgerEvent(0, "Genesis", {"to": to, "token": token, "amount": amount}))
 
     def genesis_allocate_nft(self, to: Address, token: str, token_id: int) -> None:
         if self.height != 0:
@@ -449,7 +442,7 @@ class Ledger:
             raise ValueError(f"nft {token}#{token_id} already allocated")
         self._put(owners, token_id, to)
         self.events.append(
-            make_event(0, "Genesis", {"to": to, "token": token, "token_id": token_id})
+            LedgerEvent(0, "Genesis", {"to": to, "token": token, "token_id": token_id})
         )
 
     def register_contract(self, address: Address, contract: object) -> None:
@@ -510,13 +503,13 @@ class Ledger:
             raise BadSignature("exceptions-list registration must be signed by the address owner")
         if addr not in self.exceptions_list:
             self.exceptions_list.append(addr)
-            self.events.append(make_event(self.height, "ExceptionAdded", {"address": addr}))
+            self.events.append(LedgerEvent(self.height, "ExceptionAdded", {"address": addr}))
 
     # -- submission ----------------------------------------------------------
 
     def _validate(self, tx: Transaction) -> None:
         _check_fields(tx)
-        if not tx._bound:
+        if "_key" not in vars(tx):  # a key-holding transaction is signed by its sender
             try:
                 signer = recover_signer(tx.digest, tx.signature)
             except RecoveryError as exc:
@@ -607,7 +600,7 @@ class Ledger:
     def _record(self, p: Payload, sender: Address, height: int, outcome: str, **fields) -> None:
         """Log a payload through its describe(), with fields overridden."""
         kind, described = p.describe(sender)
-        self.events.append(make_event(height, kind, {**described, **fields, "outcome": outcome}))
+        self.events.append(LedgerEvent(height, kind, {**described, **fields, "outcome": outcome}))
 
     def _apply_payload(self, tx: Transaction, height: int) -> None:
         p = tx.payload
@@ -671,7 +664,7 @@ class Ledger:
         for addr, delta in ((frm, -amount), (to, amount)):
             self._put(balances, addr, balances.get(addr, 0) + delta)
         fields = {"from": frm, "to": to, "token": token, "amount": amount, **extra}
-        event = make_event(height, kind, {**fields, "outcome": EXECUTED})
+        event = LedgerEvent(height, kind, {**fields, "outcome": EXECUTED})
         self.events.append(event)
         for addr in {frm, to}:
             records = self._transfers.setdefault((token, addr), [])
@@ -708,7 +701,7 @@ class Ledger:
             raise NotOwner(f"{frm} does not own {token}#{token_id}")
         self._put(owners, token_id, to)
         fields = {"from": frm, "to": to, "token": token, "token_id": token_id, "outcome": EXECUTED}
-        self.events.append(make_event(height, "NftTransfer", fields))
+        self.events.append(LedgerEvent(height, "NftTransfer", fields))
 
     def _nft_move_by_operator(self, token: str, owner: Address, to: Address,
                               operator: Address, token_id: int, height: int) -> None:

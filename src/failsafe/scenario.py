@@ -174,6 +174,11 @@ class Scenario:
             if not condition:
                 raise ParseError(message)
 
+        def known(where: str, raw: dict, fields) -> None:
+            unknown = sorted(set(raw) - set(fields), key=str)
+            need(not unknown, f"unknown {where} keys: {unknown}")
+
+        known("scenario", data, cls.__dataclass_fields__)
         data = _Params("scenario", data)
         steps = []
         last_at = 1
@@ -206,10 +211,7 @@ class Scenario:
 
         fbr_over = data.get("fbr_config") or {}
         need(isinstance(fbr_over, dict), "'fbr_config' must be a mapping")
-        need(
-            set(fbr_over) <= set(FbrConfig.__dataclass_fields__),
-            f"unknown fbr_config keys: {sorted(set(fbr_over) - set(FbrConfig.__dataclass_fields__))}",
-        )
+        known("fbr_config", fbr_over, FbrConfig.__dataclass_fields__)
         fbr_over = _Params("fbr_config", fbr_over)
 
         def section(where: str, raw) -> _Params:
@@ -244,8 +246,8 @@ class Scenario:
             check = str(raw.get("check"))
             need(check in _CHECKS, f"assertion {i}: unknown check {check!r}")
             raw = _Params(f"assertion {i} ({check})", raw)
-            _, judge, reads = _CHECKS[check]
-            keys, numeric = _COMPARATORS[judge]
+            _, numeric, reads = _CHECKS[check]
+            keys = tuple(_BOUNDS) if numeric else ("equals",)
             given = [key for key in keys if key in raw]
             need(given, f"assertion {i} ({check}) needs {'/'.join(keys)}")
             need(len(given) == 1, f"assertion {i} ({check}) takes one of {'/'.join(keys)}, "
@@ -259,7 +261,7 @@ class Scenario:
                      f"assertion {i} ({check}): {key!r} must be one of "
                      f"{'/'.join(allowed)}, got {raw.get(key)!r}")
 
-        return cls(
+        scenario = cls(
             name=str(data.get("name", default_name)),
             description=str(data.get("description", "")).strip(),
             seed=data.integer("seed", 0),
@@ -279,6 +281,9 @@ class Scenario:
             steps=steps,
             assertions=assertions,
         )
+        late = next((step.at for step in steps if step.at > scenario.run_blocks), None)
+        need(late is None, f"step at block {late} beyond run_blocks={scenario.run_blocks}")
+        return scenario
 
 
 @dataclass
@@ -800,11 +805,6 @@ class ScenarioRunner:
                     self.risk.record_observation(ev)
             self.ledger.build_block()
 
-        if step_index < len(sc.steps):
-            raise ParseError(
-                f"step at block {sc.steps[step_index].at} beyond run_blocks={sc.run_blocks}"
-            )
-
         return self._report(at_risk_amount, attacker, attacker_start)
 
     # -- reporting -----------------------------------------------------------------------
@@ -851,8 +851,8 @@ class ScenarioRunner:
 
     def _evaluate_assertion(self, raw: dict) -> tuple[bool, str]:
         try:
-            read, judge, _ = _CHECKS[str(raw["check"])]
-            return judge(raw, *read(self, raw))
+            read, _, _ = _CHECKS[str(raw["check"])]
+            return _compare(raw, *read(self, raw))
         except Exception as exc:
             return False, f"assertion {raw!r} errored: {type(exc).__name__}: {exc}"
 
@@ -870,27 +870,20 @@ class ScenarioRunner:
 # Assertions: each check reads (actual value, label) from a finished run and
 # judges it against the assertion's expected value.
 
-def _equals(raw: dict, actual, label: str) -> tuple[bool, str]:
-    expected = str(raw["equals"])
-    ok = str(actual) == expected
-    return ok, f"{label} = {actual}" + ("" if ok else f" (expected {expected})")
+# the keys an assertion may read its expected value from, with how the actual
+# value must relate to it. "equals" compares text: an outcome label, or an
+# integer that from_dict checked. A numeric check gives exactly one of the
+# keys, any other check gives "equals".
+_BOUNDS = {"equals": (lambda actual, bound: str(actual) == str(bound), ""),
+           "at_least": (operator.ge, ">= "), "at_most": (operator.le, "<= ")}
 
 
-_BOUNDS = {"equals": (operator.eq, ""), "at_least": (operator.ge, ">= "),
-           "at_most": (operator.le, "<= ")}
-
-
-def _compare(raw: dict, actual: int, label: str) -> tuple[bool, str]:
-    key = next(key for key in _BOUNDS if key in raw)  # from_dict checked there is exactly one
+def _compare(raw: dict, actual, label: str) -> tuple[bool, str]:
+    key = next(key for key in _BOUNDS if key in raw)  # "equals" first: a check may take only it
     holds, relation = _BOUNDS[key]
     bound = raw[key]
     ok = holds(actual, bound)
     return ok, f"{label} = {actual}" + ("" if ok else f" (expected {relation}{bound})")
-
-
-# judge -> (the keys it reads its expected value from, whether that value is
-# an integer); an assertion gives exactly one of the keys
-_COMPARATORS = {_equals: (("equals",), False), _compare: (tuple(_BOUNDS), True)}
 
 
 def _balance(run: ScenarioRunner, raw: dict):
@@ -935,18 +928,18 @@ def _rebalances(run: ScenarioRunner, raw: dict):
 
 _LABEL = {"label": ()}
 
-# check name -> (reader, judge, {key the reader reads: the values it may take,
-# default first, or () when the assertion must give the key})
+# check name -> (reader, whether its expected value is an integer, {key the
+# reader reads: the values it may take, default first, or () when the
+# assertion must give the key})
 _CHECKS = {
-    "balance": (_balance, _compare,
-                {"address": (), "token": (), "ledger": ("source", "dest")}),
-    "outcome": (_outcome, _equals, _LABEL),
-    "private_status": (_labelled("private_status", "private_status"), _equals, _LABEL),
-    "verify": (_labelled("verify", "verify_outcomes"), _equals, _LABEL),
-    "bridge": (_labelled("bridge", "bridge_outcomes"), _equals, _LABEL),
-    "intercepts": (_intercepts, _compare, {}),
-    "rebalances": (_rebalances, _compare, {}),
-    "permitted": (_permitted, _compare, {"wallet": (), "token": ()}),
-    "registry_size": (lambda run, raw: (len(run.qmig.registry), "registry_size"), _compare, {}),
-    "alerts": (_alerts, _compare, {"user": ()}),
+    "balance": (_balance, True, {"address": (), "token": (), "ledger": ("source", "dest")}),
+    "outcome": (_outcome, False, _LABEL),
+    "private_status": (_labelled("private_status", "private_status"), False, _LABEL),
+    "verify": (_labelled("verify", "verify_outcomes"), False, _LABEL),
+    "bridge": (_labelled("bridge", "bridge_outcomes"), False, _LABEL),
+    "intercepts": (_intercepts, True, {}),
+    "rebalances": (_rebalances, True, {}),
+    "permitted": (_permitted, True, {"wallet": (), "token": ()}),
+    "registry_size": (lambda run, raw: (len(run.qmig.registry), "registry_size"), True, {}),
+    "alerts": (_alerts, True, {"user": ()}),
 }

@@ -22,8 +22,7 @@ def transfer(height, frm, to, amount, outcome="Executed"):
     return LedgerEvent(
         height,
         "Transfer",
-        (("from", frm), ("to", to), ("token", "native"), ("amount", amount),
-         ("outcome", outcome)),
+        {"from": frm, "to": to, "token": "native", "amount": amount, "outcome": outcome},
     )
 
 

@@ -638,7 +638,7 @@ def test_forged_sender_rejected():
         ledger.submit_private_transaction(forged)
 
 
-# -- the signature binding that submission trusts ---------------------------------
+# -- the key that submission trusts --------------------------------------------------
 
 
 @pytest.fixture
@@ -665,7 +665,7 @@ def _call(args: tuple) -> ContractCall:
 def test_submission_trusts_the_binding_without_signing(recoveries):
     ledger = fresh_ledger((ALICE.address, NATIVE, 100))
     tx = submit_native(ledger, ALICE, BOB.address, 5)
-    assert "_pending" in vars(tx.signature)  # nothing read its bytes
+    assert "signature" not in vars(tx)  # nothing read it
     assert "digest" not in vars(tx)
     assert recoveries == {"checked": [], "full": []}
     assert ledger.take_pending() == [tx]
@@ -726,7 +726,7 @@ def test_a_rebuilt_transaction_is_recovered_not_trusted(rebuild, recoveries):
     # over: the signer hint answers without the point arithmetic
     assert recoveries["checked"] == [(rebuilt.digest, signed.signature)]
     assert recoveries["full"] == []
-    ledger.submit_transaction(signed)  # the bound object itself is not recovered
+    ledger.submit_transaction(signed)  # the key-holding object itself is not recovered
     assert len(recoveries["checked"]) == 1
 
 

@@ -118,6 +118,13 @@ def edited(**overrides):
                                 "equals": 40, "at_most": 3}]),
             "assertion 0 (balance) takes one of equals/at_least/at_most, got equals and at_most",
         ),
+        (edited(asertions=[]), "unknown scenario keys: ['asertions']"),
+        (edited(fbr_config={1: 2, "windw": 3}), "unknown fbr_config keys: [1, 'windw']"),
+        (
+            edited(run_blocks=1, steps=[{"at": 2, "action": "clear_threat"},
+                                        {"at": 3, "action": "clear_threat"}]),
+            "step at block 2 beyond run_blocks=1",
+        ),
     ],
 )
 def test_structural_validation(broken, fragment):
@@ -156,6 +163,7 @@ def test_structural_validation(broken, fragment):
         ),
         ({"assertions": [{"check": "alerts", "equals": 0}]},
          "assertion 0 (alerts): missing parameter 'user'"),
+        ({"asertions": []}, "unknown scenario keys: ['asertions']"),
     ],
 )
 def test_incomplete_section_is_a_parse_error(overrides, message, tmp_path, capsys):
@@ -587,8 +595,8 @@ def test_committed_signatures_recover_from_their_bytes():
 
 
 def _unsigned(tx) -> bool:
-    """Whether nothing has read tx's digest or signature since sign_transaction made it."""
-    return "_pending" in vars(tx.signature)
+    """Whether nothing has read tx's signature since sign_transaction made it."""
+    return "signature" not in vars(tx)
 
 
 def test_signatures_made_when_read_equal_eager_ones():
@@ -603,7 +611,7 @@ def test_signatures_made_when_read_equal_eager_ones():
         for i, (tx, _) in enumerate(tx for block in runner.ledger.blocks for tx in block.txs):
             deferred += _unsigned(tx)
             # the first read differs from one transaction to the next
-            (lambda: tx.digest, tx.signature.to_bytes, lambda: tx.tx_id)[i % 3]()
+            (lambda: tx.digest, lambda: tx.signature.to_bytes(), lambda: tx.tx_id)[i % 3]()
             digest = compute_tx_digest(tx.sender, tx.nonce, tx.gas_price, tx.payload)
             eager = sign(keys[tx.sender], digest).to_bytes()
             assert tx.digest == digest

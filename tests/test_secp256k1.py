@@ -1,11 +1,12 @@
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import failsafe.ledger as ledger_module
 from failsafe.crypto import PqKeyPair, keccak256
 from failsafe.crypto.secp256k1 import (
     Address,
@@ -21,8 +22,8 @@ from failsafe.crypto.secp256k1 import (
     fill_addresses,
     recover_signer,
     sign,
-    sign_later,
 )
+from failsafe.ledger import NativeTransfer, Transaction, compute_tx_digest, sign_transaction
 from failsafe.scenario import DEFAULT_CUSTODIAN_ROLES, Scenario, ScenarioRunner
 from oracles import reference_point_add, reference_point_mul
 
@@ -269,47 +270,70 @@ def test_fill_addresses_matches_derive_address():
     assert all(type(vars(key)["address"]) is Address for key in keys)
 
 
-# -- signatures that `sign_later` computes when first read ----------------------------
+# -- signatures that `sign_transaction` makes when first read ------------------------
 
 
-def _later(key, message):
-    digests = []
+@pytest.fixture
+def made(monkeypatch):
+    """The arguments of each digest the ledger hashes and each signature it makes from now on."""
+    calls = {"compute_tx_digest": [], "sign": []}
+    for name in calls:
+        def counted(*args, original=getattr(ledger_module, name), name=name):
+            calls[name].append(args)
+            return original(*args)
 
-    def digest():
-        digests.append(keccak256(message))
-        return digests[-1]
+        monkeypatch.setattr(ledger_module, name, counted)
+    return calls
 
-    return sign_later(key, digest), digests
+
+PAYMENT = NativeTransfer(Address(bytes(range(20))), 5)
+OTHER = Transaction(Address(bytes(20)), 3, 7, PAYMENT, RecoverableSignature(1, 1, 0))
 
 
 @pytest.mark.parametrize(
     "read",
-    [lambda sig: sig.r, lambda sig: sig.s, lambda sig: sig.v, lambda sig: sig.to_bytes(),
-     lambda sig: sig.serial_digest, lambda sig: sig._signer, repr, hash,
-     lambda sig: sig == RecoverableSignature(1, 1, 0), lambda sig: replace(sig)],
-    ids=["r", "s", "v", "to_bytes", "serial_digest", "hint", "repr", "hash", "eq", "replace"],
+    [lambda tx: tx.signature, lambda tx: tx.signature.r, lambda tx: tx.signature.s,
+     lambda tx: tx.signature.v, lambda tx: tx.signature.to_bytes(),
+     lambda tx: tx.signature.serial_digest, lambda tx: tx.signature._signer,
+     lambda tx: tx.tx_id, lambda tx: tx.tx_id_hex, repr, hash, lambda tx: tx == OTHER,
+     lambda tx: replace(tx)],
+    ids=["signature", "r", "s", "v", "to_bytes", "serial_digest", "hint", "tx_id", "tx_id_hex",
+         "repr", "hash", "eq", "replace"],
 )
-def test_a_deferred_signature_is_made_on_first_read_and_equals_the_eager_one(read):
+def test_a_deferred_signature_is_made_on_first_read_and_equals_the_eager_one(read, made):
     key = KeyPair.from_private(42)
-    sig, digests = _later(key, b"message")
-    assert digests == []  # nothing computed yet
-    read(sig)
-    eager = sign(key, keccak256(b"message"))
-    assert digests == [eager._signer[0]]
-    assert (sig.r, sig.s, sig.v) == (eager.r, eager.s, eager.v)
-    assert sig.to_bytes() == eager.to_bytes()
-    assert sig._signer == eager._signer == (keccak256(b"message"), key.address)
-    assert digests == [eager._signer[0]]  # made once
-    assert sig == eager and hash(sig) == hash(eager) and repr(sig) == repr(eager)
-    assert recover_signer(keccak256(b"message"), sig) == key.address
+    tx = sign_transaction(key, 3, 7, PAYMENT)
+    assert made == {"compute_tx_digest": [], "sign": []}  # nothing computed yet
+    read(tx)
+    digest = compute_tx_digest(key.address, 3, 7, PAYMENT)
+    assert made == {"compute_tx_digest": [(key.address, 3, 7, PAYMENT)], "sign": [(key, digest)]}
+    eager = sign(key, digest)
+    assert tx.signature.to_bytes() == eager.to_bytes()
+    assert tx.signature._signer == eager._signer == (digest, key.address)
+    assert tx.digest == digest
+    assert tx.tx_id == keccak256(b"FS-TXID" + digest + eager.to_bytes())
+    assert len(made["compute_tx_digest"]) == len(made["sign"]) == 1  # each made once
+    by_hand = Transaction(key.address, 3, 7, PAYMENT, eager)
+    assert tx == by_hand and hash(tx) == hash(by_hand) and repr(tx) == repr(by_hand)
+
+
+def test_reading_the_digest_signs_nothing(made):
+    tx = sign_transaction(KeyPair.from_private(42), 3, 7, PAYMENT)
+    assert tx.digest is tx.digest  # hashed once
+    assert len(made["compute_tx_digest"]) == 1
+    assert made["sign"] == [] and "signature" not in vars(tx)
 
 
 def test_a_deferred_signature_is_recovered_like_an_eager_one():
     key = KeyPair.from_private(42)
-    sig, _ = _later(key, b"real")
+    tx = sign_transaction(key, 3, 7, PAYMENT)
     forged = keccak256(b"forged")
-    recovered = recover_signer(forged, sig)  # the hint is for another digest
+    recovered = recover_signer(forged, tx.signature)  # the hint is for another digest
     assert recovered != key.address
-    assert recovered == recover_signer(forged, RecoverableSignature.from_bytes(sig.to_bytes()))
-    assert replace(sig)._signer is None  # rebuilt: no hint
-    assert not hasattr(sig, "q")
+    parsed = RecoverableSignature.from_bytes(tx.signature.to_bytes())
+    assert recovered == recover_signer(forged, parsed)
+    assert recover_signer(tx.digest, tx.signature) == key.address
+    assert replace(tx.signature)._signer is None  # rebuilt: no hint
+    # the key is no field, so a rebuilt transaction and asdict() leave it out
+    assert "_key" in vars(tx) and "_key" not in vars(replace(tx))
+    assert "_key" not in {f.name for f in fields(Transaction)} and "_key" not in asdict(tx)
