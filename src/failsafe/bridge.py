@@ -48,7 +48,6 @@ class BridgeTransfer:
     token: str
     amount: int
     intent_sig: object  # RecoverableSignature over the intent source
-    requested_at: int
 
     def __post_init__(self):
         if self.amount <= 0:

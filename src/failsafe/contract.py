@@ -38,6 +38,7 @@ from .ledger import (
     Transaction,
     UNLIMITED,
     UnknownMethod,
+    byte_argument,
     sign_transaction,
 )
 from .qmig import TransferIntentSource, build_intent_digest
@@ -158,7 +159,6 @@ class EnrolledWallet:
     tokens: tuple[str, ...]
     dest_chain_id: int
     dest_address: Address
-    enrolled_at: int
 
 
 class KeyCustodian:
@@ -259,7 +259,6 @@ class FailSafeContract:
             tokens=tuple(str(t) for t in tokens),
             dest_chain_id=int(dest_chain_id),
             dest_address=Address(dest_address),
-            enrolled_at=ctx.height,
         )
         self.enrollments[wallet] = record
         ctx.record_undo(lambda: self.enrollments.pop(wallet, None))
@@ -268,7 +267,7 @@ class FailSafeContract:
         # the enrolling wallet signed this very transaction, so its key is
         # exposed on chain and the registry warning applies
         ctx.call_contract(
-            self.qmig_address, "registerTransferIntent", (bytes(intent_a_digest), True)
+            self.qmig_address, "registerTransferIntent", (byte_argument(intent_a_digest), True)
         )
         # (b) contract -> wallet intent so post-inflection custody releases
         # count toward the wallet's permitted amount
@@ -298,7 +297,8 @@ class FailSafeContract:
         unknown_present = False
         for blob in sig_blobs:
             try:
-                recovered = recover_signer(digest, RecoverableSignature.from_bytes(bytes(blob)))
+                signature = RecoverableSignature.from_bytes(byte_argument(blob))
+                recovered = recover_signer(digest, signature)
             except (RecoveryError, ValueError):
                 unknown_present = True
                 continue

@@ -45,7 +45,6 @@ class BlacklistEntry:
     address: Address
     category: str
     source: str
-    added_at: int
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class RiskService:
         key = (address, category)
         if key in self._entries:
             return False
-        self._entries[key] = BlacklistEntry(address, category, source, self._last_height)
+        self._entries[key] = BlacklistEntry(address, category, source)
         return True
 
     # -- observations ------------------------------------------------------------

@@ -124,6 +124,13 @@ class InvalidArgument(RevertError):
     pass
 
 
+def byte_argument(value) -> bytes:
+    """A call argument read as bytes; bytes(n) of an int would be n zero bytes."""
+    if not isinstance(value, (bytes, bytearray)):
+        raise TypeError(f"expected bytes, got {type(value).__name__}")
+    return bytes(value)
+
+
 class PrivateRelayStatus(str, Enum):
     ACCEPTED = "Accepted"
     FILTERED_BY_EXCEPTIONS_LIST = "FilteredByExceptionsList"
@@ -621,7 +628,7 @@ class Ledger:
             ctx = ExecutionContext(self, p.contract, tx, height)
             try:
                 contract.call(p.method, p.args, ctx)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, ArithmeticError) as exc:
                 # anyone can sign a call whose arguments do not decode
                 raise InvalidArgument(f"{p.method}: {exc}") from exc
             self._record(p, tx.sender, height, EXECUTED)

@@ -34,6 +34,7 @@ from .ledger import (
     Ledger,
     RevertError,
     UnknownMethod,
+    byte_argument,
 )
 
 LATE_INTENT_MESSAGE = "Intent to transfer registered after the quantum inflection point!"
@@ -140,10 +141,10 @@ class QmigContract:
     def call(self, method: str, args: tuple, ctx: ExecutionContext):
         if method == "registerTransferIntent":
             digest, exposed = args
-            return self._register(bytes(digest), bool(exposed), ctx)
+            return self._register(byte_argument(digest), bool(exposed), ctx)
         if method == "setInflectionPoint":
             height, pq_sig = args
-            return self._set_inflection(int(height), bytes(pq_sig), ctx)
+            return self._set_inflection(int(height), byte_argument(pq_sig), ctx)
         raise UnknownMethod(f"qMig contract has no method {method!r}")
 
     def _register(self, digest: bytes, exposed: bool, ctx: ExecutionContext) -> None:

@@ -48,7 +48,7 @@ from .crypto import (
     sign,
 )
 from .crypto.secp256k1 import N
-from .fbr import FbrConfig, RiskService
+from .fbr import RiskService
 from .fis import InterceptorService
 from .ledger import (
     Approve,
@@ -75,7 +75,9 @@ from .qmig import (
     register_intent_call,
 )
 
-DEFAULT_CUSTODIAN_ROLES = ("intercept", "rebalance", "relayer", "guardian")
+# the custodian's fixed roles, their keys drawn in this order: FIS signs intercepts, the
+# balancer rebalances, the relayer submits every vault call, a guardian only co-signs
+CUSTODIAN_ROLES = ("intercept", "rebalance", "relayer", "guardian")
 SERVICE_NAMES = ("fis", "fbr", "balancer")
 # libyaml's parser when PyYAML was built with it: same documents, a sixth of the time
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -122,10 +124,12 @@ class _Params(dict):
 def _reading(where: str):
     """Report a file value the program refuses (a bad fraction or address, a
     duplicate name, a reused one-time key, a signer set or threshold a vault
-    refuses, a number no transaction can encode) as a ParseError naming where."""
+    refuses, a number no transaction can encode) as a ParseError naming where.
+    A fraction over zero raises ZeroDivisionError, an ArithmeticError."""
     try:
         yield
-    except (ValueError, TypeError, KeyExhausted, InvalidThresholds, MalformedTransaction) as exc:
+    except (ValueError, TypeError, ArithmeticError, KeyExhausted, InvalidThresholds,
+            MalformedTransaction) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -145,11 +149,8 @@ class Scenario:
     chain_id: int
     dest_chain_id: int
     run_blocks: int
-    services: dict[str, bool]
-    fbr_config: FbrConfig
     tokens: list[_Params]
     actors: dict[str, _Params]
-    custodian_roles: tuple[str, ...]
     qmig_admin: str | None
     blacklist: list[_Params]
     genesis: list[_Params]
@@ -174,11 +175,8 @@ class Scenario:
             if not condition:
                 raise ParseError(message)
 
-        def known(where: str, raw: dict, fields) -> None:
-            unknown = sorted(set(raw) - set(fields), key=str)
-            need(not unknown, f"unknown {where} keys: {unknown}")
-
-        known("scenario", data, cls.__dataclass_fields__)
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__), key=str)
+        need(not unknown, f"unknown scenario keys: {unknown}")
         data = _Params("scenario", data)
         steps = []
         last_at = 1
@@ -201,18 +199,6 @@ class Scenario:
 
         actors = data.get("actors", {})
         need(isinstance(actors, dict) and actors, "scenario needs a non-empty 'actors' mapping")
-        services = {name: True for name in SERVICE_NAMES}
-        services_over = data.get("services") or {}
-        need(isinstance(services_over, dict), "'services' must be a mapping")
-        services_over = _Params("services", services_over)
-        for name in services_over:
-            need(name in SERVICE_NAMES, f"unknown service {name!r}")
-            services[name] = services_over.flag(name)
-
-        fbr_over = data.get("fbr_config") or {}
-        need(isinstance(fbr_over, dict), "'fbr_config' must be a mapping")
-        known("fbr_config", fbr_over, FbrConfig.__dataclass_fields__)
-        fbr_over = _Params("fbr_config", fbr_over)
 
         def section(where: str, raw) -> _Params:
             need(isinstance(raw, dict), f"{where} must be a mapping")
@@ -232,11 +218,6 @@ class Scenario:
         at_risk = data.get("at_risk")
         if at_risk is not None:
             at_risk = section("at_risk", at_risk)
-        roles = data.get("custodian_roles", DEFAULT_CUSTODIAN_ROLES)
-        need(
-            isinstance(roles, (list, tuple)) and all(isinstance(r, str) for r in roles),
-            "'custodian_roles' must be a list of strings",
-        )
         assertions = data.get("assertions", [])
         need(
             isinstance(assertions, list) and all(isinstance(a, dict) for a in assertions),
@@ -268,11 +249,8 @@ class Scenario:
             chain_id=data.integer("chain_id", 1),
             dest_chain_id=data.integer("dest_chain_id", 9001),
             run_blocks=data.integer("run_blocks", (steps[-1].at if steps else 1) + 2),
-            services=services,
-            fbr_config=FbrConfig(**{key: fbr_over.integer(key) for key in fbr_over}),
             tokens=entries("tokens", data.get("tokens", [])),
             actors={str(k): section(f"actor {k!r}", v or {}) for k, v in actors.items()},
-            custodian_roles=tuple(roles),
             qmig_admin=data.get("qmig_admin"),
             blacklist=entries("blacklist", data.get("blacklist", [])),
             genesis=entries("genesis", data.get("genesis", [])),
@@ -373,18 +351,18 @@ class ScenarioRunner:
                  disabled: tuple[str, ...] = ()):
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
-        self.services = dict(scenario.services)
         for name in disabled:
             if name not in SERVICE_NAMES:
                 raise ParseError(f"cannot disable unknown service {name!r}")
-            self.services[name] = False
+        # a disabled service is built like the others but never ticked
+        self.disabled = frozenset(disabled)
         self.rng = random.Random(self.seed)
 
         self.ledger = Ledger(chain_id=scenario.chain_id)
         self.dest_ledger = QuantumSafeLedger(chain_id=scenario.dest_chain_id)
         self.oracle = QuantumOracle()
         self.custodian = KeyCustodian()
-        self.risk = RiskService(scenario.fbr_config)
+        self.risk = RiskService()
         self.threat_flags: set[str] = set()
         self.actor_keys: dict[str, KeyPair] = {}
         self.actor_pq_keys: dict[str, PqKeyPair] = {}
@@ -421,7 +399,7 @@ class ScenarioRunner:
             scalars.append(rng.randrange(1, N))
             if attrs.flag("pq", False):
                 self.actor_pq_keys[name] = PqKeyPair.generate(rng)
-        scalars.extend(rng.randrange(1, N) for _ in sc.custodian_roles)
+        scalars.extend(rng.randrange(1, N) for _ in CUSTODIAN_ROLES)
         scalars.append(rng.randrange(1, N))  # qMig
         if sc.qmig_admin is None:
             # no administrator, so the inflection can never be set; draw the
@@ -442,13 +420,12 @@ class ScenarioRunner:
         sc = self.scenario
         keys = iter(self._draw_world_keys())
         self.actor_keys.update(zip(sc.actors, keys))
-        role_keys = list(zip(sc.custodian_roles, keys))
+        role_keys = list(zip(CUSTODIAN_ROLES, keys))
         qmig_key = next(keys)
         for key in self.actor_keys.values():
             self.oracle.register_actor(key)
         for role, key in role_keys:
-            with _reading("custodian_roles"):
-                self.custodian.add_role(role, key)
+            self.custodian.add_role(role, key)
             self.oracle.register_actor(key)
 
         for token in sc.tokens:
@@ -517,27 +494,11 @@ class ScenarioRunner:
                 else:
                     self.ledger.genesis_allocate(to, token, alloc.integer("amount"))
 
-        if self.services["fbr"]:
-            for entry in sc.blacklist:
-                self.risk.add_entry(
-                    self.resolve_address(entry["address"]),
-                    str(entry["category"]),
-                    str(entry.get("source", "scenario")),
-                )
-
         contracts = list(self.vaults.values())
-        self.fis = (
-            InterceptorService(
-                self.ledger, self.risk, self.custodian, contracts, self.threat_flags
-            )
-            if self.services["fis"]
-            else None
+        self.fis = InterceptorService(
+            self.ledger, self.risk, self.custodian, contracts, self.threat_flags
         )
-        self.balancer = (
-            BalancerService(self.ledger, self.custodian, contracts, self.threat_flags)
-            if self.services["balancer"]
-            else None
-        )
+        self.balancer = BalancerService(self.ledger, self.custodian, contracts, self.threat_flags)
 
     # -- name resolution ---------------------------------------------------------
 
@@ -721,9 +682,7 @@ class ScenarioRunner:
 
     def _step_bridge(self, step: Step, p: _Params) -> None:
         source, sig = self.resolve_intent(str(p["intent"]))
-        request = BridgeTransfer(
-            source, str(p["token"]), p.integer("amount"), sig, self.ledger.height
-        )
+        request = BridgeTransfer(source, str(p["token"]), p.integer("amount"), sig)
         try:
             self.bridge.bridge_transfer(request)
             outcome = "ok"
@@ -776,6 +735,14 @@ class ScenarioRunner:
 
     def run(self) -> RunReport:
         sc = self.scenario
+        if "fbr" not in self.disabled:  # the blacklist seeds FBR's verdicts
+            for entry in sc.blacklist:
+                with _reading(entry.where):
+                    self.risk.add_entry(
+                        self.resolve_address(entry["address"]),
+                        str(entry["category"]),
+                        str(entry.get("source", "scenario")),
+                    )
         at_risk_amount = 0
         attacker = None
         attacker_start = 0
@@ -792,12 +759,12 @@ class ScenarioRunner:
                 step_index += 1
             new_events = self._take_new_events()
             pending = self.ledger.take_pending()
-            if self.fis is not None:
+            if "fis" not in self.disabled:
                 self.fis.on_block_events(new_events)
                 self.fis.on_tick(pending)
-            if self.balancer is not None:
+            if "balancer" not in self.disabled:
                 self.balancer.on_tick()
-            if self.services["fbr"]:
+            if "fbr" not in self.disabled:
                 # catch the clock up first: bridge events carry the height of
                 # the block this tick is about to build
                 self.risk.advance_to(self.ledger.height)
@@ -824,9 +791,8 @@ class ScenarioRunner:
             lost = min(max(gained, 0), at_risk_amount)
         saved = at_risk_amount - lost
 
-        intercept_count = self.fis.intercept_count if self.fis is not None else 0
         latency = None
-        if self.fis is not None and self.fis.intercept_records:
+        if self.fis.intercept_records:
             _, itx, seen = self.fis.intercept_records[0]
             included = self.tx_outcomes.committed(itx)
             if included is not None:
@@ -844,7 +810,7 @@ class ScenarioRunner:
             assets_at_risk=at_risk_amount,
             assets_saved=saved,
             assets_lost=lost,
-            intercept_count=intercept_count,
+            intercept_count=self.fis.intercept_count,
             intercept_latency_blocks=latency,
             log_lines=self.render_log(),
         )
@@ -861,8 +827,7 @@ class ScenarioRunner:
     def render_log(self) -> list[str]:
         lines = [ev.format_line() for ev in self.ledger.events]
         lines.extend(f"chain=dest {ev.format_line()}" for ev in self.dest_ledger.events)
-        if self.fis is not None:
-            lines.extend(f"alert {line}" for line in self.fis.alerts)
+        lines.extend(f"alert {line}" for line in self.fis.alerts)
         return lines
 
 
@@ -914,16 +879,15 @@ def _permitted(run: ScenarioRunner, raw: dict):
 
 def _alerts(run: ScenarioRunner, raw: dict):
     user = str(raw["user"])
-    count = len(run.fis.alerts_by_user.get(user, [])) if run.fis is not None else 0
-    return count, f"alerts[{user}]"
+    return len(run.fis.alerts_by_user.get(user, [])), f"alerts[{user}]"
 
 
 def _intercepts(run: ScenarioRunner, raw: dict):
-    return (run.fis.intercept_count if run.fis is not None else 0), "intercepts"
+    return run.fis.intercept_count, "intercepts"
 
 
 def _rebalances(run: ScenarioRunner, raw: dict):
-    return (len(run.balancer.actions) if run.balancer is not None else 0), "rebalances"
+    return len(run.balancer.actions), "rebalances"
 
 
 _LABEL = {"label": ()}

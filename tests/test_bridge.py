@@ -87,7 +87,6 @@ def request(world, amount, source=None, sig=None):
         token="gold",
         amount=amount,
         intent_sig=sig or world.sig,
-        requested_at=world.ledger.height,
     )
 
 

@@ -259,7 +259,12 @@ def test_negative_amount_reverts_without_dropping_other_transactions():
 
 @pytest.mark.parametrize(
     "method",
-    ["registerTransferIntent", "execute", "enroll", "updateConfig"],
+    ["registerTransferIntent", "execute", "enroll", "updateConfig",
+     # an int where bytes belong: bytes(n) would be n zero bytes, or an
+     # OverflowError out of build_block once n does not fit a C ssize_t
+     "registerTransferIntent-int-digest", "registerTransferIntent-huge-digest",
+     "setInflectionPoint-huge-signature", "execute-huge-blob",
+     "enroll-zero-denominator"],
 )
 def test_malformed_contract_call_reverts_without_dropping_other_transactions(method):
     rng = random.Random(41)
@@ -286,6 +291,24 @@ def test_malformed_contract_call_reverts_without_dropping_other_transactions(met
                 vault.address, "enroll",
                 ((1, 5, 1, 20, 500, 10), ("gold",), 2, bytes(19), bytes(32)),
             ),
+            "registerTransferIntent-int-digest": ContractCall(
+                qmig.address, "registerTransferIntent", (32, False)
+            ),
+            "registerTransferIntent-huge-digest": ContractCall(
+                qmig.address, "registerTransferIntent", (2**63, False)
+            ),
+            "setInflectionPoint-huge-signature": ContractCall(
+                qmig.address, "setInflectionPoint", (5, 2**63)
+            ),
+            "execute-huge-blob": ContractCall(
+                vault.address, "execute",
+                ("withdraw", ("fungible", bytes(20), "gold", 1), 0, (2**63,)),
+            ),
+            # a policy fraction with a zero denominator
+            "enroll-zero-denominator": ContractCall(
+                vault.address, "enroll",
+                ((1, 0, 0, 1, 10, 5), ("gold",), 2, bytes(20), bytes(32)),
+            ),
         }[method]
         bad = sign_transaction(ALICE, 0, 1, payload)
     ledger.submit_transaction(bad)
@@ -295,7 +318,7 @@ def test_malformed_contract_call_reverts_without_dropping_other_transactions(met
     assert outcomes == {valid.tx_id: "Executed", bad.tx_id: "Reverted:InvalidArgument"}
     assert ledger.balance_of(BOB.address) == 30
     assert ledger.nonces[ALICE.address] == 1
-    assert (vault.enrollments, qmig.registry) == ({}, {})
+    assert (vault.enrollments, qmig.registry, qmig.inflection) == ({}, {}, None)
     assert vault.config.thresholds == dict(DEFAULT_THRESHOLDS)
 
 

@@ -12,7 +12,7 @@ from failsafe.cli import bundled_scenarios, main
 from failsafe.contract import CustodianUnavailable
 from failsafe.crypto import RecoverableSignature, keccak256, recover_signer, sign
 from failsafe.ledger import NATIVE, compute_tx_digest
-from failsafe.scenario import ParseError, Scenario, ScenarioRunner, UnknownActor
+from failsafe.scenario import CUSTODIAN_ROLES, ParseError, Scenario, ScenarioRunner, UnknownActor
 from oracles import replay_balance_from_events
 
 MINIMAL = {
@@ -56,8 +56,9 @@ def edited(**overrides):
     "broken, fragment",
     [
         (edited(actors={}), "non-empty 'actors'"),
-        (edited(services={"firewall": True}), "unknown service"),
-        (edited(fbr_config={"threshold": 1}), "unknown fbr_config keys"),
+        # sections a scenario no longer has, refused in every shape they once took
+        (edited(services={"firewall": True}), "unknown scenario keys: ['services']"),
+        (edited(fbr_config={"threshold": 1}), "unknown scenario keys: ['fbr_config']"),
         (
             edited(steps=[
                 {"at": 2, "action": "transfer"},
@@ -76,10 +77,10 @@ def edited(**overrides):
         (edited(at_risk=["gold"]), "at_risk must be a mapping"),
         (edited(failsafe=[{"owner": "alice", "enrollments": [None]}]),
          "failsafe entry 0 enrollments entry 0 must be a mapping"),
-        (edited(services=["fis"]), "'services' must be a mapping"),
-        (edited(fbr_config=5), "'fbr_config' must be a mapping"),
-        (edited(custodian_roles=5), "'custodian_roles' must be a list of strings"),
-        (edited(custodian_roles=["intercept", 7]), "'custodian_roles' must be a list of strings"),
+        (edited(services=["fis"]), "unknown scenario keys: ['services']"),
+        (edited(fbr_config=5), "unknown scenario keys: ['fbr_config']"),
+        (edited(custodian_roles=5), "unknown scenario keys: ['custodian_roles']"),
+        (edited(custodian_roles=["intercept", 7]), "unknown scenario keys: ['custodian_roles']"),
         (edited(assertions=5), "'assertions' must be a list of mappings"),
         (edited(assertions=["balance"]), "'assertions' must be a list of mappings"),
         (
@@ -96,11 +97,9 @@ def edited(**overrides):
             edited(assertions=[{"check": "outcome", "label": "pay", "at_least": 1}]),
             "assertion 0 (outcome) needs equals",
         ),
-        (edited(services={"fis": "no"}), "services: 'fis' must be true or false, got 'no'"),
-        (edited(fbr_config={"window_length": "x"}),
-         "fbr_config: 'window_length' must be an integer, got 'x'"),
-        (edited(fbr_config={"window_length": True}),
-         "fbr_config: 'window_length' must be an integer, got True"),
+        (edited(services={"fis": "no"}), "unknown scenario keys: ['services']"),
+        (edited(fbr_config={"window_length": "x"}), "unknown scenario keys: ['fbr_config']"),
+        (edited(fbr_config={"window_length": True}), "unknown scenario keys: ['fbr_config']"),
         (
             edited(assertions=[{"check": "intercepts", "at_least": "many"}]),
             "assertion 0 (intercepts): 'at_least' must be an integer, got 'many'",
@@ -119,7 +118,7 @@ def edited(**overrides):
             "assertion 0 (balance) takes one of equals/at_least/at_most, got equals and at_most",
         ),
         (edited(asertions=[]), "unknown scenario keys: ['asertions']"),
-        (edited(fbr_config={1: 2, "windw": 3}), "unknown fbr_config keys: [1, 'windw']"),
+        ({**MINIMAL, 1: 2, "windw": 3}, "unknown scenario keys: [1, 'windw']"),
         (
             edited(run_blocks=1, steps=[{"at": 2, "action": "clear_threat"},
                                         {"at": 3, "action": "clear_threat"}]),
@@ -164,6 +163,10 @@ def test_structural_validation(broken, fragment):
         ({"assertions": [{"check": "alerts", "equals": 0}]},
          "assertion 0 (alerts): missing parameter 'user'"),
         ({"asertions": []}, "unknown scenario keys: ['asertions']"),
+        ({"services": {"fis": 1}}, "unknown scenario keys: ['services']"),
+        ({"custodian_roles": ["relayer", "relayer"]},
+         "unknown scenario keys: ['custodian_roles']"),
+        ({"fbr_config": {"window_length": 2.5}}, "unknown scenario keys: ['fbr_config']"),
     ],
 )
 def test_incomplete_section_is_a_parse_error(overrides, message, tmp_path, capsys):
@@ -175,6 +178,16 @@ def test_incomplete_section_is_a_parse_error(overrides, message, tmp_path, capsy
 
 def _transfer(**fields):
     return [dict(MINIMAL["steps"][0], **fields)]
+
+
+_POLICY = {"hot_fraction_target": 1, "hot_fraction_tolerance": 0,
+           "max_value_per_window": 100, "window_length": 5}
+
+
+def _enrolled(policy=None, **fields):
+    enrollment = {"wallet": "alice", "policy": dict(_POLICY, **(policy or {})),
+                  "tokens": ["gold"], "dest": "bob", **fields}
+    return [{"owner": "alice", "signers": ["alice", "bob"], "enrollments": [enrollment]}]
 
 
 _INTENT = {"at": 1, "action": "make_intent", "source": "alice", "dest": "bob", "store": "x"}
@@ -200,10 +213,6 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
             {"genesis": [{"to": "alice", "token": "gold", "amount": "lots"}]},
             "genesis entry 0: 'amount' must be an integer, got 'lots'",
         ),
-        (
-            {"custodian_roles": ["relayer", "relayer"]},
-            "custodian_roles: role 'relayer' already provisioned",
-        ),
         ({"tokens": [{"id": "gold"}, {"id": "gold"}]}, "tokens entry 1: token 'gold' already exists"),
         (
             {"failsafe": [{"owner": "alice", "signers": ["alice"], "thresholds": {"bogus": 1}}]},
@@ -228,12 +237,15 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
             {"failsafe": [{"owner": "alice", "signers": ["alice", "bob"]}] * 2},
             "failsafe entry 1: role 'contract:alice' already provisioned",
         ),
+        ({"blacklist": [{"address": "bob", "category": "theft"}]},
+         "blacklist entry 0: unknown blacklist category 'theft'"),
+        ({"failsafe": _enrolled({"hot_fraction_target": "1/0"})},
+         "failsafe entry 0 enrollments entry 0 policy: Fraction(1, 0)"),
     ],
     ids=["amount", "gas-price", "bridge-amount", "hex-address", "unencodable-amount",
-         "genesis-amount",
-         "duplicate-role", "duplicate-token", "threshold-name", "steps-not-a-list",
+         "genesis-amount", "duplicate-token", "threshold-name", "steps-not-a-list",
          "reused-lamport-key", "no-signers", "repeated-signer", "threshold-range",
-         "duplicate-owner"],
+         "duplicate-owner", "blacklist-category", "policy-zero-denominator"],
 )
 def test_refused_file_value_is_a_parse_error(overrides, message, tmp_path, capsys):
     path = tmp_path / "bad-value.yaml"
@@ -244,14 +256,6 @@ def test_refused_file_value_is_a_parse_error(overrides, message, tmp_path, capsy
 
 _ART = {"tokens": [{"id": "gold"}, {"id": "art", "kind": "nft"}],
         "genesis": [MINIMAL["genesis"][0], {"to": "alice", "token": "art", "token_id": 7}]}
-_POLICY = {"hot_fraction_target": 1, "hot_fraction_tolerance": 0,
-           "max_value_per_window": 100, "window_length": 5}
-
-
-def _enrolled(policy=None, **fields):
-    enrollment = {"wallet": "alice", "policy": dict(_POLICY, **(policy or {})),
-                  "tokens": ["gold"], "dest": "bob", **fields}
-    return [{"owner": "alice", "signers": ["alice", "bob"], "enrollments": [enrollment]}]
 
 
 @pytest.mark.parametrize(
@@ -309,9 +313,6 @@ def _enrolled(policy=None, **fields):
          "got True"),
         ({"failsafe": _enrolled(dest_chain="9001")},
          "failsafe entry 0 enrollments entry 0: 'dest_chain' must be an integer, got '9001'"),
-        ({"fbr_config": {"window_length": 2.5}},
-         "fbr_config: 'window_length' must be an integer, got 2.5"),
-        ({"services": {"fis": 1}}, "services: 'fis' must be true or false, got 1"),
         ({"steps": _transfer(private="false")},
          "step 0 (transfer): 'private' must be true or false, got 'false'"),
         ({"actors": {"alice": {"pq": "no"}, "bob": {}}},
@@ -328,7 +329,7 @@ def _enrolled(policy=None, **fields):
     ids=["seed", "chain-id", "dest-chain-id", "run-blocks", "at", "amount-float",
          "amount-bool", "gas-price", "approve-amount", "token-id", "height", "dest-chain",
          "bridge-amount", "genesis-amount", "genesis-token-id", "at-risk-amount", "threshold",
-         "policy-cap", "policy-window", "enrollment-dest-chain", "fbr-config", "service",
+         "policy-cap", "policy-window", "enrollment-dest-chain",
          "private", "pq", "vault-signers", "withdraw-signers"],
 )
 def test_mistyped_file_value_is_a_parse_error(overrides, message, tmp_path, capsys):
@@ -531,6 +532,84 @@ def test_disabling_unknown_service_rejected():
         ScenarioRunner(Scenario.from_dict(MINIMAL), disabled=("firewall",))
 
 
+# erin's hot wallet holds 200 gold, enrolled with a 1/5 hot target; her vault
+# holds 800 gold and one NFT from genesis
+_VAULT = {
+    "seed": 12,
+    "actors": {"erin": {}, "whale": {}, "attacker": {}},
+    "tokens": [{"id": "gold"}, {"id": "art", "kind": "nft"}],
+    "blacklist": [{"address": "attacker", "category": "FraudContract"}],
+    "genesis": [{"to": "erin", "token": "gold", "amount": 200},
+                {"to": "erin.contract", "token": "gold", "amount": 800},
+                {"to": "erin.contract", "token": "art", "token_id": 7},
+                {"to": "whale", "token": "gold", "amount": 2000}],
+    "failsafe": [{
+        "owner": "erin", "signers": ["role:intercept", "role:rebalance", "role:guardian"],
+        "enrollments": [{"wallet": "erin", "tokens": ["gold"], "dest": "erin@dest", "policy": {
+            "hot_fraction_target": "1/5", "hot_fraction_tolerance": "1/20",
+            "max_value_per_window": 100000, "window_length": 10}}],
+    }],
+}
+
+
+@pytest.mark.parametrize("cleared", [False, True], ids=["flagged", "cleared"])
+def test_rebalancing_resumes_once_the_threat_flag_is_cleared(cleared):
+    steps = [
+        # a drain to the blacklisted attacker: FIS pulls the hot 200 into
+        # custody and flags erin, which stops the balancer for her vault
+        {"at": 2, "action": "transfer", "signer": "erin", "to": "attacker", "token": "gold",
+         "amount": 100, "gas_price": 100},
+        # the hot share becomes 600/1600, far outside 1/5 +/- 1/20
+        {"at": 3, "action": "transfer", "signer": "whale", "to": "erin", "token": "gold",
+         "amount": 600},
+    ]
+    if cleared:
+        steps.append({"at": 5, "action": "clear_threat", "owner": "erin"})
+    runner = ScenarioRunner(Scenario.from_dict(dict(_VAULT, steps=steps, run_blocks=6)))
+    runner.run()
+    erin, vault = runner.resolve_address("erin"), runner.vaults["erin"].address
+    balances = runner.ledger.balance_of(erin, "gold"), runner.ledger.balance_of(vault, "gold")
+    rebalanced = [ev.height for ev in runner.ledger.events
+                  if ev.kind == "MultisigExecuted" and ev.get("op") == "rebalance"]
+    assert runner.fis.intercept_count == 1
+    if cleared:
+        assert runner.threat_flags == set()
+        assert [action.delta for action in runner.balancer.actions] == [600 - 320]
+        assert rebalanced == [5]  # in the block of the step that cleared the flag
+        assert balances == (320, 1280)
+    else:
+        assert runner.threat_flags == {"erin"}
+        assert runner.balancer.actions == [] and rebalanced == []
+        assert balances == (600, 1000)
+
+
+def test_withdraw_releases_an_nft_from_custody():
+    step = {"at": 1, "action": "withdraw", "owner": "erin", "wallet": "erin", "token": "art",
+            "asset_kind": "nft", "token_id": 7, "signers": ["role:guardian", "role:rebalance"],
+            "label": "release"}
+    runner = ScenarioRunner(Scenario.from_dict(dict(_VAULT, steps=[step])))
+    assert runner.ledger.nft_owner_of("art", 7) == runner.vaults["erin"].address
+    runner.run()
+    assert runner.tx_outcomes.committed(runner.labels["release"])[1] == "Executed"
+    assert runner.ledger.nft_owner_of("art", 7) == runner.resolve_address("erin")
+
+
+def test_a_custody_intent_verifies_after_the_inflection():
+    # the vault registered its intent towards erin when she enrolled, in block 1
+    data = dict(
+        _VAULT, actors={**_VAULT["actors"], "admin": {"pq": True}}, qmig_admin="admin",
+        steps=[{"at": 1, "action": "set_inflection", "signer": "admin", "height": 2},
+               {"at": 3, "action": "verify_intent", "intent": "erin:custody", "label": "custody"}],
+        assertions=[{"check": "verify", "label": "custody", "equals": "true"}],
+    )
+    runner = ScenarioRunner(Scenario.from_dict(data))
+    pair = (runner.vaults["erin"].address, runner.resolve_address("erin"))
+    report = runner.run()
+    assert runner.qmig.inflection == 2
+    assert report.assertion_results == [(True, "verify[custody] = true")]
+    assert pair in runner.qmig.authorized_pairs
+
+
 def test_at_risk_accounting_is_conserved():
     for name in ("key-theft-intercept", "private-tx-bypass", "policy-limit-trip"):
         report = ScenarioRunner(Scenario.load(scenario_path(name))).run()
@@ -564,6 +643,23 @@ GOLDEN_LOG_SHA256 = {
     "quantum-stolen-funds-rejected": "dd9a19325104ce294b6a32ec528a54bf837f4e6596f1b17c5e4e68aea63c9fb3",
     "rebalance-drift": "bae06d0bce0d120cb988dbdf27b9153b79ec447928de1093916c12412b992eff",
 }
+
+
+# sha256 of the event log with one defence switched off, at the file seed.
+# Each differs from the scenario's golden log, so a disabled service that
+# still acted, or an enabled one that did not, changes a value here.
+DISABLED_LOG_SHA256 = {
+    ("approval-phish", "fbr"): "329b92f4d52cff31f046b7a2828a291400daa9f0c84f80332e29e2504e39b257",
+    ("key-theft-intercept", "fis"): "b2bc0c8448fd71733a5c19c5151909617a92c372d48edb99f6a454d236d64659",
+    ("rebalance-drift", "balancer"): "cd7c0f5dc53df96d4feae064661660755ef1280e9d83c69df4d3cfecdcf14cf9",
+}
+
+
+@pytest.mark.parametrize("name, service", sorted(DISABLED_LOG_SHA256))
+def test_a_disabled_service_changes_the_log_it_is_pinned_to(name, service):
+    report = ScenarioRunner(Scenario.load(scenario_path(name)), disabled=(service,)).run()
+    digest = hashlib.sha256("\n".join(report.log_lines).encode()).hexdigest()
+    assert digest == DISABLED_LOG_SHA256[name, service] != GOLDEN_LOG_SHA256[name]
 
 
 def test_all_bundled_scenarios_hold_their_assertions():
@@ -606,7 +702,7 @@ def test_signatures_made_when_read_equal_eager_ones():
         runner.run()
         keys = {key.address: key for key in (
             *runner.actor_keys.values(),
-            *map(runner.custodian.key_for, runner.scenario.custodian_roles),
+            *map(runner.custodian.key_for, CUSTODIAN_ROLES),
         )}
         for i, (tx, _) in enumerate(tx for block in runner.ledger.blocks for tx in block.txs):
             deferred += _unsigned(tx)

@@ -24,7 +24,7 @@ from failsafe.crypto.secp256k1 import (
     sign,
 )
 from failsafe.ledger import NativeTransfer, Transaction, compute_tx_digest, sign_transaction
-from failsafe.scenario import DEFAULT_CUSTODIAN_ROLES, Scenario, ScenarioRunner
+from failsafe.scenario import CUSTODIAN_ROLES, Scenario, ScenarioRunner
 from oracles import reference_point_add, reference_point_mul
 
 # deterministic-nonce test vector for secp256k1 with SHA-256, private key 1,
@@ -181,19 +181,19 @@ def test_world_keys_match_one_at_a_time_generation():
     alice, bob = KeyPair.generate(rng), KeyPair.generate(rng)
     bob_pq = PqKeyPair.generate(rng)
     carol = KeyPair.generate(rng)
-    roles = [KeyPair.generate(rng) for _ in DEFAULT_CUSTODIAN_ROLES]
+    roles = [KeyPair.generate(rng) for _ in CUSTODIAN_ROLES]
     qmig, alice_vault = KeyPair.generate(rng), KeyPair.generate(rng)
     zed_pq = PqKeyPair.generate(rng)  # alice's enrollment resolves zed@dest
     carol_vault = KeyPair.generate(rng)
 
     assert runner.actor_keys == {"alice": alice, "bob": bob, "carol": carol}
     assert runner.actor_pq_keys["bob"].public == bob_pq.public
-    assert [runner.custodian.key_for(role) for role in DEFAULT_CUSTODIAN_ROLES] == roles
+    assert [runner.custodian.key_for(role) for role in CUSTODIAN_ROLES] == roles
     assert runner.qmig.address == qmig.address
     assert runner.vaults["alice"].key == alice_vault
     assert runner.dest_keys["zed"].public == zed_pq.public
     assert runner.vaults["carol"].key == carol_vault
-    world = [*runner.actor_keys.values(), *map(runner.custodian.key_for, DEFAULT_CUSTODIAN_ROLES),
+    world = [*runner.actor_keys.values(), *map(runner.custodian.key_for, CUSTODIAN_ROLES),
              *(vault.key for vault in runner.vaults.values())]
     assert all(vars(key)["address"] == derive_address(key.public_bytes) for key in world)
 
