@@ -7,19 +7,16 @@ pre-inflection transfer intent and stay within the source address's
 cumulative permitted amount, which excludes funds stolen after the
 inflection point.
 
-The destination ledger is deliberately minimal: balances, bridge mints,
-and transfers authorized only by Lamport one-time signatures.
+The destination ledger is deliberately minimal: balances and bridge mints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crypto import Address, PqPublicKey, PqSignature, keccak256, pq_verify
-from .encoding import encode_value
-from .ledger import EXECUTED, InsufficientBalance, InvalidAmount, Ledger, LedgerEvent
+from .crypto import Address, PqPublicKey, keccak256
+from .ledger import InsufficientBalance, Ledger, LedgerEvent
 from .qmig import (
-    BadPqSignature,
     InflectionUnset,
     QmigContract,
     TransferIntentSource,
@@ -71,61 +68,22 @@ class BridgeBook:
 
 
 class QuantumSafeLedger:
-    """Balances plus pq-signature-gated transfers; mints come from the bridge."""
+    """Balances and events on the destination chain; every credit is a bridge mint."""
 
     def __init__(self, chain_id: int):
         self.chain_id = chain_id
-        self.height = 0
         self.balances: dict[str, dict[Address, int]] = {}
-        self.nonces: dict[Address, int] = {}
         self.events: list[LedgerEvent] = []
-
-    def advance_to(self, height: int) -> None:
-        if height < self.height:
-            raise ValueError(f"height {height} regresses below {self.height}")
-        self.height = height
 
     def balance_of(self, addr: Address, token: str) -> int:
         return self.balances.get(token, {}).get(addr, 0)
 
-    def mint(self, to: Address, token: str, amount: int) -> None:
+    def mint(self, to: Address, token: str, amount: int, height: int) -> None:
         book = self.balances.setdefault(token, {})
         book[to] = book.get(to, 0) + amount
         self.events.append(
-            LedgerEvent(self.height, "BridgeMint", {"to": to, "token": token, "amount": amount})
+            LedgerEvent(height, "BridgeMint", {"to": to, "token": token, "amount": amount})
         )
-
-    def transfer_digest(
-        self, sender: Address, to: Address, token: str, amount: int, nonce: int
-    ) -> bytes:
-        body = encode_value((self.chain_id, bytes(sender), bytes(to), token, amount, nonce))
-        return keccak256(b"QS-TX" + body)
-
-    def transfer(
-        self,
-        sender_public: PqPublicKey,
-        to: Address,
-        token: str,
-        amount: int,
-        signature: PqSignature,
-    ) -> None:
-        """Spend under a Lamport signature from the address-bound key."""
-        if isinstance(amount, bool) or not isinstance(amount, int) or amount < 0:
-            raise InvalidAmount(f"transfer amount must be a non-negative int, got {amount!r}")
-        sender = pq_address(sender_public)
-        nonce = self.nonces.get(sender, 0)
-        digest = self.transfer_digest(sender, to, token, amount, nonce)
-        if not pq_verify(sender_public, digest, signature):
-            raise BadPqSignature("transfer requires a valid Lamport signature")
-        book = self.balances.setdefault(token, {})
-        held = book.get(sender, 0)
-        if held < amount:
-            raise InsufficientBalance(f"{sender} holds {held} {token}, needs {amount}")
-        self.nonces[sender] = nonce + 1
-        book[sender] = held - amount
-        book[to] = book.get(to, 0) + amount
-        fields = {"from": sender, "to": to, "token": token, "amount": amount, "outcome": EXECUTED}
-        self.events.append(LedgerEvent(self.height, "Transfer", fields))
 
 
 class Bridge:
@@ -135,7 +93,6 @@ class Bridge:
         self.dest = dest_ledger
         self.qmig = qmig
         self.book = BridgeBook()
-        self.escrow = ESCROW_ADDRESS
 
     def _emit(self, req: BridgeTransfer, outcome: str, reason: str | None = None) -> None:
         fields = {
@@ -170,14 +127,14 @@ class Bridge:
                 raise ExceedsPermitted(
                     f"{already} bridged + {req.amount} requested > permitted {permitted}"
                 )
-            self.source.apply_bridge_lock(holder, self.escrow, req.token, req.amount)
+            self.source.apply_bridge_lock(holder, ESCROW_ADDRESS, req.token, req.amount)
         except (InflectionUnset, WrongChain, VerifyError, ExceedsPermitted,
                 InsufficientBalance) as exc:
             self._emit(req, "error", type(exc).__name__)
             raise
 
-        self.dest.advance_to(self.source.height + 1)
-        self.dest.mint(req.source.dest_address, req.token, req.amount)
+        # the mint belongs to the source block the lock executes in
+        self.dest.mint(req.source.dest_address, req.token, req.amount, self.source.height + 1)
         book = self.book
         for tally, key in ((book.locked_on_source, req.token),
                            (book.minted_on_dest, (req.source.dest_address, req.token)),

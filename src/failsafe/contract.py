@@ -251,7 +251,7 @@ class FailSafeContract:
             raise AlreadyEnrolled(f"wallet {wallet} already enrolled with {self.owner}")
         try:
             policy = PolicyConfig.from_tuple(tuple(policy_tuple))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:  # a zero denominator too
             raise InvalidPolicy(str(exc)) from exc
         record = EnrolledWallet(
             wallet=wallet,

@@ -40,23 +40,16 @@ class RiskVerdict:
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class BlacklistEntry:
-    address: Address
-    category: str
-    source: str
-
-
-@dataclass(frozen=True)
-class FbrConfig:
-    window_length: int = 20
-    drain_min_senders: int = 3
-    # forward fraction as numerator/denominator: outflow >= 9/10 of inflow
-    drain_forward_num: int = 9
-    drain_forward_den: int = 10
-    young_age_blocks: int = 10
-    young_inflow_threshold: int = 10_000
-    intercept_score_threshold: int = 70
+# the behavioral heuristics' thresholds, fixed: no input sets them
+WINDOW_LENGTH = 20  # blocks of transfers each verdict weighs
+DRAIN_MIN_SENDERS = 3
+# forward fraction as numerator/denominator: outflow >= 9/10 of inflow
+DRAIN_FORWARD_NUM = 9
+DRAIN_FORWARD_DEN = 10
+YOUNG_AGE_BLOCKS = 10
+YOUNG_INFLOW_THRESHOLD = 10_000
+# FIS intercepts a counterparty whose verdict scores at least this
+INTERCEPT_SCORE_THRESHOLD = 70
 
 
 @dataclass
@@ -67,9 +60,8 @@ class _Activity:
 
 
 class RiskService:
-    def __init__(self, config: FbrConfig | None = None):
-        self.config = config or FbrConfig()
-        self._entries: dict[tuple[Address, str], BlacklistEntry] = {}
+    def __init__(self):
+        self._sources: dict[tuple[Address, str], str] = {}  # (address, category) -> source
         self._activity: dict[Address, _Activity] = {}
         self._last_height = 0
 
@@ -105,9 +97,9 @@ class RiskService:
         if category not in BLACKLIST_CATEGORIES:
             raise ValueError(f"unknown blacklist category {category!r}")
         key = (address, category)
-        if key in self._entries:
+        if key in self._sources:
             return False
-        self._entries[key] = BlacklistEntry(address, category, source)
+        self._sources[key] = source
         return True
 
     # -- observations ------------------------------------------------------------
@@ -136,17 +128,14 @@ class RiskService:
 
     def risk_score(self, addr: Address) -> RiskVerdict:
         for category in BLACKLIST_CATEGORIES:
-            entry = self._entries.get((addr, category))
-            if entry is not None:
-                return RiskVerdict(
-                    100, category, (f"blacklisted as {category} by {entry.source}",)
-                )
+            source = self._sources.get((addr, category))
+            if source is not None:
+                return RiskVerdict(100, category, (f"blacklisted as {category} by {source}",))
         activity = self._activity.get(addr)
         if activity is None:
             return RiskVerdict(0, "Clean", ())
 
-        cfg = self.config
-        floor = self._last_height - cfg.window_length + 1
+        floor = self._last_height - WINDOW_LENGTH + 1
         for ring in (activity.inbound, activity.outbound):
             while ring and ring[0][0] < floor:
                 ring.popleft()
@@ -157,16 +146,16 @@ class RiskService:
         score = 0
         reasons = []
         if (
-            len(senders) >= cfg.drain_min_senders
+            len(senders) >= DRAIN_MIN_SENDERS
             and inflow > 0
-            and outflow * cfg.drain_forward_den >= inflow * cfg.drain_forward_num
+            and outflow * DRAIN_FORWARD_DEN >= inflow * DRAIN_FORWARD_NUM
         ):
             score += 40
             reasons.append(
                 f"drain pattern: {len(senders)} senders, forwarded {outflow} of {inflow}"
             )
         age = None if activity.first_seen is None else self._last_height - activity.first_seen
-        if age is not None and age < cfg.young_age_blocks and inflow > cfg.young_inflow_threshold:
+        if age is not None and age < YOUNG_AGE_BLOCKS and inflow > YOUNG_INFLOW_THRESHOLD:
             score += 20
             reasons.append(f"young address (age {age} blocks) received {inflow}")
         score = min(score, 100)

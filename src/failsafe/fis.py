@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .contract import FailSafeContract, KeyCustodian, OperationKind, find_enrollment
 from .crypto import Address
-from .fbr import RiskService
+from .fbr import INTERCEPT_SCORE_THRESHOLD, RiskService
 from .ledger import (
     Approve,
     EXECUTED,
@@ -140,7 +140,7 @@ class InterceptorService:
 
         trigger = None
         verdict = self.risk.risk_score(counterparty)
-        if verdict.score >= self.risk.config.intercept_score_threshold:
+        if verdict.score >= INTERCEPT_SCORE_THRESHOLD:
             trigger = f"RiskScore:{verdict.score}"
         elif outflow is not None:
             projected = outflow + self.window.total(

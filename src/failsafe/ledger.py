@@ -30,7 +30,6 @@ compare signatures and so make them; the ledger uses none.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -48,8 +47,6 @@ from .crypto import (
     sign,
 )
 from .encoding import MAX_INT_BITS, encode_value
-
-logger = logging.getLogger(__name__)
 
 NATIVE = "native"
 UNLIMITED = None  # allowance value meaning "never decremented"
@@ -536,7 +533,6 @@ class Ledger:
         """Relay directly to the block builder; no pending event is emitted."""
         self._validate(tx)
         if tx.sender in self.exceptions_list:
-            logger.info("private tx from %s dropped: exceptions list", tx.sender)
             return PrivateRelayStatus.FILTERED_BY_EXCEPTIONS_LIST
         self._private_pool.append((self._seq, tx))
         self._seq += 1

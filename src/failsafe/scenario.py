@@ -30,7 +30,6 @@ from .bridge import ESCROW_ADDRESS, Bridge, BridgeTransfer, QuantumSafeLedger, p
 from .contract import (
     DEFAULT_THRESHOLDS,
     FailSafeContract,
-    InvalidThresholds,
     KeyCustodian,
     OperationKind,
     PolicyConfig,
@@ -59,6 +58,7 @@ from .ledger import (
     NATIVE,
     NativeTransfer,
     NftTransfer,
+    RevertError,
     TokenTransfer,
     TokenTransferFrom,
     Transaction,
@@ -79,6 +79,8 @@ from .qmig import (
 # balancer rebalances, the relayer submits every vault call, a guardian only co-signs
 CUSTODIAN_ROLES = ("intercept", "rebalance", "relayer", "guardian")
 SERVICE_NAMES = ("fis", "fbr", "balancer")
+# the most blocks a scenario may run, far above any bundled or generated one
+MAX_BLOCKS = 1_000_000
 # libyaml's parser when PyYAML was built with it: same documents, a sixth of the time
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -124,11 +126,12 @@ class _Params(dict):
 def _reading(where: str):
     """Report a file value the program refuses (a bad fraction or address, a
     duplicate name, a reused one-time key, a signer set or threshold a vault
-    refuses, a number no transaction can encode) as a ParseError naming where.
-    A fraction over zero raises ZeroDivisionError, an ArithmeticError."""
+    refuses, an undeclared token or one of the wrong kind, a number no
+    transaction can encode) as a ParseError naming where. A fraction over zero
+    raises ZeroDivisionError, an ArithmeticError."""
     try:
         yield
-    except (ValueError, TypeError, ArithmeticError, KeyExhausted, InvalidThresholds,
+    except (ValueError, TypeError, ArithmeticError, KeyExhausted, RevertError,
             MalformedTransaction) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -186,6 +189,7 @@ class Scenario:
             need("at" in raw and "action" in raw, f"step {i} needs 'at' and 'action'")
             at = _Params(f"step {i}", raw).integer("at")
             need(at >= 1, f"step {i}: 'at' must be >= 1")
+            need(at <= MAX_BLOCKS, f"step {i}: 'at' must be <= {MAX_BLOCKS}")
             need(at >= last_at, f"step {i}: steps must be sorted by 'at'")
             last_at = at
             action = str(raw["action"])
@@ -259,6 +263,8 @@ class Scenario:
             steps=steps,
             assertions=assertions,
         )
+        need(scenario.run_blocks <= MAX_BLOCKS,
+             f"'run_blocks' must be <= {MAX_BLOCKS}, got {scenario.run_blocks}")
         late = next((step.at for step in steps if step.at > scenario.run_blocks), None)
         need(late is None, f"step at block {late} beyond run_blocks={scenario.run_blocks}")
         return scenario
@@ -470,15 +476,16 @@ class ScenarioRunner:
                         policy.integer("max_value_per_window"),
                         policy.integer("window_length"),
                     )
-                receipt = enroll_wallet(
-                    self.ledger,
-                    vault,
-                    hot_key,
-                    config,
-                    [str(t) for t in enrollment["tokens"]],
-                    enrollment.integer("dest_chain", sc.dest_chain_id),
-                    self.resolve_address(enrollment["dest"]),
-                )
+                with _reading(enrollment.where):
+                    receipt = enroll_wallet(
+                        self.ledger,
+                        vault,
+                        hot_key,
+                        config,
+                        [str(t) for t in enrollment.sequence("tokens")],
+                        enrollment.integer("dest_chain", sc.dest_chain_id),
+                        self.resolve_address(enrollment["dest"]),
+                    )
                 self.intents[f"{wallet_name}:enroll"] = (
                     receipt.intent_source, receipt.intent_sig,
                 )
@@ -748,9 +755,10 @@ class ScenarioRunner:
         attacker_start = 0
         if sc.at_risk is not None:
             # snapshot at genesis, before any step or block runs
-            at_risk_amount = sc.at_risk.integer("amount")
-            attacker = self.resolve_address(sc.at_risk["attacker"])
-            attacker_start = self.ledger.balance_of(attacker, str(sc.at_risk["token"]))
+            with _reading(sc.at_risk.where):
+                at_risk_amount = sc.at_risk.integer("amount")
+                attacker = self.resolve_address(sc.at_risk["attacker"])
+                attacker_start = self.ledger.balance_of(attacker, str(sc.at_risk["token"]))
 
         step_index = 0
         for target_height in range(1, sc.run_blocks + 1):

@@ -19,7 +19,7 @@ from failsafe.contract import (
     enroll_wallet,
 )
 from failsafe.crypto import Address, KeyPair
-from failsafe.ledger import NATIVE, UNLIMITED, Approve, Ledger, sign_transaction
+from failsafe.ledger import NATIVE, UNLIMITED, Approve, ContractCall, Ledger, sign_transaction
 from failsafe.qmig import QmigContract
 
 QMIG_ADDRESS = Address(bytes(range(1, 21)))
@@ -122,6 +122,21 @@ def test_second_enrollment_reverts():
     assert outcomes[receipt.txs[-1].tx_id] == "Reverted:AlreadyEnrolled"
     # the failed enrollment must not leave a second outbound intent behind
     assert len(world.qmig.registry) == 2
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [(2, 1, 0, 1, 500, 10), (1, 5, -1, 20, 500, 10), (1, 0, 0, 1, 500, 10), 5],
+    ids=["target-above-one", "negative-tolerance", "zero-denominator", "not-a-tuple"],
+)
+def test_a_bad_enroll_policy_reverts_invalid_policy(policy):
+    world = make_world(enroll=False)
+    args = (policy, ("gold",), 2, bytes(world.hot.address), bytes(32))
+    tx = sign_transaction(world.hot, 0, 1, ContractCall(world.contract.address, "enroll", args))
+    world.ledger.submit_transaction(tx)
+    block = world.ledger.build_block()
+    assert [outcome for _, outcome in block.txs] == ["Reverted:InvalidPolicy"]
+    assert (world.contract.enrollments, world.qmig.registry) == ({}, {})
 
 
 # -- signature thresholds --------------------------------------------------------

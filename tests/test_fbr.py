@@ -7,7 +7,8 @@ import pytest
 from failsafe.crypto import Address, KeyPair
 from failsafe.fbr import (
     BLACKLIST_CATEGORIES,
-    FbrConfig,
+    INTERCEPT_SCORE_THRESHOLD,
+    WINDOW_LENGTH,
     OutOfOrderEvent,
     ParseError,
     RiskService,
@@ -146,15 +147,14 @@ def test_old_address_with_heavy_inflow_is_clean():
 
 
 def test_combined_heuristics_stay_below_intercept_threshold():
-    config = FbrConfig()
-    service = RiskService(config)
+    service = RiskService()
     sink = ADDRS[0]
     feed(service, [transfer(1, ADDRS[i], sink, 4000) for i in (1, 2, 3)])
     feed(service, [transfer(2, sink, ADDRS[4], 11_000)])
     verdict = service.risk_score(sink)
     assert verdict.score == 60
     assert len(verdict.reasons) == 2
-    assert verdict.score < config.intercept_score_threshold
+    assert verdict.score < INTERCEPT_SCORE_THRESHOLD
 
 
 def test_blacklist_dominates_heuristics():
@@ -182,13 +182,13 @@ def test_reverted_transfers_never_count():
 
 
 def test_activity_outside_window_is_pruned():
-    config = FbrConfig(window_length=5)
-    service = RiskService(config)
+    service = RiskService()
     sink = ADDRS[0]
     feed(service, [transfer(1, ADDRS[i], sink, 1000) for i in (1, 2, 3)])
     feed(service, [transfer(2, sink, ADDRS[4], 2800)])
+    service.advance_to(WINDOW_LENGTH)  # the window still holds heights 1 and 2
     assert service.risk_score(sink).score == 40
-    service.advance_to(7)  # window floor moves past both heights
+    service.advance_to(WINDOW_LENGTH + 2)  # window floor moves past both heights
     assert service.risk_score(sink).score == 0
 
 

@@ -263,8 +263,7 @@ def test_negative_amount_reverts_without_dropping_other_transactions():
      # an int where bytes belong: bytes(n) would be n zero bytes, or an
      # OverflowError out of build_block once n does not fit a C ssize_t
      "registerTransferIntent-int-digest", "registerTransferIntent-huge-digest",
-     "setInflectionPoint-huge-signature", "execute-huge-blob",
-     "enroll-zero-denominator"],
+     "setInflectionPoint-huge-signature", "execute-huge-blob"],
 )
 def test_malformed_contract_call_reverts_without_dropping_other_transactions(method):
     rng = random.Random(41)
@@ -303,11 +302,6 @@ def test_malformed_contract_call_reverts_without_dropping_other_transactions(met
             "execute-huge-blob": ContractCall(
                 vault.address, "execute",
                 ("withdraw", ("fungible", bytes(20), "gold", 1), 0, (2**63,)),
-            ),
-            # a policy fraction with a zero denominator
-            "enroll-zero-denominator": ContractCall(
-                vault.address, "enroll",
-                ((1, 0, 0, 1, 10, 5), ("gold",), 2, bytes(20), bytes(32)),
             ),
         }[method]
         bad = sign_transaction(ALICE, 0, 1, payload)

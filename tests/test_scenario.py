@@ -52,132 +52,106 @@ def edited(**overrides):
     return data
 
 
+def numbered(prefix: str, rows):
+    """Each (number, *args, message) row as a test named `<prefix><number>-<message>`.
+    A row keeps the number it was first given, so deleting one renames no other."""
+    return [pytest.param(*args, id=f"{prefix}{number}-{args[-1]}") for number, *args in rows]
+
+
 @pytest.mark.parametrize(
     "broken, fragment",
-    [
-        (edited(actors={}), "non-empty 'actors'"),
+    numbered("broken", [
+        (0, edited(actors={}), "non-empty 'actors'"),
         # sections a scenario no longer has, refused in every shape they once took
-        (edited(services={"firewall": True}), "unknown scenario keys: ['services']"),
-        (edited(fbr_config={"threshold": 1}), "unknown scenario keys: ['fbr_config']"),
+        (1, edited(services={"firewall": True}), "unknown scenario keys: ['services']"),
+        (2, edited(fbr_config={"threshold": 1}), "unknown scenario keys: ['fbr_config']"),
         (
+            3,
             edited(steps=[
                 {"at": 2, "action": "transfer"},
                 {"at": 1, "action": "transfer"},
             ]),
             "sorted by 'at'",
         ),
-        (edited(steps=[{"at": 0, "action": "transfer"}]), "'at' must be >= 1"),
-        (edited(steps=[{"at": 1}]), "needs 'at' and 'action'"),
-        (edited(steps=[{"at": "soon", "action": "transfer"}]), "step 0: 'at' must be an integer"),
-        (edited(seed="abc"), "'seed' must be an integer"),
-        (edited(run_blocks=[3]), "'run_blocks' must be an integer"),
-        (edited(actors={"alice": True}), "actor 'alice' must be a mapping"),
-        (edited(genesis={"to": "alice"}), "'genesis' must be a list"),
-        (edited(genesis=["alice"]), "genesis entry 0 must be a mapping"),
-        (edited(at_risk=["gold"]), "at_risk must be a mapping"),
-        (edited(failsafe=[{"owner": "alice", "enrollments": [None]}]),
+        (4, edited(steps=[{"at": 0, "action": "transfer"}]), "'at' must be >= 1"),
+        (5, edited(steps=[{"at": 1}]), "needs 'at' and 'action'"),
+        (6, edited(steps=[{"at": "soon", "action": "transfer"}]),
+         "step 0: 'at' must be an integer"),
+        (7, edited(seed="abc"), "'seed' must be an integer"),
+        (8, edited(run_blocks=[3]), "'run_blocks' must be an integer"),
+        (9, edited(actors={"alice": True}), "actor 'alice' must be a mapping"),
+        (10, edited(genesis={"to": "alice"}), "'genesis' must be a list"),
+        (11, edited(genesis=["alice"]), "genesis entry 0 must be a mapping"),
+        (12, edited(at_risk=["gold"]), "at_risk must be a mapping"),
+        (13, edited(failsafe=[{"owner": "alice", "enrollments": [None]}]),
          "failsafe entry 0 enrollments entry 0 must be a mapping"),
-        (edited(services=["fis"]), "unknown scenario keys: ['services']"),
-        (edited(fbr_config=5), "unknown scenario keys: ['fbr_config']"),
-        (edited(custodian_roles=5), "unknown scenario keys: ['custodian_roles']"),
-        (edited(custodian_roles=["intercept", 7]), "unknown scenario keys: ['custodian_roles']"),
-        (edited(assertions=5), "'assertions' must be a list of mappings"),
-        (edited(assertions=["balance"]), "'assertions' must be a list of mappings"),
+        (14, edited(services=["fis"]), "unknown scenario keys: ['services']"),
+        (15, edited(fbr_config=5), "unknown scenario keys: ['fbr_config']"),
+        (16, edited(custodian_roles=5), "unknown scenario keys: ['custodian_roles']"),
+        (17, edited(custodian_roles=["intercept", 7]),
+         "unknown scenario keys: ['custodian_roles']"),
+        (18, edited(assertions=5), "'assertions' must be a list of mappings"),
+        (19, edited(assertions=["balance"]), "'assertions' must be a list of mappings"),
         (
+            20,
             edited(assertions=[{"check": "balanse", "address": "bob", "token": "gold",
                                 "equals": 40}]),
             "assertion 0: unknown check 'balanse'",
         ),
-        (edited(assertions=[{"address": "bob", "equals": 4}]), "assertion 0: unknown check 'None'"),
+        (21, edited(assertions=[{"address": "bob", "equals": 4}]),
+         "assertion 0: unknown check 'None'"),
         (
+            22,
             edited(assertions=[{"check": "balance", "address": "bob", "token": "gold"}]),
             "assertion 0 (balance) needs equals/at_least/at_most",
         ),
         (
+            23,
             edited(assertions=[{"check": "outcome", "label": "pay", "at_least": 1}]),
             "assertion 0 (outcome) needs equals",
         ),
-        (edited(services={"fis": "no"}), "unknown scenario keys: ['services']"),
-        (edited(fbr_config={"window_length": "x"}), "unknown scenario keys: ['fbr_config']"),
-        (edited(fbr_config={"window_length": True}), "unknown scenario keys: ['fbr_config']"),
+        (24, edited(services={"fis": "no"}), "unknown scenario keys: ['services']"),
+        (25, edited(fbr_config={"window_length": "x"}), "unknown scenario keys: ['fbr_config']"),
+        (26, edited(fbr_config={"window_length": True}),
+         "unknown scenario keys: ['fbr_config']"),
         (
+            27,
             edited(assertions=[{"check": "intercepts", "at_least": "many"}]),
             "assertion 0 (intercepts): 'at_least' must be an integer, got 'many'",
         ),
         (
+            28,
             edited(assertions=[{"check": "balance", "address": "bob", "token": "gold",
                                 "ledger": "dset", "equals": 40}]),
             "assertion 0 (balance): 'ledger' must be one of source/dest, got 'dset'",
         ),
-        (edited(steps=[{"at": 2, "action": "transfr"}]), "step 0: unknown action 'transfr'"),
-        (edited(failsafe=[{"owner": "alice", "thresholds": 5}]),
+        (29, edited(steps=[{"at": 2, "action": "transfr"}]), "step 0: unknown action 'transfr'"),
+        (30, edited(failsafe=[{"owner": "alice", "thresholds": 5}]),
          "failsafe entry 0 thresholds must be a mapping"),
         (
+            31,
             edited(assertions=[{"check": "balance", "address": "bob", "token": "gold",
                                 "equals": 40, "at_most": 3}]),
             "assertion 0 (balance) takes one of equals/at_least/at_most, got equals and at_most",
         ),
-        (edited(asertions=[]), "unknown scenario keys: ['asertions']"),
-        ({**MINIMAL, 1: 2, "windw": 3}, "unknown scenario keys: [1, 'windw']"),
+        (32, edited(asertions=[]), "unknown scenario keys: ['asertions']"),
+        (33, {**MINIMAL, 1: 2, "windw": 3}, "unknown scenario keys: [1, 'windw']"),
         (
+            34,
             edited(run_blocks=1, steps=[{"at": 2, "action": "clear_threat"},
                                         {"at": 3, "action": "clear_threat"}]),
             "step at block 2 beyond run_blocks=1",
         ),
-    ],
+        # a block count past the cap is refused before anything runs
+        (35, edited(run_blocks=2**70), "'run_blocks' must be <= 1000000"),
+        (36, edited(steps=[{"at": 10**6 + 1, "action": "clear_threat"}]),
+         "step 0: 'at' must be <= 1000000"),
+    ]),
 )
 def test_structural_validation(broken, fragment):
     with pytest.raises(ParseError) as err:
         Scenario.from_dict(broken)
     assert fragment in str(err.value)
-
-
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        ({"genesis": [{"token": "gold", "amount": 100}]}, "genesis entry 0: missing parameter 'to'"),
-        ({"failsafe": [{"signers": ["bob"]}]}, "failsafe entry 0: missing parameter 'owner'"),
-        ({"blacklist": [{"category": "theft"}]}, "blacklist entry 0: missing parameter 'address'"),
-        ({"at_risk": {"token": "gold", "amount": 10}}, "at_risk: missing parameter 'attacker'"),
-        (
-            {"steps": [{"at": 1, "action": "withdraw", "owner": "alice", "wallet": "alice",
-                        "token": "gold", "amount": 1, "signers": ["alice"]}]},
-            "step 0 (withdraw): no FailSafe vault deployed for 'alice'",
-        ),
-        (
-            {"assertions": [{"check": "intercepts"}]},
-            "assertion 0 (intercepts) needs equals/at_least/at_most",
-        ),
-        (
-            {"assertions": [{"check": "balance", "token": "gold", "equals": 40}]},
-            "assertion 0 (balance): missing parameter 'address'",
-        ),
-        (
-            {"assertions": [{"check": "outcome", "equals": "Executed"}]},
-            "assertion 0 (outcome): missing parameter 'label'",
-        ),
-        (
-            {"assertions": [{"check": "permitted", "token": "gold", "equals": 0}]},
-            "assertion 0 (permitted): missing parameter 'wallet'",
-        ),
-        ({"assertions": [{"check": "alerts", "equals": 0}]},
-         "assertion 0 (alerts): missing parameter 'user'"),
-        ({"asertions": []}, "unknown scenario keys: ['asertions']"),
-        ({"services": {"fis": 1}}, "unknown scenario keys: ['services']"),
-        ({"custodian_roles": ["relayer", "relayer"]},
-         "unknown scenario keys: ['custodian_roles']"),
-        ({"fbr_config": {"window_length": 2.5}}, "unknown scenario keys: ['fbr_config']"),
-    ],
-)
-def test_incomplete_section_is_a_parse_error(overrides, message, tmp_path, capsys):
-    path = tmp_path / "incomplete.yaml"
-    path.write_text(yaml.safe_dump(edited(**overrides)))
-    assert main(["run", "--scenario", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def _transfer(**fields):
-    return [dict(MINIMAL["steps"][0], **fields)]
 
 
 _POLICY = {"hot_fraction_target": 1, "hot_fraction_tolerance": 0,
@@ -188,6 +162,62 @@ def _enrolled(policy=None, **fields):
     enrollment = {"wallet": "alice", "policy": dict(_POLICY, **(policy or {})),
                   "tokens": ["gold"], "dest": "bob", **fields}
     return [{"owner": "alice", "signers": ["alice", "bob"], "enrollments": [enrollment]}]
+
+
+_ART = {"tokens": [{"id": "gold"}, {"id": "art", "kind": "nft"}],
+        "genesis": [MINIMAL["genesis"][0], {"to": "alice", "token": "art", "token_id": 7}]}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    numbered("overrides", [
+        (0, {"genesis": [{"token": "gold", "amount": 100}]},
+         "genesis entry 0: missing parameter 'to'"),
+        (1, {"failsafe": [{"signers": ["bob"]}]}, "failsafe entry 0: missing parameter 'owner'"),
+        (2, {"blacklist": [{"category": "theft"}]},
+         "blacklist entry 0: missing parameter 'address'"),
+        (3, {"at_risk": {"token": "gold", "amount": 10}}, "at_risk: missing parameter 'attacker'"),
+        (
+            4,
+            {"steps": [{"at": 1, "action": "withdraw", "owner": "alice", "wallet": "alice",
+                        "token": "gold", "amount": 1, "signers": ["alice"]}]},
+            "step 0 (withdraw): no FailSafe vault deployed for 'alice'",
+        ),
+        (5, {"assertions": [{"check": "intercepts"}]},
+         "assertion 0 (intercepts) needs equals/at_least/at_most"),
+        (6, {"assertions": [{"check": "balance", "token": "gold", "equals": 40}]},
+         "assertion 0 (balance): missing parameter 'address'"),
+        (7, {"assertions": [{"check": "outcome", "equals": "Executed"}]},
+         "assertion 0 (outcome): missing parameter 'label'"),
+        (8, {"assertions": [{"check": "permitted", "token": "gold", "equals": 0}]},
+         "assertion 0 (permitted): missing parameter 'wallet'"),
+        (9, {"assertions": [{"check": "alerts", "equals": 0}]},
+         "assertion 0 (alerts): missing parameter 'user'"),
+        (10, {"asertions": []}, "unknown scenario keys: ['asertions']"),
+        (11, {"services": {"fis": 1}}, "unknown scenario keys: ['services']"),
+        (12, {"custodian_roles": ["relayer", "relayer"]},
+         "unknown scenario keys: ['custodian_roles']"),
+        (13, {"fbr_config": {"window_length": 2.5}}, "unknown scenario keys: ['fbr_config']"),
+        # a token the file never declares, or one of the wrong kind
+        (14, {"at_risk": {"token": "silver", "amount": 10, "attacker": "bob"}},
+         "at_risk: unknown token 'silver'"),
+        (15, dict(_ART, at_risk={"token": "art", "amount": 1, "attacker": "bob"}),
+         "at_risk: token 'art' is not fungible"),
+        (16, {"genesis": [{"to": "alice", "token": "silver", "amount": 5}]},
+         "genesis entry 0: unknown token 'silver'"),
+        (17, {"failsafe": _enrolled(tokens=5)},
+         "failsafe entry 0 enrollments entry 0: 'tokens' must be a list, got 5"),
+    ]),
+)
+def test_incomplete_section_is_a_parse_error(overrides, message, tmp_path, capsys):
+    path = tmp_path / "incomplete.yaml"
+    path.write_text(yaml.safe_dump(edited(**overrides)))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _transfer(**fields):
+    return [dict(MINIMAL["steps"][0], **fields)]
 
 
 _INTENT = {"at": 1, "action": "make_intent", "source": "alice", "dest": "bob", "store": "x"}
@@ -252,10 +282,6 @@ def test_refused_file_value_is_a_parse_error(overrides, message, tmp_path, capsy
     path.write_text(yaml.safe_dump(edited(**overrides)))
     assert main(["run", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
-
-
-_ART = {"tokens": [{"id": "gold"}, {"id": "art", "kind": "nft"}],
-        "genesis": [MINIMAL["genesis"][0], {"to": "alice", "token": "art", "token_id": 7}]}
 
 
 @pytest.mark.parametrize(
