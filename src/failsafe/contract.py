@@ -219,9 +219,9 @@ class FailSafeContract:
 
     def authorize(
         self, op: OperationKind, op_args: tuple, nonce: int, keys: Iterable[KeyPair]
-    ) -> tuple[bytes, ...]:
+    ) -> tuple[RecoverableSignature, ...]:
         digest = self.authorization_digest(op, op_args, nonce)
-        return tuple(sign(key, digest).to_bytes() for key in keys)
+        return tuple(sign(key, digest) for key in keys)
 
     def execute_tx(
         self, op: OperationKind, op_args: tuple, keys: Iterable[KeyPair],
@@ -297,8 +297,11 @@ class FailSafeContract:
         unknown_present = False
         for blob in sig_blobs:
             try:
-                signature = RecoverableSignature.from_bytes(byte_argument(blob))
-                recovered = recover_signer(digest, signature)
+                # a signature object made by `sign` over this digest recovers
+                # without EC work; 65 bytes parse to one that takes the full path
+                if not isinstance(blob, RecoverableSignature):
+                    blob = RecoverableSignature.from_bytes(byte_argument(blob))
+                recovered = recover_signer(digest, blob)
             except (RecoveryError, ValueError):
                 unknown_present = True
                 continue
@@ -471,7 +474,7 @@ def build_execute_tx(
     relayer_key: KeyPair,
     op: OperationKind,
     op_args: tuple,
-    sig_blobs: tuple[bytes, ...],
+    sig_blobs: tuple[RecoverableSignature | bytes, ...],
     nonce: int,
     gas_price: int = 1,
 ) -> Transaction:

@@ -7,6 +7,8 @@ platforms is the only goal; this is not a wire format.
 
 from __future__ import annotations
 
+from .crypto.secp256k1 import RecoverableSignature
+
 _TAG_NONE = b"\x00"
 _TAG_INT = b"\x01"
 _TAG_STR = b"\x02"
@@ -46,4 +48,6 @@ def encode_value(value) -> bytes:
     if isinstance(value, (tuple, list)):
         body = b"".join(encode_value(item) for item in value)
         return _TAG_TUPLE + len(value).to_bytes(4, "big") + body
+    if isinstance(value, RecoverableSignature):  # a multisig blob, encoded as its bytes
+        return encode_value(value.to_bytes())
     raise TypeError(f"no canonical encoding for {type(value).__name__}")

@@ -266,13 +266,14 @@ def _check_fields(tx: Transaction) -> None:
                 f"{type(p).__name__} {name} must be {want.__name__}, got {value!r}"
             )
         # the digest, made when first read, encodes every field: refuse here
-        # what the encoding refuses (an int over 255 bytes, a float in args)
+        # what the encoding refuses (an int over 255 bytes, a float in args, a
+        # signature whose r, s or v is no int that fits its bytes)
         if want is int and value.bit_length() > MAX_INT_BITS:
             raise MalformedTransaction(f"{type(p).__name__} {name}: integer too large to encode")
         if want is tuple:
             try:
                 encode_value(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError, AttributeError) as exc:
                 raise MalformedTransaction(f"{type(p).__name__} {name}: {exc}") from exc
 
 

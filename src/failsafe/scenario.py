@@ -263,6 +263,7 @@ class Scenario:
             steps=steps,
             assertions=assertions,
         )
+        need(scenario.run_blocks >= 1, f"'run_blocks' must be >= 1, got {scenario.run_blocks}")
         need(scenario.run_blocks <= MAX_BLOCKS,
              f"'run_blocks' must be <= {MAX_BLOCKS}, got {scenario.run_blocks}")
         late = next((step.at for step in steps if step.at > scenario.run_blocks), None)
@@ -477,12 +478,18 @@ class ScenarioRunner:
                         policy.integer("window_length"),
                     )
                 with _reading(enrollment.where):
+                    # an undeclared token's Approval would revert, leaving the
+                    # wallet enrolled but unprotected; an NFT's grants operator rights
+                    tokens = [str(t) for t in enrollment.sequence("tokens")]
+                    for token in tokens:
+                        if token not in self.ledger.tokens:
+                            raise ParseError(f"{enrollment.where}: unknown token {token!r}")
                     receipt = enroll_wallet(
                         self.ledger,
                         vault,
                         hot_key,
                         config,
-                        [str(t) for t in enrollment.sequence("tokens")],
+                        tokens,
                         enrollment.integer("dest_chain", sc.dest_chain_id),
                         self.resolve_address(enrollment["dest"]),
                     )

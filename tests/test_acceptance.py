@@ -293,6 +293,8 @@ def test_criterion_05_multisig_thresholds(capsys):
             OperationKind.INTERCEPT, intercept_args, nonce, [signers[0]]
         )
         assert len(blobs) == 1
+        # as 65 bytes: a parsed blob carries no signer hint, so it is recovered in full
+        blobs = tuple(blob.to_bytes() for blob in blobs)
         itx = submit_execute(OperationKind.INTERCEPT, intercept_args, blobs, nonce)
         ledger.build_block()
         assert next(
@@ -328,6 +330,10 @@ def test_criterion_05_multisig_thresholds(capsys):
                 auth_nonce = shared_nonce
                 blobs = tuple(shared_digest_blobs[i] for i in picks)
                 expected = "Reverted:InsufficientSignatures"
+            if case % 50 == 0:
+                # every 50th subset as 65-byte blobs: the full recovery path
+                # under the same threshold logic as the signature objects
+                blobs = tuple(blob.to_bytes() for blob in blobs)
             tx = submit_execute(OperationKind.WITHDRAW, withdraw_args, blobs, auth_nonce)
             expectations.append((tx, expected))
             if len(expectations) % 100 == 0:

@@ -18,8 +18,17 @@ from failsafe.contract import (
     deploy_failsafe,
     enroll_wallet,
 )
-from failsafe.crypto import Address, KeyPair
-from failsafe.ledger import NATIVE, UNLIMITED, Approve, ContractCall, Ledger, sign_transaction
+from failsafe.crypto import Address, KeyPair, RecoverableSignature, secp256k1, sign
+from failsafe.encoding import encode_value
+from failsafe.ledger import (
+    NATIVE,
+    UNLIMITED,
+    Approve,
+    ContractCall,
+    Ledger,
+    MalformedTransaction,
+    sign_transaction,
+)
 from failsafe.qmig import QmigContract
 
 QMIG_ADDRESS = Address(bytes(range(1, 21)))
@@ -252,6 +261,106 @@ def test_signatures_bind_to_operation_arguments():
     outcome = run_with_blobs(world, OperationKind.WITHDRAW, withdraw_args(world, 499), blobs, nonce)
     assert outcome == "Reverted:UnknownSigner"
     assert world.ledger.balance_of(world.hot.address, "gold") == 500
+
+
+# -- signature objects and 65-byte blobs -------------------------------------------
+
+
+@pytest.fixture
+def shamir_calls(monkeypatch):
+    """The full recoveries (`_shamir` calls) made since the fixture was set up."""
+    calls = []
+    full = secp256k1._shamir
+
+    def counted(*args):
+        calls.append(args)
+        return full(*args)
+
+    monkeypatch.setattr(secp256k1, "_shamir", counted)
+    return calls
+
+
+def test_a_signature_encodes_as_its_bytes():
+    sig = sign(KeyPair.generate(random.Random(5)), bytes(range(32)))
+    assert encode_value(sig) == encode_value(sig.to_bytes())
+    assert encode_value((sig, 1)) == encode_value((sig.to_bytes(), 1))
+
+
+def test_object_and_byte_blobs_make_one_transaction_and_one_outcome(shamir_calls):
+    results = []
+    for as_bytes in (False, True):
+        world = make_world()
+        fund_contract(world)
+        args = withdraw_args(world, 10)
+        nonce = world.contract.next_auth_nonce()
+        blobs = world.contract.authorize(OperationKind.WITHDRAW, args, nonce, world.signers[:2])
+        if as_bytes:
+            blobs = tuple(blob.to_bytes() for blob in blobs)
+        tx = build_execute_tx(
+            world.ledger, world.contract, world.relayer, OperationKind.WITHDRAW, args, blobs,
+            nonce,
+        )
+        world.ledger.submit_transaction(tx)
+        outcome = dict(world.ledger.build_block().txs)[tx]
+        results.append((tx.digest, tx.tx_id, outcome, len(shamir_calls)))
+    (digest, tx_id, outcome, objects_recovered), (*same, bytes_recovered) = results
+    assert [digest, tx_id, outcome] == same
+    assert outcome == "Executed"
+    # the vault's own signature objects cost no EC work; their bytes cost one each
+    assert (objects_recovered, bytes_recovered) == (0, 2)
+
+
+def test_a_hand_built_signature_takes_the_full_path(shamir_calls):
+    world = make_world()
+    fund_contract(world)
+    args = withdraw_args(world, 10)
+    nonce = world.contract.next_auth_nonce()
+    made = world.contract.authorize(OperationKind.WITHDRAW, args, nonce, world.signers[:2])
+    hand_built = tuple(RecoverableSignature(sig.r, sig.s, sig.v) for sig in made)
+    assert hand_built == made and all(sig._signer is None for sig in hand_built)
+    assert run_with_blobs(world, OperationKind.WITHDRAW, args, hand_built, nonce) == "Executed"
+    assert len(shamir_calls) == 2
+
+
+@pytest.mark.parametrize(
+    "forms, outcome",
+    [(((0, "object"), (1, "bytes")), "Executed"),
+     (((0, "bytes"), (1, "object")), "Executed"),
+     (((0, "object"), (0, "bytes")), "Reverted:InsufficientSignatures")],
+    ids=["object-then-bytes", "bytes-then-object", "one-signer-both-forms"],
+)
+def test_object_and_byte_blobs_count_toward_one_threshold(forms, outcome):
+    world = make_world()
+    fund_contract(world)
+    args = withdraw_args(world, 10)
+    nonce = world.contract.next_auth_nonce()
+    made = world.contract.authorize(OperationKind.WITHDRAW, args, nonce, world.signers[:2])
+    blobs = tuple(made[i].to_bytes() if form == "bytes" else made[i] for i, form in forms)
+    assert run_with_blobs(world, OperationKind.WITHDRAW, args, blobs, nonce) == outcome
+
+
+@pytest.mark.parametrize("bad", [5, "ab"], ids=["int", "str"])
+def test_a_blob_neither_signature_nor_bytes_reverts_invalid_argument(bad):
+    world = make_world()
+    fund_contract(world)
+    args = withdraw_args(world, 10)
+    nonce = world.contract.next_auth_nonce()
+    made = world.contract.authorize(OperationKind.WITHDRAW, args, nonce, world.signers[:2])
+    outcome = run_with_blobs(world, OperationKind.WITHDRAW, args, made + (bad,), nonce)
+    assert outcome == "Reverted:InvalidArgument"
+    assert world.ledger.balance_of(world.hot.address, "gold") == 500
+
+
+@pytest.mark.parametrize(
+    "r, v",
+    [(2**256, 0), (-1, 0), ("1", 0), (1, 256)],
+    ids=["r-too-wide", "r-negative", "r-not-int", "v-too-wide"],
+)
+def test_a_signature_without_65_bytes_is_refused_at_submission(r, v):
+    world = make_world()
+    args = withdraw_args(world, 10)
+    with pytest.raises(MalformedTransaction, match="ContractCall args"):
+        run_with_blobs(world, OperationKind.WITHDRAW, args, (RecoverableSignature(r, 1, v),), 0)
 
 
 # -- operations ------------------------------------------------------------------

@@ -9,7 +9,7 @@ import yaml
 
 from failsafe.bridge import ESCROW_ADDRESS
 from failsafe.cli import bundled_scenarios, main
-from failsafe.contract import CustodianUnavailable
+from failsafe.contract import CustodianUnavailable, OperationKind
 from failsafe.crypto import RecoverableSignature, keccak256, recover_signer, sign
 from failsafe.ledger import NATIVE, compute_tx_digest
 from failsafe.scenario import CUSTODIAN_ROLES, ParseError, Scenario, ScenarioRunner, UnknownActor
@@ -146,6 +146,9 @@ def numbered(prefix: str, rows):
         (35, edited(run_blocks=2**70), "'run_blocks' must be <= 1000000"),
         (36, edited(steps=[{"at": 10**6 + 1, "action": "clear_threat"}]),
          "step 0: 'at' must be <= 1000000"),
+        # so is one below 1, as 'at' is
+        (37, edited(run_blocks=-3, steps=[]), "'run_blocks' must be >= 1, got -3"),
+        (38, edited(run_blocks=0, steps=[]), "'run_blocks' must be >= 1, got 0"),
     ]),
 )
 def test_structural_validation(broken, fragment):
@@ -207,6 +210,11 @@ _ART = {"tokens": [{"id": "gold"}, {"id": "art", "kind": "nft"}],
          "genesis entry 0: unknown token 'silver'"),
         (17, {"failsafe": _enrolled(tokens=5)},
          "failsafe entry 0 enrollments entry 0: 'tokens' must be a list, got 5"),
+        # an enrollment whose Approval of a token would revert, leaving it unprotected
+        (18, {"failsafe": _enrolled(tokens=["gold", "silver"])},
+         "failsafe entry 0 enrollments entry 0: unknown token 'silver'"),
+        (19, {"failsafe": _enrolled(tokens=[NATIVE])},
+         "failsafe entry 0 enrollments entry 0: unknown token 'native'"),
     ]),
 )
 def test_incomplete_section_is_a_parse_error(overrides, message, tmp_path, capsys):
@@ -214,6 +222,22 @@ def test_incomplete_section_is_a_parse_error(overrides, message, tmp_path, capsy
     path.write_text(yaml.safe_dump(edited(**overrides)))
     assert main(["run", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_enrolled_nft_is_protected():
+    # an NFT enrollment is no parse error: its Approval grants the vault operator
+    # rights, so FIS can pull the NFT into custody before a drain lands
+    vault = dict(_enrolled(tokens=["gold", "art"])[0], signers=["role:intercept", "alice"])
+    data = edited(**_ART, failsafe=[vault],
+                  blacklist=[{"address": "bob", "category": "FraudContract"}],
+                  steps=[{"at": 2, "action": "nft_transfer", "signer": "alice", "to": "bob",
+                          "token": "art", "token_id": 7, "gas_price": 5, "label": "drain"}],
+                  assertions=[{"check": "outcome", "label": "drain",
+                               "equals": "Reverted:NotOwner"}])
+    runner = ScenarioRunner(Scenario.from_dict(data))
+    assert runner.run().exit_code == 0
+    assert runner.fis.intercept_count == 1
+    assert runner.ledger.nft_owner_of("art", 7) == runner.vaults["alice"].address
 
 
 def _transfer(**fields):
@@ -701,19 +725,31 @@ def test_all_bundled_scenarios_hold_their_assertions():
 def test_committed_signatures_recover_from_their_bytes():
     # `sign` leaves a signer hint that recovery trusts; a signature parsed from
     # its bytes has none, so this re-checks what the runs relied on the full way
-    intents = 0
+    intents = blobs = 0
     for path in bundled_scenarios().values():
         runner = ScenarioRunner(Scenario.load(path))
         runner.run()
+        vaults = {vault.address: vault for vault in runner.vaults.values()}
         for block in runner.ledger.blocks:
             for tx, _ in block.txs:
                 parsed = RecoverableSignature.from_bytes(tx.signature.to_bytes())
                 assert recover_signer(tx.digest, parsed) == tx.sender
+                vault = vaults.get(getattr(tx.payload, "contract", None))
+                if vault is None or tx.payload.method != "execute":
+                    continue
+                # each multisig blob, recovered from its 65 bytes over the
+                # digest the vault checked, is one of the vault's signers
+                op, op_args, nonce, sigs = tx.payload.args
+                digest = vault.authorization_digest(OperationKind(op), op_args, nonce)
+                for sig in sigs:
+                    parsed = RecoverableSignature.from_bytes(sig.to_bytes())
+                    assert recover_signer(digest, parsed) in vault.config.signers
+                    blobs += 1
         for source, sig in runner.intents.values():
             parsed = RecoverableSignature.from_bytes(sig.to_bytes())
             assert recover_signer(source.signing_digest, parsed) == source.from_address
             intents += 1
-    assert intents > 0
+    assert intents > 0 and blobs > 0
 
 
 def _unsigned(tx) -> bool:
