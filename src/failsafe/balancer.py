@@ -15,22 +15,14 @@ no meaningful ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .contract import FailSafeContract, KeyCustodian, OperationKind
 from .crypto import Address
-from .ledger import Ledger, NATIVE
-
-
-def _round_half_up(x: Fraction) -> int:
-    return int(x + Fraction(1, 2)) if x >= 0 else -int(-x + Fraction(1, 2))
+from .ledger import Ledger
 
 
 @dataclass(frozen=True)
 class RebalanceAction:
-    owner: str
-    wallet: Address
-    contract_address: Address
     token: str
     delta: int  # positive: hot -> contract; negative: contract -> hot
 
@@ -58,13 +50,17 @@ class BalancerService:
         total = hot + cold
         if total == 0:
             return None
-        target = record.policy.hot_fraction_target
-        if abs(Fraction(hot, total) - target) <= record.policy.hot_fraction_tolerance:
+        policy = record.policy
+        tn, td = policy.target_num, policy.target_den
+        # |hot/total - tn/td| <= on/od, cross-multiplied by the positive td*total*od
+        if abs(hot * td - tn * total) * policy.tolerance_den <= policy.tolerance_num * td * total:
             return None
-        delta = hot - _round_half_up(target * total)
+        # the target share tn*total/td is non-negative, so flooring it plus
+        # one half rounds half up
+        delta = hot - (2 * tn * total + td) // (2 * td)
         if delta == 0:
             return None
-        return RebalanceAction(contract.owner, wallet, contract.address, token, delta)
+        return RebalanceAction(token, delta)
 
     def on_tick(self) -> None:
         for contract in self.contracts:
@@ -72,9 +68,7 @@ class BalancerService:
                 continue
             for wallet, record in contract.enrollments.items():
                 for token in record.tokens:
-                    if token == NATIVE:
-                        continue
-                    state = self.ledger.tokens.get(token)
+                    state = self.ledger.tokens.get(token)  # None for the native currency
                     if state is None or state.kind != "fungible":
                         continue
                     action = self.check_ratio(contract, wallet, token)

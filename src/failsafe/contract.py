@@ -13,9 +13,8 @@ contract and an enrolled wallet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable
 
@@ -99,37 +98,31 @@ DEFAULT_THRESHOLDS = MappingProxyType({
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """User-level custody policy: target hot fraction and spend-rate cap."""
+    """User-level custody policy, in the integers `enroll` takes: hot fraction
+    target target_num/target_den, tolerance tolerance_num/tolerance_den, and a
+    spend-rate cap of max_value_per_window over window_length blocks."""
 
-    hot_fraction_target: Fraction
-    hot_fraction_tolerance: Fraction
+    target_num: int
+    target_den: int
+    tolerance_num: int
+    tolerance_den: int
     max_value_per_window: int
     window_length: int
 
     def __post_init__(self):
-        if not 0 <= self.hot_fraction_target <= 1:
-            raise ValueError(f"hot fraction target {self.hot_fraction_target} outside [0, 1]")
-        if self.hot_fraction_tolerance < 0:
+        for name, value in vars(self).items():
+            if type(value) is not int:
+                raise TypeError(f"policy {name} must be an integer, got {value!r}")
+        if self.target_den < 1 or self.tolerance_den < 1:
+            raise ValueError("policy denominators must be at least 1")
+        if not 0 <= self.target_num <= self.target_den:
+            raise ValueError(f"hot fraction {self.target_num}/{self.target_den} outside [0, 1]")
+        if self.tolerance_num < 0:
             raise ValueError("hot fraction tolerance must be non-negative")
         if self.max_value_per_window < 0:
             raise ValueError("window value cap must be non-negative")
         if self.window_length < 1:
             raise ValueError("window length must be at least one block")
-
-    def to_tuple(self) -> tuple:
-        return (
-            self.hot_fraction_target.numerator,
-            self.hot_fraction_target.denominator,
-            self.hot_fraction_tolerance.numerator,
-            self.hot_fraction_tolerance.denominator,
-            self.max_value_per_window,
-            self.window_length,
-        )
-
-    @classmethod
-    def from_tuple(cls, data: tuple) -> "PolicyConfig":
-        tn, td, on, od, cap, window = data
-        return cls(Fraction(tn, td), Fraction(on, od), cap, window)
 
 
 @dataclass
@@ -250,8 +243,8 @@ class FailSafeContract:
         if wallet in self.enrollments:
             raise AlreadyEnrolled(f"wallet {wallet} already enrolled with {self.owner}")
         try:
-            policy = PolicyConfig.from_tuple(tuple(policy_tuple))
-        except (ValueError, TypeError, ArithmeticError) as exc:  # a zero denominator too
+            policy = PolicyConfig(*policy_tuple)
+        except (ValueError, TypeError) as exc:
             raise InvalidPolicy(str(exc)) from exc
         record = EnrolledWallet(
             wallet=wallet,
@@ -460,7 +453,7 @@ def enroll_wallet(
         ContractCall(
             contract.address,
             "enroll",
-            (policy.to_tuple(), tokens, dest_chain_id, bytes(dest_address), digest_a),
+            (astuple(policy), tokens, dest_chain_id, bytes(dest_address), digest_a),
         ),
     ))
     for tx in txs:

@@ -435,6 +435,8 @@ class Ledger:
     def genesis_allocate(self, to: Address, token: str, amount: int) -> None:
         if self.height != 0:
             raise ValueError("genesis allocations only before the first built block")
+        if amount < 0:
+            raise ValueError(f"cannot allocate a negative amount {amount} of {token}")
         balances = self._balances_for(token)
         self._put(balances, to, balances.get(to, 0) + amount)
         self.events.append(LedgerEvent(0, "Genesis", {"to": to, "token": token, "amount": amount}))
@@ -689,6 +691,8 @@ class Ledger:
         self._fungible_move(token, owner, to, amount, height, spender=spender)
 
     def _apply_approve(self, owner: Address, p: Approve, height: int) -> None:
+        if p.amount is not UNLIMITED and p.amount < 0:
+            raise InvalidAmount(f"cannot approve a negative amount {p.amount} of {p.token}")
         state = self._token(p.token)
         if state.kind == "fungible":
             self._put(state.allowances, (owner, p.spender), p.amount)

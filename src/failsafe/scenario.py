@@ -471,9 +471,10 @@ class ScenarioRunner:
                     raise UnknownActor(f"enrollment wallet {wallet_name!r} is not an actor")
                 policy = enrollment["policy"]
                 with _reading(policy.where):
+                    # a fraction is written as 1/5 or 0.2; the chain stores its integers
                     config = PolicyConfig(
-                        Fraction(str(policy["hot_fraction_target"])),
-                        Fraction(str(policy["hot_fraction_tolerance"])),
+                        *Fraction(str(policy["hot_fraction_target"])).as_integer_ratio(),
+                        *Fraction(str(policy["hot_fraction_tolerance"])).as_integer_ratio(),
                         policy.integer("max_value_per_window"),
                         policy.integer("window_length"),
                     )
@@ -764,6 +765,8 @@ class ScenarioRunner:
             # snapshot at genesis, before any step or block runs
             with _reading(sc.at_risk.where):
                 at_risk_amount = sc.at_risk.integer("amount")
+                if at_risk_amount < 0:
+                    raise ValueError(f"'amount' must be >= 0, got {at_risk_amount}")
                 attacker = self.resolve_address(sc.at_risk["attacker"])
                 attacker_start = self.ledger.balance_of(attacker, str(sc.at_risk["token"]))
 

@@ -10,6 +10,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the loader's mutation fuzz test runs this many in CI, apart from tier-1
+settings.register_profile("fuzz", parent=settings.get_profile("ci"), max_examples=1000)
 settings.load_profile("ci")
 
 

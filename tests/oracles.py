@@ -12,10 +12,14 @@ affine double-and-add with one modular inverse per step; the package
 accumulates window tables in Jacobian coordinates. The ledger oracles
 replay raw block/transaction outcomes or the event log and never read the
 package's transfer index; the block-order oracle is the copy-and-rescan
-selection loop the ledger used before it built blocks in place.
+selection loop the ledger used before it built blocks in place. The
+rebalance oracle judges the balancer's band in exact rationals, where the
+package cross-multiplies integers.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from failsafe.crypto.keccak import keccak256
 from failsafe.crypto.secp256k1 import GX, GY
@@ -330,3 +334,17 @@ def replay_permitted_amount(
     )
     current = replay_balance_from_events(events, source, token)
     return min(base + inflows, current + already_bridged)
+
+
+def reference_rebalance_delta(hot: int, cold: int, target: Fraction, tolerance: Fraction):
+    """The balancer's move for one wallet in rational arithmetic: None inside the
+    band |hot/total - target| <= tolerance, else hot less target*total rounded
+    half up (None when that is zero)."""
+    total = hot + cold
+    if total == 0:
+        return None
+    if abs(Fraction(hot, total) - target) <= tolerance:
+        return None
+    x = target * total
+    rounded = int(x + Fraction(1, 2)) if x >= 0 else -int(-x + Fraction(1, 2))
+    return hot - rounded or None

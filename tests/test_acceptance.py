@@ -271,7 +271,7 @@ def test_criterion_05_multisig_thresholds(capsys):
         ledger.genesis_allocate(contract.address, "gold", 5000)
         enroll_wallet(
             ledger, contract, hot,
-            PolicyConfig(Fraction(1, 5), Fraction(1, 2), 10 ** 9, 5),
+            PolicyConfig(1, 5, 1, 2, 10 ** 9, 5),
             ["gold"], dest_chain_id=2, dest_address=hot.address,
         )
         ledger.build_block()

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-from failsafe.balancer import BalancerService, _round_half_up
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from failsafe.balancer import BalancerService
 from failsafe.contract import (
     DEFAULT_THRESHOLDS,
     KeyCustodian,
@@ -16,10 +19,11 @@ from failsafe.contract import (
 from failsafe.crypto import Address, KeyPair
 from failsafe.ledger import NATIVE, Ledger, NativeTransfer, TokenTransfer, sign_transaction
 from failsafe.qmig import QmigContract
+from oracles import reference_rebalance_delta
 
 QMIG_ADDRESS = Address(bytes(range(60, 80)))
 
-def make_world(hot_amount, cold_amount, target=Fraction(1, 5), tolerance=Fraction(1, 20)):
+def make_world(hot_amount, cold_amount, target=(1, 5), tolerance=(1, 20)):
     rng = random.Random(55)
     ledger = Ledger()
     ledger.create_token("gold")
@@ -41,7 +45,7 @@ def make_world(hot_amount, cold_amount, target=Fraction(1, 5), tolerance=Fractio
     ledger.genesis_allocate(hot.address, "gold", hot_amount)
     if cold_amount:
         ledger.genesis_allocate(contract.address, "gold", cold_amount)
-    policy = PolicyConfig(target, tolerance, 10 ** 9, 5)
+    policy = PolicyConfig(*target, *tolerance, 10 ** 9, 5)
     enroll_wallet(
         ledger, contract, hot, policy, ["gold"], dest_chain_id=2, dest_address=hot.address
     )
@@ -65,12 +69,65 @@ def hot_and_cold(world):
     )
 
 
+def ratio_delta(hot, cold, target, tolerance):
+    """check_ratio's delta for one wallet's holdings, or None, without a chain."""
+    policy = PolicyConfig(*target, *tolerance, 0, 1)
+    holdings = {"hot": hot, "vault": cold}
+    ledger = SimpleNamespace(balance_of=lambda address, token: holdings[address])
+    contract = SimpleNamespace(
+        address="vault", enrollments={"hot": SimpleNamespace(policy=policy)}
+    )
+    action = BalancerService(ledger, None, [], set()).check_ratio(contract, "hot", "gold")
+    return None if action is None else action.delta
+
+
 def test_round_half_up_behavior():
-    assert _round_half_up(Fraction(5, 2)) == 3
-    assert _round_half_up(Fraction(3, 2)) == 2
-    assert _round_half_up(Fraction(7, 5)) == 1
-    assert _round_half_up(Fraction(-5, 2)) == -3
-    assert _round_half_up(Fraction(0)) == 0
+    # the target holding is rounded half up: 2.5 -> 3, 1.5 -> 2, 1.4 -> 1, 0 -> 0
+    assert ratio_delta(0, 5, (1, 2), (0, 1)) == -3
+    assert ratio_delta(0, 3, (1, 2), (0, 1)) == -2
+    assert ratio_delta(0, 7, (1, 5), (0, 1)) == -1
+    assert ratio_delta(5, 0, (0, 1), (0, 1)) == 5
+
+
+@st.composite
+def band_edge(draw):
+    """Holdings whose hot share is exactly target plus or minus tolerance."""
+    td, od, k = (draw(st.integers(1, 60)) for _ in range(3))
+    tn, on = draw(st.integers(0, td)), draw(st.integers(0, od))
+    total = td * od * k
+    hot = tn * od * k + draw(st.sampled_from((1, -1))) * on * td * k
+    if not 0 <= hot <= total:
+        hot = tn * od * k
+    return hot, total - hot, (tn, td), (on, od)
+
+
+@st.composite
+def half_way(draw):
+    """Holdings whose target holding is a whole number and a half."""
+    td = 2 * draw(st.integers(1, 50))
+    tn = draw(st.integers(1, td - 1).filter(lambda n: n % 2))
+    total = draw(st.integers(1, 10**6).filter(lambda t: t % 2)) * (td // 2)
+    hot = draw(st.integers(0, total))
+    return hot, total - hot, (tn, td), (0, 1)
+
+
+@st.composite
+def anywhere(draw):
+    td, od = draw(st.integers(1, 10**4)), draw(st.integers(1, 10**4))
+    tn, on = draw(st.integers(0, td)), draw(st.integers(0, 2 * od))
+    hot, cold = draw(st.integers(0, 10**9)), draw(st.integers(0, 10**9))
+    return hot, cold, (tn, td), (on, od)
+
+
+@settings(max_examples=200)
+@given(st.one_of(anywhere(), band_edge(), half_way()))
+@example((0, 0, (1, 5), (1, 20)))  # nothing held
+@example((5, 15, (1, 5), (1, 20)))  # 5/20 = 1/5 + 1/20, on the band's edge
+@example((0, 5, (1, 2), (0, 1)))  # a target of 2.5 rounds up
+def test_integer_band_agrees_with_the_fraction_formula(case):
+    hot, cold, (tn, td), (on, od) = case
+    expected = reference_rebalance_delta(hot, cold, Fraction(tn, td), Fraction(on, od))
+    assert ratio_delta(hot, cold, (tn, td), (on, od)) == expected
 
 
 def test_empty_holdings_need_no_action():

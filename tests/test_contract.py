@@ -1,7 +1,6 @@
 """Multisig vault: enrollment, thresholds, replay protection, operations."""
 
 import random
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -57,7 +56,7 @@ def make_world(n_signers=3, thresholds=None, enroll=True):
     relayer = KeyPair.generate(rng)
     ledger.genesis_allocate(hot.address, "gold", 1000)
     ledger.genesis_allocate(hot.address, NATIVE, 100)
-    policy = PolicyConfig(Fraction(1, 5), Fraction(1, 20), 500, 10)
+    policy = PolicyConfig(1, 5, 1, 20, 500, 10)
     receipt = None
     if enroll:
         receipt = enroll_wallet(
@@ -135,8 +134,10 @@ def test_second_enrollment_reverts():
 
 @pytest.mark.parametrize(
     "policy",
-    [(2, 1, 0, 1, 500, 10), (1, 5, -1, 20, 500, 10), (1, 0, 0, 1, 500, 10), 5],
-    ids=["target-above-one", "negative-tolerance", "zero-denominator", "not-a-tuple"],
+    [(2, 1, 0, 1, 500, 10), (1, 5, -1, 20, 500, 10), (1, 0, 0, 1, 500, 10), 5,
+     (-1, -2, 1, 20, 500, 10), (1, 5, 1, 20, 500, True), (1, 5, 1, 20, 500)],
+    ids=["target-above-one", "negative-tolerance", "zero-denominator", "not-a-tuple",
+         "negative-denominator", "bool-window", "five-fields"],
 )
 def test_a_bad_enroll_policy_reverts_invalid_policy(policy):
     world = make_world(enroll=False)
@@ -517,16 +518,24 @@ def test_multisig_config_rejects_duplicate_signers():
 
 
 def test_policy_config_bounds():
-    with pytest.raises(ValueError):
-        PolicyConfig(Fraction(3, 2), Fraction(0), 0, 1)
-    with pytest.raises(ValueError):
-        PolicyConfig(Fraction(1, 2), Fraction(-1, 10), 0, 1)
-    with pytest.raises(ValueError):
-        PolicyConfig(Fraction(1, 2), Fraction(0), -5, 1)
-    with pytest.raises(ValueError):
-        PolicyConfig(Fraction(1, 2), Fraction(0), 0, 0)
-    roundtrip = PolicyConfig.from_tuple(PolicyConfig(Fraction(1, 5), Fraction(1, 20), 7, 3).to_tuple())
-    assert roundtrip.hot_fraction_target == Fraction(1, 5)
+    for fields in (
+        (3, 2, 0, 1, 0, 1),  # target above one
+        (-1, 2, 0, 1, 0, 1),  # target below zero
+        (1, 0, 0, 1, 0, 1),  # zero denominator
+        (-1, -2, 0, 1, 0, 1),  # a negative denominator is not normalised
+        (1, 2, 0, -1, 0, 1),
+        (1, 2, -1, 10, 0, 1),  # negative tolerance
+        (1, 2, 0, 1, -5, 1),  # negative cap
+        (1, 2, 0, 1, 0, 0),  # empty window
+    ):
+        with pytest.raises(ValueError):
+            PolicyConfig(*fields)
+    for fields in ((1, 2, 0, 1, 5.0, 1), (1, 2, 0, 1, 0, True), ("1", 2, 0, 1, 0, 1)):
+        with pytest.raises(TypeError):
+            PolicyConfig(*fields)
+    # the bounds themselves are policies: all hot or all cold, no tolerance
+    assert PolicyConfig(1, 1, 0, 1, 0, 1).target_num == 1
+    assert PolicyConfig(0, 7, 0, 3, 0, 1).target_num == 0
 
 
 def test_custodian_guards_missing_roles():

@@ -1,7 +1,6 @@
 """Mempool interception: gas out-bidding, decision rules, alerting, windows."""
 
 import random
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -59,7 +58,7 @@ def make_world(window_cap=500, window_len=5):
     ledger.genesis_allocate_nft(hot.address, "deeds", 1)
     ledger.genesis_allocate_nft(hot.address, "deeds", 2)
     ledger.genesis_allocate(attacker.address, NATIVE, 50)
-    policy = PolicyConfig(Fraction(1, 5), Fraction(1, 20), window_cap, window_len)
+    policy = PolicyConfig(1, 5, 1, 20, window_cap, window_len)
     enroll_wallet(
         ledger, contract, hot, policy, ["gold", "deeds"], dest_chain_id=2,
         dest_address=hot.address,

@@ -418,6 +418,19 @@ def test_unlimited_allowance_never_decrements():
     assert ledger.balance_of(CAROL.address, "gold") == 60
 
 
+def test_negative_approval_reverts_and_leaves_the_allowance():
+    ledger = fresh_ledger((ALICE.address, "gold", 100))
+    approve(ledger, ALICE, BOB.address, 40)
+    ledger.build_block()
+    negative = approve(ledger, ALICE, BOB.address, -5)
+    zero = approve(ledger, ALICE, CAROL.address, 0)
+    block = ledger.build_block()
+    outcomes = {t.tx_id: o for t, o in block.txs}
+    assert outcomes == {negative.tx_id: "Reverted:InvalidAmount", zero.tx_id: "Executed"}
+    assert ledger.allowance_of("gold", ALICE.address, BOB.address) == 40
+    assert ledger.allowance_of("gold", ALICE.address, CAROL.address) == 0
+
+
 def test_unapproved_pull_reverts():
     ledger = fresh_ledger((ALICE.address, "gold", 100))
     tx = pull(ledger, BOB, ALICE.address, BOB.address, 1)
