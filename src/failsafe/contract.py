@@ -242,6 +242,8 @@ class FailSafeContract:
         wallet = ctx.sender
         if wallet in self.enrollments:
             raise AlreadyEnrolled(f"wallet {wallet} already enrolled with {self.owner}")
+        if not isinstance(policy_tuple, (tuple, list)):  # bytes would unpack to six ints
+            raise InvalidPolicy(f"policy is a {type(policy_tuple).__name__}, not a tuple or list")
         try:
             policy = PolicyConfig(*policy_tuple)
         except (ValueError, TypeError) as exc:

@@ -15,7 +15,6 @@ from .secp256k1 import (
     RecoverableSignature,
     RecoveryError,
     derive_address,
-    fill_addresses,
     recover_signer,
     sign,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "RecoverableSignature",
     "RecoveryError",
     "derive_address",
-    "fill_addresses",
     "keccak256",
     "pq_verify",
     "recover_signer",

@@ -6,9 +6,9 @@ expose). All point arithmetic goes through one routine, `_accumulate`, which
 adds affine points to a Jacobian accumulator. Signing and key generation feed
 it a fixed-base table of signed 7-bit windows for the generator (digits in
 [-63, 64], so 37 additions and no doublings per multiply; cf. libsecp256k1's
-`ecmult_gen`); recovery feeds it 2-bit Straus–Shamir windows over the
-generator and the recovered point. Key generation makes many public points
-with one shared inversion.
+`ecmult_gen`). Recovery doubles and adds over the recovered point, then feeds
+the same accumulator the generator's windows. Key generation makes many key
+pairs with one shared inversion and their addresses with one Keccak batch.
 
 A signature made by `sign` remembers its digest and signer, so recovering it
 over that digest skips the point arithmetic; parsed, hand-built or rebuilt
@@ -67,7 +67,7 @@ class Address(bytes):
 def _accumulate(acc: tuple[int, int, int], points, doublings: int) -> tuple[int, int, int]:
     """Double acc `doublings` times before each affine point, then add it (None adds nothing)."""
     # The module's only doubling and addition formulas, inlined: recovery runs
-    # this loop ~128 times per call. secp256k1 has odd prime order, so no
+    # this loop ~290 times per call. secp256k1 has odd prime order, so no
     # finite point has y = 0 and the doubling needs no degenerate-case check.
     x, y, z = acc
     repeat = range(doublings)
@@ -169,18 +169,10 @@ def _mult_g(scalars: list[int]) -> list[tuple[int, int] | None]:
     return _normalize([_accumulate(_INFINITY, _signed_windows(k), 0) for k in scalars])
 
 
-def _shamir(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
-    """u1 * G + u2 * q in affine, with a shared doubling chain over 2-bit windows."""
-    q_multiples = [_INFINITY, (*q, 1)]
-    for _ in range(2):
-        q_multiples.append(_accumulate(q_multiples[-1], (q,), 0))
-    # combos[4 * i + j] = i * G + j * q; None where the sum is infinity
-    combos = _normalize(
-        [_accumulate(qj, (gi,), 0) for gi in _g_table()[0][:4] for qj in q_multiples]
-    )
-    top = 2 * ((max(u1.bit_length(), u2.bit_length()) + 1) // 2)
-    windows = (combos[4 * (u1 >> b & 3) + (u2 >> b & 3)] for b in range(top - 2, -1, -2))
-    return _normalize([_accumulate(_INFINITY, windows, 2)])[0]
+def _double_multiply(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
+    """u1 * G + u2 * q in affine (None for infinity): double-and-add, then u1's signing windows."""
+    bits = (q if u2 >> b & 1 else None for b in range(u2.bit_length() - 1, -1, -1))
+    return _normalize([_accumulate(_accumulate(_INFINITY, bits, 1), _signed_windows(u1), 0)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +185,6 @@ def derive_address(public: bytes) -> Address:
     return Address(keccak256(public)[12:])
 
 
-def fill_addresses(keys) -> None:
-    """Cache each key's address, hashing the public keys not cached yet in one batch."""
-    todo = [key for key in keys if "address" not in vars(key)]
-    digests = keccak256_batch([key.public_bytes for key in todo])
-    for key, digest in zip(todo, digests):
-        vars(key)["address"] = Address(digest[12:])
-
-
 @dataclass(frozen=True)
 class KeyPair:
     """A secp256k1 private scalar with its public point."""
@@ -210,11 +194,14 @@ class KeyPair:
 
     @classmethod
     def from_privates(cls, privates: list[int]) -> list["KeyPair"]:
-        """One key pair per private scalar; the public points share one inversion."""
+        """One key pair per private scalar: one shared inversion, one Keccak batch of addresses."""
         for private in privates:
             if not 1 <= private < N:
                 raise ValueError("private scalar out of range [1, n-1]")
-        return [cls(private, public) for private, public in zip(privates, _mult_g(privates))]
+        keys = [cls(private, public) for private, public in zip(privates, _mult_g(privates))]
+        for key, digest in zip(keys, keccak256_batch([key.public_bytes for key in keys])):
+            vars(key)["address"] = Address(digest[12:])
+        return keys
 
     @classmethod
     def from_private(cls, private: int) -> "KeyPair":
@@ -347,8 +334,7 @@ def recover_signer(digest: bytes, sig: RecoverableSignature) -> Address:
     r_inv = pow(sig.r, -1, N)
     u1 = -z * r_inv % N
     u2 = sig.s * r_inv % N
-    q = _shamir(u1, u2, (x, y))
+    q = _double_multiply(u1, u2, (x, y))
     if q is None:
         raise RecoveryError("recovered point at infinity")
-    public = q[0].to_bytes(32, "big") + q[1].to_bytes(32, "big")
-    return derive_address(public)
+    return derive_address(q[0].to_bytes(32, "big") + q[1].to_bytes(32, "big"))

@@ -17,10 +17,10 @@ from __future__ import annotations
 import gc
 import operator
 import random
+import re
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import yaml
@@ -29,6 +29,7 @@ from .balancer import BalancerService
 from .bridge import ESCROW_ADDRESS, Bridge, BridgeTransfer, QuantumSafeLedger, pq_address
 from .contract import (
     DEFAULT_THRESHOLDS,
+    CustodianUnavailable,
     FailSafeContract,
     KeyCustodian,
     OperationKind,
@@ -43,7 +44,6 @@ from .crypto import (
     KeyPair,
     PqKeyPair,
     QuantumOracle,
-    fill_addresses,
     sign,
 )
 from .crypto.secp256k1 import N
@@ -115,6 +115,13 @@ class _Params(dict):
         """The key's value, a YAML list."""
         return self._typed(key, default, list, "a list")
 
+    def fraction(self, key) -> tuple[int, int]:
+        """The key's value, a non-negative integer or p/q text, as (p, q)."""
+        match = re.fullmatch(r"([0-9]+)(?:/([0-9]+))?", str(self[key]))
+        if match is None:
+            raise ParseError(f"{self.where}: {key!r} must be p/q or an integer, got {self[key]!r}")
+        return int(match[1]), int(match[2] or 1)
+
     def _typed(self, key, default: tuple, kind: type, name: str):
         value = self.get(key, *default) if default else self[key]
         if type(value) is not kind:
@@ -127,8 +134,7 @@ def _reading(where: str):
     """Report a file value the program refuses (a bad fraction or address, a
     duplicate name, a reused one-time key, a signer set or threshold a vault
     refuses, an undeclared token or one of the wrong kind, a number no
-    transaction can encode) as a ParseError naming where. A fraction over zero
-    raises ZeroDivisionError, an ArithmeticError."""
+    transaction can encode) as a ParseError naming where."""
     try:
         yield
     except (ValueError, TypeError, ArithmeticError, KeyExhausted, RevertError,
@@ -166,7 +172,7 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         try:
             data = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER)
-        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        except (OSError, UnicodeDecodeError, ValueError, yaml.YAMLError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ParseError(f"{path}: scenario document must be a mapping")
@@ -419,9 +425,7 @@ class ScenarioRunner:
             self._draw_dest_keys(deployment.sequence("signers", []))
             scalars.append(rng.randrange(1, N))
             self._draw_dest_keys(e.get("dest") for e in deployment["enrollments"])
-        keys = KeyPair.from_privates(scalars)
-        fill_addresses(keys)
-        return keys
+        return KeyPair.from_privates(scalars)
 
     def _build_world(self) -> None:
         sc = self.scenario
@@ -471,10 +475,9 @@ class ScenarioRunner:
                     raise UnknownActor(f"enrollment wallet {wallet_name!r} is not an actor")
                 policy = enrollment["policy"]
                 with _reading(policy.where):
-                    # a fraction is written as 1/5 or 0.2; the chain stores its integers
                     config = PolicyConfig(
-                        *Fraction(str(policy["hot_fraction_target"])).as_integer_ratio(),
-                        *Fraction(str(policy["hot_fraction_tolerance"])).as_integer_ratio(),
+                        *policy.fraction("hot_fraction_target"),
+                        *policy.fraction("hot_fraction_tolerance"),
                         policy.integer("max_value_per_window"),
                         policy.integer("window_length"),
                     )
@@ -522,10 +525,8 @@ class ScenarioRunner:
         dest = self._dest_name(alias)
         if dest is not None:
             return pq_address(self._dest_key(dest).public)
-        if alias in self.actor_keys:
-            return self.actor_keys[alias].address
-        if alias.startswith("role:"):
-            return self.custodian.key_for(alias[len("role:"):]).address
+        if alias in self.actor_keys or alias.startswith("role:"):
+            return self.resolve_key(alias).address
         if alias.endswith(".contract"):
             owner = alias[: -len(".contract")]
             vault = self.vaults.get(owner)
@@ -563,7 +564,10 @@ class ScenarioRunner:
         if alias in self.actor_keys:
             return self.actor_keys[alias]
         if alias.startswith("role:"):
-            return self.custodian.key_for(alias[len("role:"):])
+            try:
+                return self.custodian.key_for(alias[len("role:"):])
+            except CustodianUnavailable:
+                raise UnknownActor(f"no custodian role named {alias!r}") from None
         raise UnknownActor(f"cannot resolve signing key {alias!r}")
 
     def resolve_intent(self, name: str) -> tuple[TransferIntentSource, object]:

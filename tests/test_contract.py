@@ -135,9 +135,10 @@ def test_second_enrollment_reverts():
 @pytest.mark.parametrize(
     "policy",
     [(2, 1, 0, 1, 500, 10), (1, 5, -1, 20, 500, 10), (1, 0, 0, 1, 500, 10), 5,
-     (-1, -2, 1, 20, 500, 10), (1, 5, 1, 20, 500, True), (1, 5, 1, 20, 500)],
+     (-1, -2, 1, 20, 500, 10), (1, 5, 1, 20, 500, True), (1, 5, 1, 20, 500),
+     bytes([1, 5, 1, 20, 100, 10])],
     ids=["target-above-one", "negative-tolerance", "zero-denominator", "not-a-tuple",
-         "negative-denominator", "bool-window", "five-fields"],
+         "negative-denominator", "bool-window", "five-fields", "bytes"],
 )
 def test_a_bad_enroll_policy_reverts_invalid_policy(policy):
     world = make_world(enroll=False)
@@ -268,16 +269,16 @@ def test_signatures_bind_to_operation_arguments():
 
 
 @pytest.fixture
-def shamir_calls(monkeypatch):
-    """The full recoveries (`_shamir` calls) made since the fixture was set up."""
+def full_recoveries(monkeypatch):
+    """The full recoveries (`_double_multiply` calls) made since the fixture was set up."""
     calls = []
-    full = secp256k1._shamir
+    full = secp256k1._double_multiply
 
     def counted(*args):
         calls.append(args)
         return full(*args)
 
-    monkeypatch.setattr(secp256k1, "_shamir", counted)
+    monkeypatch.setattr(secp256k1, "_double_multiply", counted)
     return calls
 
 
@@ -287,7 +288,7 @@ def test_a_signature_encodes_as_its_bytes():
     assert encode_value((sig, 1)) == encode_value((sig.to_bytes(), 1))
 
 
-def test_object_and_byte_blobs_make_one_transaction_and_one_outcome(shamir_calls):
+def test_object_and_byte_blobs_make_one_transaction_and_one_outcome(full_recoveries):
     results = []
     for as_bytes in (False, True):
         world = make_world()
@@ -303,7 +304,7 @@ def test_object_and_byte_blobs_make_one_transaction_and_one_outcome(shamir_calls
         )
         world.ledger.submit_transaction(tx)
         outcome = dict(world.ledger.build_block().txs)[tx]
-        results.append((tx.digest, tx.tx_id, outcome, len(shamir_calls)))
+        results.append((tx.digest, tx.tx_id, outcome, len(full_recoveries)))
     (digest, tx_id, outcome, objects_recovered), (*same, bytes_recovered) = results
     assert [digest, tx_id, outcome] == same
     assert outcome == "Executed"
@@ -311,7 +312,7 @@ def test_object_and_byte_blobs_make_one_transaction_and_one_outcome(shamir_calls
     assert (objects_recovered, bytes_recovered) == (0, 2)
 
 
-def test_a_hand_built_signature_takes_the_full_path(shamir_calls):
+def test_a_hand_built_signature_takes_the_full_path(full_recoveries):
     world = make_world()
     fund_contract(world)
     args = withdraw_args(world, 10)
@@ -320,7 +321,7 @@ def test_a_hand_built_signature_takes_the_full_path(shamir_calls):
     hand_built = tuple(RecoverableSignature(sig.r, sig.s, sig.v) for sig in made)
     assert hand_built == made and all(sig._signer is None for sig in hand_built)
     assert run_with_blobs(world, OperationKind.WITHDRAW, args, hand_built, nonce) == "Executed"
-    assert len(shamir_calls) == 2
+    assert len(full_recoveries) == 2
 
 
 @pytest.mark.parametrize(

@@ -674,12 +674,12 @@ def test_forged_sender_rejected():
 @pytest.fixture
 def recoveries(monkeypatch):
     """Lists that get an entry per submission check by recover_signer ("checked")
-    and per Straus-Shamir point recovery ("full") from now on."""
+    and per point recovery ("full") from now on."""
     import failsafe.ledger as ledger_module
 
     calls = {"checked": [], "full": []}
     for module, name, kind in ((ledger_module, "recover_signer", "checked"),
-                               (secp256k1, "_shamir", "full")):
+                               (secp256k1, "_double_multiply", "full")):
         def counted(*args, original=getattr(module, name), kind=kind):
             calls[kind].append(args)
             return original(*args)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from failsafe.bridge import ESCROW_ADDRESS
 from failsafe.cli import bundled_scenarios, main
-from failsafe.contract import CustodianUnavailable, OperationKind
+from failsafe.contract import OperationKind
 from failsafe.crypto import RecoverableSignature, keccak256, recover_signer, sign
 from failsafe.ledger import NATIVE, compute_tx_digest
 from failsafe.scenario import CUSTODIAN_ROLES, ParseError, Scenario, ScenarioRunner, UnknownActor
@@ -288,7 +288,16 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
         ({"blacklist": [{"address": "bob", "category": "theft"}]},
          "blacklist entry 0: unknown blacklist category 'theft'"),
         ({"failsafe": _enrolled({"hot_fraction_target": "1/0"})},
-         "failsafe entry 0 enrollments entry 0 policy: Fraction(1, 0)"),
+         "failsafe entry 0 enrollments entry 0 policy: policy denominators must be at least 1"),
+        # a fraction is an integer or p/q text; an exponent must not stall the parser
+        ({"failsafe": _enrolled({"hot_fraction_target": "0.2"})},
+         "failsafe entry 0 enrollments entry 0 policy: 'hot_fraction_target' must be p/q or an "
+         "integer, got '0.2'"),
+        ({"failsafe": _enrolled({"hot_fraction_tolerance": "1e-10000000"})},
+         "failsafe entry 0 enrollments entry 0 policy: 'hot_fraction_tolerance' must be p/q or an "
+         "integer, got '1e-10000000'"),
+        ({"steps": _transfer(signer="role:phantom")},
+         "no custodian role named 'role:phantom'"),
         # a negative amount would leave a balance, or a reported loss, below zero
         ({"genesis": [{"to": "alice", "token": "gold", "amount": -100}]},
          "genesis entry 0: cannot allocate a negative amount -100 of gold"),
@@ -299,6 +308,7 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
          "genesis-amount", "duplicate-token", "threshold-name", "steps-not-a-list",
          "reused-lamport-key", "no-signers", "repeated-signer", "threshold-range",
          "duplicate-owner", "blacklist-category", "policy-zero-denominator",
+         "policy-decimal", "policy-exponent", "unknown-role",
          "genesis-negative-amount", "at-risk-negative-amount"],
 )
 def test_refused_file_value_is_a_parse_error(overrides, message, tmp_path, capsys):
@@ -503,6 +513,17 @@ def test_load_reports_yaml_syntax_errors(tmp_path):
         Scenario.load(path)
 
 
+# the YAML parser itself raises ValueError for an integer past Python's digit
+# limit and for a date that does not exist
+@pytest.mark.parametrize("text", ["seed: " + "1" * 5000, "seed: 2020-13-45"],
+                         ids=["huge-integer", "bad-date"])
+def test_load_reports_values_the_yaml_parser_refuses(text, tmp_path, capsys):
+    path = tmp_path / "refused.yaml"
+    path.write_text(f"actors: {{alice: {{}}}}\n{text}\n")
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
 def test_load_parses_like_safe_load(name):
     path = scenario_path(name)
@@ -523,6 +544,7 @@ def _sites(node, path=()):
 _NUMBERS = st.one_of(st.integers(-3, 40), st.sampled_from([2**70, -2**70, 10**6 + 1]),
                      st.floats(-5, 5), st.booleans())
 _SHAPES = st.sampled_from([None, "", [], {}, [1], {"x": 1}])
+_UNRESOLVED = ("role:phantom", "nobody.contract", "nobody@dest", "0x12")
 
 
 # CI runs 1000 examples with --hypothesis-profile=fuzz
@@ -533,9 +555,10 @@ def test_a_mutated_bundled_scenario_fails_only_as_a_parse_error(data):
     name = data.draw(st.sampled_from(sorted(bundled_scenarios())))
     doc = yaml.safe_load(scenario_path(name).read_text(encoding="utf-8"))
     sites = [path for path, _ in _sites(doc)]
-    # a replacement may also name a real actor, token, action or key
+    # a replacement may also name a real actor, token, action or key, or an alias
+    # of each kind that resolves to nothing
     words = sorted({w for path, value in _sites(doc) for w in (path[-1], value)
-                    if isinstance(w, str)})
+                    if isinstance(w, str)} | set(_UNRESOLVED))
     *parents, site = data.draw(st.sampled_from(sites))
     node = doc
     for key in parents:
@@ -572,8 +595,10 @@ def test_address_aliases_resolve():
     assert vault == runner.vaults["alice"].address
     with pytest.raises(UnknownActor):
         runner.resolve_address("nobody.contract")
-    with pytest.raises(CustodianUnavailable):
+    with pytest.raises(UnknownActor):
         runner.resolve_key("role:phantom")
+    with pytest.raises(UnknownActor):
+        runner.resolve_address("role:phantom")
 
 
 # -- determinism and service toggles -----------------------------------------------------

@@ -14,12 +14,11 @@ from failsafe.crypto.secp256k1 import (
     N,
     RecoverableSignature,
     RecoveryError,
+    _double_multiply,
     _g_table,
     _mult_g,
     _rfc6979_nonces,
-    _shamir,
     derive_address,
-    fill_addresses,
     recover_signer,
     sign,
 )
@@ -201,13 +200,13 @@ def test_world_keys_match_one_at_a_time_generation():
 @settings(max_examples=20)
 @given(st.integers(min_value=0, max_value=N - 1), scalars, scalars)
 @example(0, 5, 1)
-@example(3, 3, 1)  # q = G: window combos add equal points
-@example(3, 3, N - 1)  # q = -G: combos cancel, and so does the whole sum
+@example(3, 3, 1)  # q = G: u1's windows add the point the accumulator holds
+@example(3, 3, N - 1)  # q = -G: they add its negation, and the sum cancels
 @example(7, 2, N - 1)
 def test_double_multiply_matches_oracle(u1, u2, q_scalar):
     q = reference_point_mul(q_scalar)
     expected = reference_point_add(reference_point_mul(u1), reference_point_mul(u2, q))
-    assert _shamir(u1, u2, q) == expected
+    assert _double_multiply(u1, u2, q) == expected
 
 
 @settings(max_examples=10)
@@ -258,16 +257,14 @@ def test_hint_and_serial_digest_leave_equality_hash_and_repr_alone():
     assert repr(sig) == repr(parsed) == f"RecoverableSignature(r={sig.r}, s={sig.s}, v={sig.v})"
 
 
-def test_fill_addresses_matches_derive_address():
+def test_batched_keys_carry_their_addresses():
     rng = random.Random(21)
-    keys = [KeyPair.generate(rng) for _ in range(5)]
-    known = keys[1].address  # already cached: left as it is
-    fill_addresses(keys)
-    assert vars(keys[1])["address"] is known
-    assert [vars(key)["address"] for key in keys] == [
-        derive_address(key.public_bytes) for key in keys
-    ]
-    assert all(type(vars(key)["address"]) is Address for key in keys)
+    keys = KeyPair.from_privates([rng.randrange(1, N) for _ in range(5)])
+    cached = [vars(key)["address"] for key in keys]
+    assert cached == [derive_address(key.public_bytes) for key in keys]
+    assert all(type(address) is Address for address in cached)
+    # a key pair built any other way derives its address when first read
+    assert KeyPair(keys[0].private, keys[0].public).address == cached[0]
 
 
 # -- signatures that `sign_transaction` makes when first read ------------------------
