@@ -82,4 +82,3 @@ class BalancerService:
                         self.custodian.key_for("relayer"),
                     )
                     self.ledger.submit_transaction(tx)
-                    self.ledger.take_pending()  # keep own submissions off the FIS stream

@@ -22,7 +22,6 @@ from .scenario import (
     ParseError,
     Scenario,
     ScenarioRunner,
-    UnknownActor,
 )
 
 _SCENARIO_DIR = "scenarios"
@@ -190,7 +189,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnknownActor, BadInput) as exc:
+    except (ParseError, BadInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

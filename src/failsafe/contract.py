@@ -130,7 +130,7 @@ class MultisigConfig:
     signers: tuple[Address, ...]
     thresholds: dict[OperationKind, int]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.signers:
             raise InvalidThresholds("signer set must not be empty")
         if len(set(self.signers)) != len(self.signers):
@@ -152,6 +152,9 @@ class EnrolledWallet:
     tokens: tuple[str, ...]
     dest_chain_id: int
     dest_address: Address
+    # the vault -> wallet migration intent registered at enrollment, kept so
+    # the custodian can later prove the inflow route to qMig
+    custody_intent: tuple[TransferIntentSource, RecoverableSignature]
 
 
 class KeyCustodian:
@@ -181,7 +184,6 @@ class FailSafeContract:
         config: MultisigConfig,
         qmig_address: Address,
     ):
-        config.validate()
         self.ledger = ledger
         self.key = key
         self.address = key.address
@@ -189,9 +191,6 @@ class FailSafeContract:
         self.config = config
         self.qmig_address = qmig_address
         self.enrollments: dict[Address, EnrolledWallet] = {}
-        # contract -> wallet migration intents built at enrollment, kept so
-        # the custodian can later prove the inflow route to qMig
-        self.outbound_intents: dict[Address, tuple[TransferIntentSource, RecoverableSignature]] = {}
         self._consumed: set[bytes] = set()
         self._auth_sequence = 0
 
@@ -248,14 +247,21 @@ class FailSafeContract:
             policy = PolicyConfig(*policy_tuple)
         except (ValueError, TypeError) as exc:
             raise InvalidPolicy(str(exc)) from exc
-        record = EnrolledWallet(
+        # (b) contract -> wallet intent so post-inflection custody releases
+        # count toward the wallet's permitted amount; built here to go on the
+        # record, registered after (a)
+        source_b = TransferIntentSource(
+            self.ledger.chain_id, self.address, self.ledger.chain_id, wallet
+        )
+        sig_b, digest_b = build_intent_digest(source_b, self.key)
+        self.enrollments[wallet] = EnrolledWallet(
             wallet=wallet,
             policy=policy,
             tokens=tuple(str(t) for t in tokens),
             dest_chain_id=int(dest_chain_id),
             dest_address=Address(dest_address),
+            custody_intent=(source_b, sig_b),
         )
-        self.enrollments[wallet] = record
         ctx.record_undo(lambda: self.enrollments.pop(wallet, None))
 
         # (a) the wallet's own migration intent, digest built client-side;
@@ -264,14 +270,6 @@ class FailSafeContract:
         ctx.call_contract(
             self.qmig_address, "registerTransferIntent", (byte_argument(intent_a_digest), True)
         )
-        # (b) contract -> wallet intent so post-inflection custody releases
-        # count toward the wallet's permitted amount
-        source_b = TransferIntentSource(
-            self.ledger.chain_id, self.address, self.ledger.chain_id, wallet
-        )
-        sig_b, digest_b = build_intent_digest(source_b, self.key)
-        self.outbound_intents[wallet] = (source_b, sig_b)
-        ctx.record_undo(lambda: self.outbound_intents.pop(wallet, None))
         ctx.call_contract(self.qmig_address, "registerTransferIntent", (digest_b, False))
 
         ctx.emit("Enrolled", {"user": self.owner, "wallet": wallet})
@@ -370,7 +368,6 @@ class FailSafeContract:
             OperationKind(str(name)): int(count) for name, count in threshold_pairs
         }
         candidate = MultisigConfig(self.config.signers, new_thresholds)
-        candidate.validate()
         old = self.config
         self.config = candidate
         ctx.record_undo(lambda: setattr(self, "config", old))
@@ -398,12 +395,10 @@ def deploy_failsafe(
     signers: Iterable[Address],
     thresholds: dict[OperationKind, int],
     qmig_address: Address,
-    custodian: KeyCustodian,
     key: KeyPair,
 ) -> FailSafeContract:
-    """Factory: provision the contract key, register the instance on the ledger."""
+    """Factory: build the contract around its own key, register it on the ledger."""
     config = MultisigConfig(tuple(signers), dict(thresholds))
-    custodian.add_role(f"contract:{owner}", key)
     contract = FailSafeContract(ledger, key, owner, config, qmig_address)
     ledger.register_contract(contract.address, contract)
     return contract

@@ -54,7 +54,7 @@ INTERCEPT_SCORE_THRESHOLD = 70
 
 @dataclass
 class _Activity:
-    first_seen: int | None = None
+    first_seen: int  # height of the first event naming the address
     inbound: deque = field(default_factory=deque)  # (height, sender, amount)
     outbound: deque = field(default_factory=deque)  # (height, amount)
 
@@ -113,10 +113,8 @@ class RiskService:
         self.advance_to(event.height)
         for side in ("from", "to"):
             addr = event.get(side)
-            if isinstance(addr, Address):
-                activity = self._activity.setdefault(addr, _Activity())
-                if activity.first_seen is None:
-                    activity.first_seen = event.height
+            if isinstance(addr, Address) and addr not in self._activity:
+                self._activity[addr] = _Activity(event.height)
         if event.kind != "Transfer" or event.get("outcome") != EXECUTED:
             return
         sender, recipient = event.get("from"), event.get("to")
@@ -154,8 +152,8 @@ class RiskService:
             reasons.append(
                 f"drain pattern: {len(senders)} senders, forwarded {outflow} of {inflow}"
             )
-        age = None if activity.first_seen is None else self._last_height - activity.first_seen
-        if age is not None and age < YOUNG_AGE_BLOCKS and inflow > YOUNG_INFLOW_THRESHOLD:
+        age = self._last_height - activity.first_seen
+        if age < YOUNG_AGE_BLOCKS and inflow > YOUNG_INFLOW_THRESHOLD:
             score += 20
             reasons.append(f"young address (age {age} blocks) received {inflow}")
         score = min(score, 100)

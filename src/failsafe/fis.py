@@ -189,10 +189,9 @@ class InterceptorService:
                     self.custodian.key_for("relayer"),
                     decision.target_gas_price,
                 )
+                # the intercept re-enters the pending stream next tick, where
+                # _exposure ignores it as a contract call
                 self.ledger.submit_transaction(itx)
-                # the interceptor's own submission re-enters the pending
-                # stream; drain it so this tick does not re-examine it
-                self.ledger.take_pending()
                 self.intercept_records.append((decision, itx, self.ledger.height))
                 intercept_id = itx.tx_id_hex
             owner = decision.contract.owner

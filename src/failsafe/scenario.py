@@ -89,8 +89,8 @@ class ParseError(Exception):
     """Scenario file fails schema validation."""
 
 
-class UnknownActor(Exception):
-    """A step or assertion references an undeclared name."""
+class UnknownActor(ValueError):
+    """A step or assertion references an undeclared name; `_reading` adds where."""
 
 
 class _Params(dict):
@@ -131,8 +131,8 @@ class _Params(dict):
 
 @contextmanager
 def _reading(where: str):
-    """Report a file value the program refuses (a bad fraction or address, a
-    duplicate name, a reused one-time key, a signer set or threshold a vault
+    """Report a file value the program refuses (a bad fraction or address, an
+    unknown or duplicate name, a reused one-time key, a signer set or threshold a vault
     refuses, an undeclared token or one of the wrong kind, a number no
     transaction can encode) as a ParseError naming where."""
     try:
@@ -447,7 +447,7 @@ class ScenarioRunner:
         if sc.qmig_admin is not None:
             admin_pq = self.actor_pq_keys.get(sc.qmig_admin)
             if admin_pq is None:
-                raise UnknownActor(f"qmig_admin {sc.qmig_admin!r} is not a pq actor")
+                raise ParseError(f"qmig_admin: {sc.qmig_admin!r} is not a pq actor")
             admin_pq_public = admin_pq.public
         self.qmig = QmigContract(self.ledger, qmig_key.address, admin_pq_public)
         self.ledger.register_contract(self.qmig.address, self.qmig)
@@ -455,16 +455,17 @@ class ScenarioRunner:
 
         for deployment in sc.failsafe:
             owner = str(deployment["owner"])
-            signers = [self.resolve_address(s) for s in deployment.sequence("signers")]
             thresholds = dict(DEFAULT_THRESHOLDS)
             over = deployment["thresholds"]
             with _reading(over.where):
                 for op in over:
                     thresholds[OperationKind(str(op))] = over.integer(op)
             with _reading(deployment.where):
+                if owner in self.vaults:
+                    raise ValueError(f"owner {owner!r} already has a vault")
+                signers = [self.resolve_address(s) for s in deployment.sequence("signers")]
                 vault = deploy_failsafe(
-                    self.ledger, owner, signers, thresholds, self.qmig.address,
-                    self.custodian, next(keys),
+                    self.ledger, owner, signers, thresholds, self.qmig.address, next(keys)
                 )
             self.oracle.register_actor(vault.key)
             self.vaults[owner] = vault
@@ -472,7 +473,7 @@ class ScenarioRunner:
                 wallet_name = str(enrollment["wallet"])
                 hot_key = self.actor_keys.get(wallet_name)
                 if hot_key is None:
-                    raise UnknownActor(f"enrollment wallet {wallet_name!r} is not an actor")
+                    raise ParseError(f"{enrollment.where}: wallet {wallet_name!r} is not an actor")
                 policy = enrollment["policy"]
                 with _reading(policy.where):
                     config = PolicyConfig(
@@ -577,8 +578,8 @@ class ScenarioRunner:
         if name.endswith(":custody"):
             wallet = self.resolve_address(name[: -len(":custody")])
             hit = find_enrollment(self.vaults.values(), wallet)
-            if hit is not None and wallet in hit[0].outbound_intents:
-                return hit[0].outbound_intents[wallet]
+            if hit is not None:
+                return hit[1].custody_intent
         raise UnknownActor(f"no stored intent named {name!r}")
 
     # -- step execution --------------------------------------------------------------

@@ -261,7 +261,6 @@ def test_criterion_05_multisig_thresholds(capsys):
                 OperationKind.UPDATE_CONFIG: 3,
             },
             qmig_addr,
-            custodian,
             KeyPair.generate(rng),
         )
         custodian.add_role("intercept", signers[0])
@@ -362,7 +361,7 @@ def test_criterion_06_digest_hiding(capsys):
             )
             for vault in runner.vaults.values():
                 signature_blobs.update(
-                    sig.to_bytes() for _, sig in vault.outbound_intents.values()
+                    record.custody_intent[1].to_bytes() for record in vault.enrollments.values()
                 )
             for record in runner.qmig.storage_records():
                 checked_records += 1

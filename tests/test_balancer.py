@@ -38,7 +38,6 @@ def make_world(hot_amount, cold_amount, target=(1, 5), tolerance=(1, 20)):
         [custodian.key_for("rebalance").address],
         {**DEFAULT_THRESHOLDS, OperationKind.WITHDRAW: 1, OperationKind.UPDATE_CONFIG: 1},
         QMIG_ADDRESS,
-        custodian,
         KeyPair.generate(rng),
     )
     hot = KeyPair.generate(rng)
@@ -50,7 +49,6 @@ def make_world(hot_amount, cold_amount, target=(1, 5), tolerance=(1, 20)):
         ledger, contract, hot, policy, ["gold"], dest_chain_id=2, dest_address=hot.address
     )
     ledger.build_block()
-    ledger.take_pending()
     threat_flags = set()
     balancer = BalancerService(ledger, custodian, [contract], threat_flags)
     return SimpleNamespace(

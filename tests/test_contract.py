@@ -49,7 +49,6 @@ def make_world(n_signers=3, thresholds=None, enroll=True):
         [k.address for k in signers],
         thresholds or DEFAULT_THRESHOLDS,
         QMIG_ADDRESS,
-        custodian,
         KeyPair.generate(rng),
     )
     hot = KeyPair.generate(rng)
@@ -104,7 +103,7 @@ def test_enrollment_registers_wallet_and_both_intents():
     # intent (a): wallet -> destination chain, registered via the receipt digest
     assert world.receipt.intent_sig.serial_digest in world.qmig.registry
     # intent (b): contract -> wallet custody-release route
-    source_b, _sig_b = world.contract.outbound_intents[world.hot.address]
+    source_b, _sig_b = record.custody_intent
     assert source_b.from_address == world.contract.address
     assert source_b.dest_address == world.hot.address
     assert len(world.qmig.registry) == 2
@@ -513,9 +512,9 @@ def test_deploy_rejects_bad_thresholds():
 def test_multisig_config_rejects_duplicate_signers():
     key = KeyPair.generate(random.Random(1))
     with pytest.raises(InvalidThresholds):
-        MultisigConfig((key.address, key.address), dict(DEFAULT_THRESHOLDS)).validate()
+        MultisigConfig((key.address, key.address), dict(DEFAULT_THRESHOLDS))
     with pytest.raises(InvalidThresholds):
-        MultisigConfig((), dict(DEFAULT_THRESHOLDS)).validate()
+        MultisigConfig((), dict(DEFAULT_THRESHOLDS))
 
 
 def test_policy_config_bounds():

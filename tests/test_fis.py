@@ -47,7 +47,6 @@ def make_world(window_cap=500, window_len=5):
         [custodian.key_for("intercept").address, custodian.key_for("rebalance").address],
         {**DEFAULT_THRESHOLDS, OperationKind.WITHDRAW: 2, OperationKind.UPDATE_CONFIG: 2},
         QMIG_ADDRESS,
-        custodian,
         KeyPair.generate(rng),
     )
     hot = KeyPair.generate(rng)
@@ -64,7 +63,6 @@ def make_world(window_cap=500, window_len=5):
         dest_address=hot.address,
     )
     ledger.build_block()
-    ledger.take_pending()  # the enrollment bundle is not under test
     risk = RiskService()
     risk.add_entry(attacker.address, "FraudContract", "intel")
     threat_flags = set()
@@ -290,9 +288,13 @@ def test_second_intercept_against_empty_wallet_is_benign():
     assert world.ledger.balance_of(world.contract.address, "gold") == 1000
 
 
-def test_own_submissions_never_reenter_the_stream():
+def test_own_intercept_is_ignored_on_the_next_tick():
     world = make_world()
     drain = signed(world, world.hot, TokenTransfer("gold", world.attacker.address, 900), 100)
     world.ledger.submit_transaction(drain)
     world.fis.on_tick(world.ledger.take_pending())
-    assert world.ledger.take_pending() == []  # FIS drained its own intercept
+    _, itx, _ = world.fis.intercept_records[0]
+    pending = world.ledger.take_pending()
+    assert pending == [itx]  # the intercept reaches the stream like any submission
+    world.fis.on_tick(pending)
+    assert world.fis.intercept_count == 1 and len(world.fis.alerts) == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failsafe.contract import DEFAULT_THRESHOLDS, KeyCustodian, OperationKind, deploy_failsafe
+from failsafe.contract import DEFAULT_THRESHOLDS, OperationKind, deploy_failsafe
 from failsafe.crypto import Address, KeyPair, RecoverableSignature, secp256k1, sign
 from failsafe.ledger import (
     NATIVE,
@@ -273,7 +273,7 @@ def test_malformed_contract_call_reverts_without_dropping_other_transactions(met
     signers = [KeyPair.generate(rng) for _ in range(2)]
     vault = deploy_failsafe(
         ledger, "alice", [k.address for k in signers], DEFAULT_THRESHOLDS, qmig.address,
-        KeyCustodian(), KeyPair.generate(rng),
+        KeyPair.generate(rng),
     )
     valid = submit_native(ledger, CAROL, BOB.address, 30)
     if method == "updateConfig":

@@ -283,7 +283,7 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
         ),
         (
             {"failsafe": [{"owner": "alice", "signers": ["alice", "bob"]}] * 2},
-            "failsafe entry 1: role 'contract:alice' already provisioned",
+            "failsafe entry 1: owner 'alice' already has a vault",
         ),
         ({"blacklist": [{"address": "bob", "category": "theft"}]},
          "blacklist entry 0: unknown blacklist category 'theft'"),
@@ -297,19 +297,37 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
          "failsafe entry 0 enrollments entry 0 policy: 'hot_fraction_tolerance' must be p/q or an "
          "integer, got '1e-10000000'"),
         ({"steps": _transfer(signer="role:phantom")},
-         "no custodian role named 'role:phantom'"),
+         "step 0 (transfer): no custodian role named 'role:phantom'"),
         # a negative amount would leave a balance, or a reported loss, below zero
         ({"genesis": [{"to": "alice", "token": "gold", "amount": -100}]},
          "genesis entry 0: cannot allocate a negative amount -100 of gold"),
         ({"at_risk": {"token": "gold", "amount": -10, "attacker": "bob"}},
          "at_risk: 'amount' must be >= 0, got -10"),
+        # an unknown name is reported where it was read
+        ({"steps": _transfer(signer="nobody")},
+         "step 0 (transfer): cannot resolve signing key 'nobody'"),
+        ({"steps": _transfer(to="nobody")}, "step 0 (transfer): cannot resolve address 'nobody'"),
+        ({"failsafe": [{"owner": "alice", "signers": ["alice", "ghost"]}]},
+         "failsafe entry 0: cannot resolve address 'ghost'"),
+        ({"genesis": [{"to": "nobody", "token": "gold", "amount": 1}]},
+         "genesis entry 0: cannot resolve address 'nobody'"),
+        ({"blacklist": [{"address": "nobody", "category": "FraudContract"}]},
+         "blacklist entry 0: cannot resolve address 'nobody'"),
+        ({"at_risk": {"token": "gold", "amount": 10, "attacker": "nobody.contract"}},
+         "at_risk: no FailSafe contract deployed for 'nobody'"),
+        ({"qmig_admin": "bob"}, "qmig_admin: 'bob' is not a pq actor"),
+        ({"failsafe": _enrolled(wallet="nobody")},
+         "failsafe entry 0 enrollments entry 0: wallet 'nobody' is not an actor"),
     ],
     ids=["amount", "gas-price", "bridge-amount", "hex-address", "unencodable-amount",
          "genesis-amount", "duplicate-token", "threshold-name", "steps-not-a-list",
          "reused-lamport-key", "no-signers", "repeated-signer", "threshold-range",
          "duplicate-owner", "blacklist-category", "policy-zero-denominator",
          "policy-decimal", "policy-exponent", "unknown-role",
-         "genesis-negative-amount", "at-risk-negative-amount"],
+         "genesis-negative-amount", "at-risk-negative-amount", "unknown-step-signer",
+         "unknown-step-address", "unknown-vault-signer", "unknown-genesis-address",
+         "unknown-blacklist-address", "unknown-at-risk-attacker", "unknown-qmig-admin",
+         "unknown-enrollment-wallet"],
 )
 def test_refused_file_value_is_a_parse_error(overrides, message, tmp_path, capsys):
     path = tmp_path / "bad-value.yaml"
@@ -495,7 +513,7 @@ def test_unknown_actor_rejected():
         {"at": 1, "action": "transfer", "signer": "mallory", "to": "bob",
          "token": "gold", "amount": 1},
     ])
-    with pytest.raises(UnknownActor):
+    with pytest.raises(ParseError, match=r"^step 0 \(transfer\): cannot resolve signing key"):
         ScenarioRunner(Scenario.from_dict(data)).run()
 
 
@@ -544,33 +562,41 @@ def _sites(node, path=()):
 _NUMBERS = st.one_of(st.integers(-3, 40), st.sampled_from([2**70, -2**70, 10**6 + 1]),
                      st.floats(-5, 5), st.booleans())
 _SHAPES = st.sampled_from([None, "", [], {}, [1], {"x": 1}])
-_UNRESOLVED = ("role:phantom", "nobody.contract", "nobody@dest", "0x12")
+_UNRESOLVED = ("nobody", "role:phantom", "nobody.contract", "nobody@dest", "0x12")
+# the keys whose values the runner resolves as names
+_NAME_KEYS = {"signer", "signers", "to", "address", "wallet", "owner", "dest", "attacker",
+              "victim", "spender", "source", "submitter", "intent"}
 
 
 # CI runs 1000 examples with --hypothesis-profile=fuzz
 @given(st.data())
 def test_a_mutated_bundled_scenario_fails_only_as_a_parse_error(data):
     """Delete one key or replace one value anywhere in a bundled scenario: the file
-    loads, builds and runs, or it is refused as a ParseError or UnknownActor (exit 2)."""
+    loads, builds and runs, or it is refused as a ParseError (exit 2)."""
     name = data.draw(st.sampled_from(sorted(bundled_scenarios())))
     doc = yaml.safe_load(scenario_path(name).read_text(encoding="utf-8"))
     sites = [path for path, _ in _sites(doc)]
+    # a name site is a value under a name key, or an item of a list under one
+    name_sites = [path for path in sites if _NAME_KEYS.intersection(path[-2:])]
     # a replacement may also name a real actor, token, action or key, or an alias
     # of each kind that resolves to nothing
     words = sorted({w for path, value in _sites(doc) for w in (path[-1], value)
                     if isinstance(w, str)} | set(_UNRESOLVED))
-    *parents, site = data.draw(st.sampled_from(sites))
+    aimed = data.draw(st.booleans())  # every bundled scenario has name sites
+    *parents, site = data.draw(st.sampled_from(name_sites if aimed else sites))
     node = doc
     for key in parents:
         node = node[key]
-    if data.draw(st.booleans()):
+    if aimed:
+        node[site] = data.draw(st.sampled_from(_UNRESOLVED))
+    elif data.draw(st.booleans()):
         del node[site]
     else:
         values = (_NUMBERS, _SHAPES, st.sampled_from(words), st.text(max_size=3))
         node[site] = data.draw(st.one_of(*values))
     try:
         ScenarioRunner(Scenario.from_dict(doc, default_name=name)).run()
-    except (ParseError, UnknownActor):
+    except ParseError:
         pass
 
 
@@ -599,6 +625,14 @@ def test_address_aliases_resolve():
         runner.resolve_key("role:phantom")
     with pytest.raises(UnknownActor):
         runner.resolve_address("role:phantom")
+
+
+def test_the_custodian_holds_only_its_roles():
+    """A vault keeps its own key, so every bundled world gives the custodian
+    exactly the four service roles."""
+    for path in bundled_scenarios().values():
+        runner = ScenarioRunner(Scenario.load(path))
+        assert list(runner.custodian._keys) == list(CUSTODIAN_ROLES)
 
 
 # -- determinism and service toggles -----------------------------------------------------
