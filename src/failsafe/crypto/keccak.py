@@ -7,12 +7,10 @@ padding. Digests differ between the two for every input.
 
 from __future__ import annotations
 
-import struct
+from functools import cache
 from operator import xor
 
 _RATE_BYTES = 136  # 1088-bit rate, 512-bit capacity
-_BLOCK = struct.Struct("<17Q")  # the rate block's 17 little-endian lanes
-_DIGEST = struct.Struct("<4Q")  # the first 4 lanes of the state
 
 _ROUND_CONSTANTS = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
@@ -29,6 +27,7 @@ _OFFSETS = (1, 2, 3, 6, 8, 10, 14, 15, 18, 20, 21, 25,
             27, 28, 36, 39, 41, 43, 44, 45, 55, 56, 61, 62)
 
 
+@cache
 def _lane_params(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Rotation masks and round constants for n 64-bit slots packed in one int.
 
@@ -36,7 +35,8 @@ def _lane_params(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     ~x is a negative int and slower to AND with. For each offset r, h_r keeps
     bits [r, 64) of every slot and l_r bits [0, r). A rotation shifts the
     whole int both ways, and the masks keep the bits that stayed in their
-    slot and the ones brought back across it.
+    slot and the ones brought back across it. They are kept per n: the same
+    sizes recur (one slot for keccak256, 512 and 256 for a Lamport key).
     """
     ones = int.from_bytes((b"\x01" + bytes(7)) * n, "little")
     full = ((1 << 64) - 1) * ones
@@ -45,9 +45,6 @@ def _lane_params(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         low = ((1 << r) - 1) * ones
         masks += (full ^ low, low)
     return tuple(masks), tuple(rc * ones for rc in _ROUND_CONSTANTS)
-
-
-_ONE_LANE = _lane_params(1)
 
 
 def _keccak_f(lanes: list[int], masks: tuple[int, ...],
@@ -140,46 +137,46 @@ def _keccak_f(lanes: list[int], masks: tuple[int, ...],
 
 
 def keccak256(data: bytes) -> bytes:
-    """Return the 32-byte Keccak-256 digest of data."""
-    pad_len = _RATE_BYTES - (len(data) % _RATE_BYTES)
-    if pad_len == 1:
-        padded = data + b"\x81"
-    else:
-        padded = data + b"\x01" + b"\x00" * (pad_len - 2) + b"\x80"
-
-    lanes = [0] * 25
-    for start in range(0, len(padded), _RATE_BYTES):
-        lanes[:17] = map(xor, lanes[:17], _BLOCK.unpack_from(padded, start))
-        _keccak_f(lanes, *_ONE_LANE)
-    return _DIGEST.pack(*lanes[:4])
+    """Return the 32-byte Keccak-256 digest of data: the batch of one."""
+    return keccak256_batch((data,))[0]
 
 
 def keccak256_batch(messages) -> list[bytes]:
-    """Return [keccak256(m) for m in messages] for messages of at most 135 bytes.
+    """Return [keccak256(m) for m in messages], messages of any length.
 
-    Every message fits one rate block, so all of them go through a single
-    permutation run: lane i of message j sits in 64-bit slot j of one int
-    (SIMD within a register). An empty batch returns at once: a permutation
-    over zero slots computes nothing, yet costs about 40% of a scalar hash.
+    Messages with the same padded block count form a group, and each group
+    takes one permutation run per block: lane i of its k-th message sits in
+    64-bit slot k of one int (SIMD within a register). Digests come back in
+    input order. An empty batch forms no group and so runs no permutation.
     """
-    if any(len(data) >= _RATE_BYTES for data in messages):
-        raise ValueError(f"batched message must be under {_RATE_BYTES} bytes")
-    n = len(messages)
-    if not n:
-        return []
-    padded = bytearray()
-    for data in messages:
-        block = bytearray(_RATE_BYTES)
-        block[: len(data)] = data
-        block[len(data)] ^= 0x01
-        block[-1] ^= 0x80  # both in one byte (0x81) when the pad is one byte
-        padded += block
-    words = memoryview(padded).cast("Q")
-    lanes = [int.from_bytes(words[i::17].tobytes(), "little") for i in range(17)] + [0] * 8
-    _keccak_f(lanes, *_lane_params(n))
+    groups: dict[int, list[tuple[int, bytes]]] = {}  # padded blocks -> (index, message)
+    for j, data in enumerate(messages):
+        groups.setdefault(len(data) // _RATE_BYTES + 1, []).append((j, data))
+    digests = [b""] * len(messages)
+    for blocks, members in groups.items():
+        n = len(members)
+        size = blocks * _RATE_BYTES
+        padded = bytearray()
+        for _, data in members:
+            block = bytearray(size)
+            block[: len(data)] = data
+            block[len(data)] ^= 0x01
+            block[-1] ^= 0x80  # both in one byte (0x81) when the pad is one byte
+            padded += block
+        # word w of every message makes lane w % 17 of block w // 17; with one
+        # message, each word is its lane as it stands
+        slots = memoryview(padded).cast("Q")
+        words = slots.tolist() if n == 1 else [
+            int.from_bytes(slots[w :: 17 * blocks].tobytes(), "little") for w in range(17 * blocks)]
+        lanes = [0] * 25
+        for start in range(0, len(words), 17):
+            lanes[:17] = map(xor, lanes[:17], words[start : start + 17])
+            _keccak_f(lanes, *_lane_params(n))
 
-    out = memoryview(bytearray(32 * n)).cast("Q")
-    for i in range(4):
-        out[i::4] = memoryview(lanes[i].to_bytes(8 * n, "little")).cast("Q")
-    raw = out.tobytes()
-    return [raw[32 * j : 32 * j + 32] for j in range(n)]
+        out = memoryview(bytearray(32 * n)).cast("Q")
+        for i in range(4):
+            out[i::4] = memoryview(lanes[i].to_bytes(8 * n, "little")).cast("Q")
+        raw = out.tobytes()
+        for k, (j, _) in enumerate(members):
+            digests[j] = raw[32 * k : 32 * k + 32]
+    return digests

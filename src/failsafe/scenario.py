@@ -822,8 +822,8 @@ class ScenarioRunner:
                 latency = included[0] - seen
 
         results = [(False, failure) for failure in self.step_failures]
-        for raw in self.scenario.assertions:
-            results.append(self._evaluate_assertion(raw))
+        for i, raw in enumerate(self.scenario.assertions):
+            results.append(self._evaluate_assertion(i, raw))
 
         return RunReport(
             scenario=self.scenario.name,
@@ -838,12 +838,13 @@ class ScenarioRunner:
             log_lines=self.render_log(),
         )
 
-    def _evaluate_assertion(self, raw: dict) -> tuple[bool, str]:
-        try:
-            read, _, _ = _CHECKS[str(raw["check"])]
-            return _compare(raw, *read(self, raw))
-        except Exception as exc:
-            return False, f"assertion {raw!r} errored: {type(exc).__name__}: {exc}"
+    def _evaluate_assertion(self, i: int, raw: dict) -> tuple[bool, str]:
+        read, _, _ = _CHECKS[str(raw["check"])]
+        with _reading(f"assertion {i} ({raw['check']})"):  # an unknown name is a ParseError
+            try:
+                return _compare(raw, *read(self, raw))
+            except InflectionUnset as exc:  # a run may end before qMig's inflection is set
+                return False, f"assertion {raw!r} errored: {type(exc).__name__}: {exc}"
 
     # -- log rendering ----------------------------------------------------------------------
 

@@ -5,9 +5,9 @@ package code so that agreement between the two routes is meaningful
 evidence. The Keccak oracle works on a 5x5x64 bit array and derives its
 round constants and rotation offsets at runtime from the FIPS 202
 definitions; the package implementation is lane-oriented with frozen
-tables. The Lamport oracle hashes one preimage at a time through the
-scalar keccak256, where the package hashes a whole signature in one
-batched permutation. The secp256k1 oracle multiplies points by textbook
+tables. The Lamport oracle hashes one preimage at a time, each a batch
+of one through keccak256, where the package hashes a whole signature's
+256 preimages in one batch. The secp256k1 oracle multiplies points by textbook
 affine double-and-add with one modular inverse per step; the package
 accumulates window tables in Jacobian coordinates. The ledger oracles
 replay raw block/transaction outcomes or the event log and never read the
@@ -126,7 +126,7 @@ def reference_keccak256(data: bytes) -> bytes:
 
 
 def reference_pq_verify(public_hashes, digest: bytes, preimages) -> bool:
-    """Lamport verification one preimage at a time through the scalar keccak256.
+    """Lamport verification one preimage at a time, each hashed alone by keccak256.
 
     Walks the digest byte by byte and each byte's bits from the top, and
     stops at the first preimage that does not hash to its committed image.

@@ -49,14 +49,14 @@ def test_matches_bit_level_reference(data):
     assert keccak256(data) == reference_keccak256(data)
 
 
-# -- batched one-block hashing ------------------------------------------------------
+# -- batched hashing ------------------------------------------------------------------
 
 
 @settings(max_examples=10)
 @given(st.integers(min_value=0, max_value=600), st.integers(min_value=0, max_value=2**32))
 def test_batch_matches_scalar_at_every_size(count, seed):
     rng = random.Random(seed)
-    messages = [rng.randbytes(rng.randrange(136)) for _ in range(count)]
+    messages = [rng.randbytes(rng.randrange(300)) for _ in range(count)]
     assert keccak256_batch(messages) == [keccak256(m) for m in messages]
 
 
@@ -82,12 +82,13 @@ def test_empty_batch_runs_no_permutation(monkeypatch):
 
 
 @pytest.mark.parametrize("length", [136, 137, 300])
-def test_batch_refuses_messages_of_a_full_block(length):
-    with pytest.raises(ValueError):
-        keccak256_batch([b"abc", bytes(length)])
+def test_batch_takes_messages_of_a_full_block(length):
+    messages = [b"abc", bytes(length)]
+    assert keccak256_batch(messages) == [reference_keccak256(m) for m in messages]
 
 
-# the empty, one-message, few-message and many-message batches against scalar hashing
+# the empty, one-message, few-message and many-message batches against scalar
+# hashing; keccak256 is the batch of one, so count 1 checks it against itself
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 64])
 def test_batch_equals_scalar_on_both_sides_of_the_scalar_cut(count):
     messages = [bytes(range(i % 7, i % 7 + (31 * i) % 136)) for i in range(count)]
@@ -95,6 +96,37 @@ def test_batch_equals_scalar_on_both_sides_of_the_scalar_cut(count):
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 64])
-def test_batch_refuses_a_full_block_at_every_size(count):
-    with pytest.raises(ValueError):
-        keccak256_batch([b"abc"] * (count - 1) + [bytes(136)])
+def test_batch_takes_a_full_block_at_every_size(count):
+    expected = [reference_keccak256(b"abc")] * (count - 1) + [reference_keccak256(bytes(136))]
+    assert keccak256_batch([b"abc"] * (count - 1) + [bytes(136)]) == expected
+
+
+def test_batch_of_mixed_lengths_keeps_input_order():
+    # 1, 2, 3 and 121 padded blocks interleaved, with the one-byte pad (135,
+    # 271) and the full-block pad (136, 272) at each block boundary
+    lengths = [272, 0, 16384, 135, 271, 1, 136, 300, 137, 273, 10, 135]
+    messages = [bytes((i + 7 * n) % 251 for i in range(length)) for n, length in enumerate(lengths)]
+    expected = [reference_keccak256(m) for m in messages]
+    assert keccak256_batch(messages) == expected
+    assert [keccak256(m) for m in messages] == expected
+
+
+@pytest.mark.parametrize(
+    "lengths, permutations",
+    [([10, 10, 200], 1 + 2), ([10, 200, 10, 200], 1 + 2), ([135, 136, 271, 272], 1 + 2 + 3),
+     ([16384], 121)],
+    ids=["two-groups", "interleaved", "block-boundaries", "16KiB"],
+)
+def test_batch_permutes_once_per_block_of_each_length_group(lengths, permutations, monkeypatch):
+    messages = [bytes(length) for length in lengths]
+    expected = [keccak256(m) for m in messages]
+    runs = []
+    permute = keccak._keccak_f
+
+    def counted(*args):
+        runs.append(args)
+        permute(*args)
+
+    monkeypatch.setattr(keccak, "_keccak_f", counted)
+    assert keccak256_batch(messages) == expected
+    assert len(runs) == permutations

@@ -238,6 +238,10 @@ def _transfer(**fields):
     return [dict(MINIMAL["steps"][0], **fields)]
 
 
+def _balance_of(**fields):
+    return dict(MINIMAL["assertions"][0], **fields)
+
+
 _INTENT = {"at": 1, "action": "make_intent", "source": "alice", "dest": "bob", "store": "x"}
 _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
 
@@ -318,6 +322,15 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
         ({"qmig_admin": "bob"}, "qmig_admin: 'bob' is not a pq actor"),
         ({"failsafe": _enrolled(wallet="nobody")},
          "failsafe entry 0 enrollments entry 0: wallet 'nobody' is not an actor"),
+        # an assertion's names are read once the run ends, and refused with its index
+        ({"assertions": [MINIMAL["assertions"][0], _balance_of(address="nobody")]},
+         "assertion 1 (balance): cannot resolve address 'nobody'"),
+        ({"assertions": [_balance_of(token="silver")]},
+         "assertion 0 (balance): unknown token 'silver'"),
+        ({"assertions": [_balance_of(address="0xzz")]},
+         "assertion 0 (balance): cannot resolve address '0xzz'"),
+        ({"assertions": [{"check": "permitted", "wallet": "nobody", "token": "gold", "equals": 0}]},
+         "assertion 0 (permitted): cannot resolve address 'nobody'"),
     ],
     ids=["amount", "gas-price", "bridge-amount", "hex-address", "unencodable-amount",
          "genesis-amount", "duplicate-token", "threshold-name", "steps-not-a-list",
@@ -327,13 +340,25 @@ _INFLECTION = {"action": "set_inflection", "signer": "alice", "height": 5}
          "genesis-negative-amount", "at-risk-negative-amount", "unknown-step-signer",
          "unknown-step-address", "unknown-vault-signer", "unknown-genesis-address",
          "unknown-blacklist-address", "unknown-at-risk-attacker", "unknown-qmig-admin",
-         "unknown-enrollment-wallet"],
+         "unknown-enrollment-wallet", "unknown-assertion-address", "unknown-assertion-token",
+         "short-assertion-address", "unknown-assertion-wallet"],
 )
 def test_refused_file_value_is_a_parse_error(overrides, message, tmp_path, capsys):
     path = tmp_path / "bad-value.yaml"
     path.write_text(yaml.safe_dump(edited(**overrides)))
     assert main(["run", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_permitted_before_the_inflection_fails_its_assertion(tmp_path, capsys):
+    # the one error a finished run reports as a failed check: qMig never set its inflection
+    path = tmp_path / "no-inflection.yaml"
+    permitted = {"check": "permitted", "wallet": "alice", "token": "gold", "equals": 0}
+    path.write_text(yaml.safe_dump(edited(assertions=[permitted])))
+    assert main(["run", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "\nassert FAIL: assertion {" in out
+    assert "} errored: InflectionUnset: quantum inflection point is not set\n" in out
 
 
 @pytest.mark.parametrize(
@@ -415,6 +440,58 @@ def test_mistyped_file_value_is_a_parse_error(overrides, message, tmp_path, caps
     path.write_text(yaml.safe_dump(edited(**overrides)))
     assert main(["run", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_CLI_POLICY = ("policy: {hot_fraction_target: 1, hot_fraction_tolerance: 0, "
+               "max_value_per_window: 100, window_length: 5}")
+
+
+# small hand-written files, each refused with exit 2 and one error line, as a
+# user running `failsafe run --scenario <file>` sees it
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("actors: {alice: {}}\nsteps:\n  - {at: 1.5, action: clear_threat, owner: alice}\n",
+         "step 0: 'at' must be an integer, got 1.5"),
+        ("actors: {alice: {}}\nfailsafe:\n  - {owner: alice, signers: 5}\n",
+         "failsafe entry 0: 'signers' must be a list, got 5"),
+        # a misspelt key must not let a file pass because its assertions went unread
+        ("actors: {alice: {}}\nasertions:\n  - {check: intercepts, equals: 1}\n",
+         "unknown scenario keys: ['asertions']"),
+        # a scenario file cannot switch a defence off; only --disable does
+        ("actors: {alice: {}}\nservices: {fis: false}\n", "unknown scenario keys: ['services']"),
+        ("actors: {alice: {}, bob: {}}\nfailsafe:\n  - owner: alice\n    signers: [alice, bob]\n"
+         "    enrollments:\n      - {wallet: alice, tokens: 5, dest: bob, " + _CLI_POLICY + "}\n",
+         "failsafe entry 0 enrollments entry 0: 'tokens' must be a list, got 5"),
+        ("actors: {alice: {}, bob: {}}\ntokens: [{id: gold}]\n"
+         "at_risk: {token: silver, amount: 10, attacker: bob}\n",
+         "at_risk: unknown token 'silver'"),
+        # its approval would revert and leave the wallet enrolled but unprotected
+        ("actors: {alice: {}, bob: {}}\ntokens: [{id: gold}]\nfailsafe:\n  - owner: alice\n"
+         "    signers: [alice, bob]\n    enrollments:\n"
+         "      - {wallet: alice, tokens: [silver], dest: bob, " + _CLI_POLICY + "}\n",
+         "failsafe entry 0 enrollments entry 0: unknown token 'silver'"),
+        ("actors: {alice: {}}\nrun_blocks: -3\n", "'run_blocks' must be >= 1, got -3"),
+        ("actors: {alice: {}}\ntokens: [{id: gold}]\n"
+         "genesis: [{to: alice, token: gold, amount: -100}]\n",
+         "genesis entry 0: cannot allocate a negative amount -100 of gold"),
+        ("actors: {alice: {}, bob: {}}\nsteps:\n  - {at: 1, action: transfer, "
+         "signer: \"role:phantom\", to: bob, token: native, amount: 1}\n",
+         "step 0 (transfer): no custodian role named 'role:phantom'"),
+        # a vault keeps its own key, and an owner has one vault
+        ("actors: {alice: {}, bob: {}}\nfailsafe:\n  - {owner: alice, signers: [alice, bob]}\n"
+         "  - {owner: alice, signers: [alice, bob]}\n",
+         "failsafe entry 1: owner 'alice' already has a vault"),
+    ],
+    ids=["mistyped-at", "signers-not-a-list", "misspelt-assertions", "services",
+         "enrollment-tokens-not-a-list", "at-risk-token", "enrollment-token", "run-blocks",
+         "genesis-negative-amount", "unknown-role", "second-vault"],
+)
+def test_hand_written_file_is_refused_with_one_error_line(text, message, tmp_path, capsys):
+    path = tmp_path / "refused.yaml"
+    path.write_text(text)
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_numeric_label_is_text():
