@@ -12,10 +12,10 @@ The destination ledger is deliberately minimal: balances and bridge mints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import Address, PqPublicKey, keccak256
-from .ledger import InsufficientBalance, Ledger, LedgerEvent
+from .ledger import NATIVE, InsufficientBalance, Ledger, LedgerEvent
 from .qmig import (
     InflectionUnset,
     QmigContract,
@@ -51,22 +51,6 @@ class BridgeTransfer:
             raise ValueError(f"bridge amount must be positive, got {self.amount}")
 
 
-@dataclass
-class BridgeBook:
-    locked_on_source: dict = field(default_factory=dict)  # token -> amount
-    minted_on_dest: dict = field(default_factory=dict)  # (dest addr, token) -> amount
-    cumulative_bridged: dict = field(default_factory=dict)  # (source addr, token) -> amount
-
-    def conservation_holds(self) -> bool:
-        minted_totals: dict[str, int] = {}
-        for (_, token), amount in self.minted_on_dest.items():
-            minted_totals[token] = minted_totals.get(token, 0) + amount
-        tokens = set(self.locked_on_source) | set(minted_totals)
-        return all(
-            self.locked_on_source.get(t, 0) == minted_totals.get(t, 0) for t in tokens
-        )
-
-
 class QuantumSafeLedger:
     """Balances and events on the destination chain; every credit is a bridge mint."""
 
@@ -86,13 +70,33 @@ class QuantumSafeLedger:
         )
 
 
+@dataclass(frozen=True)
+class BridgeBook:
+    """What crossed the bridge, read from the source's BridgeLock records and the destination."""
+
+    source: Ledger
+    dest: QuantumSafeLedger
+
+    def bridged(self, holder: Address, token: str) -> int:
+        """The total of holder's BridgeLock records in token: what it has locked
+        into escrow, or, for the escrow, all that is locked."""
+        return sum(ev.get("amount") for ev in self.source.transfers_since(holder, token, 0)
+                   if ev.kind == "BridgeLock")
+
+    def conservation_holds(self) -> bool:
+        """Each token's locked total equals its supply on the destination."""
+        tokens = {NATIVE, *self.source.tokens, *self.dest.balances}
+        return all(self.bridged(ESCROW_ADDRESS, t) == sum(self.dest.balances.get(t, {}).values())
+                   for t in tokens)
+
+
 class Bridge:
     def __init__(self, source_ledger: Ledger, dest_ledger: QuantumSafeLedger,
                  qmig: QmigContract):
         self.source = source_ledger
         self.dest = dest_ledger
         self.qmig = qmig
-        self.book = BridgeBook()
+        self.book = BridgeBook(source_ledger, dest_ledger)
 
     def _emit(self, req: BridgeTransfer, outcome: str, reason: str | None = None) -> None:
         fields = {
@@ -121,7 +125,7 @@ class Bridge:
                     f"intent dest chain {req.source.dest_chain_id} is not {self.dest.chain_id}"
                 )
             self.qmig.verify_transfer_intent(req.source, req.intent_sig)
-            already = self.book.cumulative_bridged.get((holder, req.token), 0)
+            already = self.book.bridged(holder, req.token)
             permitted = self.qmig.permitted_amount(holder, req.token, already_bridged=already)
             if already + req.amount > permitted:
                 raise ExceedsPermitted(
@@ -135,9 +139,4 @@ class Bridge:
 
         # the mint belongs to the source block the lock executes in
         self.dest.mint(req.source.dest_address, req.token, req.amount, self.source.height + 1)
-        book = self.book
-        for tally, key in ((book.locked_on_source, req.token),
-                           (book.minted_on_dest, (req.source.dest_address, req.token)),
-                           (book.cumulative_bridged, (holder, req.token))):
-            tally[key] = tally.get(key, 0) + req.amount
         self._emit(req, "ok")

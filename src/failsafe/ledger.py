@@ -168,8 +168,9 @@ def _format_value(value) -> str:
 # Transactions
 #
 # Each payload gives, through describe(), the event kind and fields that
-# log it: every reverted transaction, and every executed contract call, is
-# recorded this way.
+# log it. Every record of a transaction is made this way: each executed move
+# (a transaction's own, a contract's, or a bridge lock), each executed
+# contract call and each reverted transaction.
 
 @dataclass(frozen=True)
 class NativeTransfer:
@@ -373,23 +374,24 @@ class ExecutionContext:
 
     def transfer_out(self, token: str, to: Address, amount: int) -> None:
         """Spend the contract's own fungible or native balance."""
-        self.ledger._fungible_move(token, self.contract_address, to, amount, self.height)
+        self.ledger._move(TokenTransfer(token, to, amount), self.contract_address, self.height)
 
     def pull_with_allowance(self, token: str, owner: Address, amount: int) -> None:
         """transferFrom owner to the contract under a prior approval."""
-        self.ledger._fungible_move_from(
-            token, owner, self.contract_address, self.contract_address, amount, self.height
-        )
+        payload = TokenTransferFrom(token, owner, self.contract_address, amount)
+        self.ledger._move(payload, self.contract_address, self.height)
 
     def pull_nft(self, token: str, owner: Address, token_id: int) -> None:
         """Move an NFT from owner to the contract under operator approval."""
-        self.ledger._nft_move_by_operator(
-            token, owner, self.contract_address, self.contract_address, token_id, self.height
-        )
+        if not self.ledger._token(token, "nft").operators.get((owner, self.contract_address)):
+            raise InsufficientAllowance(
+                f"{self.contract_address} is not an approved operator for {owner} on {token}"
+            )
+        self.ledger._move(NftTransfer(token, self.contract_address, token_id), owner, self.height)
 
     def transfer_out_nft(self, token: str, to: Address, token_id: int) -> None:
         """Release an NFT the contract itself owns."""
-        self.ledger._nft_move(token, self.contract_address, to, token_id, self.height)
+        self.ledger._move(NftTransfer(token, to, token_id), self.contract_address, self.height)
 
     def call_contract(self, address: Address, method: str, args: tuple) -> object:
         """Nested contract-to-contract call within the same transaction."""
@@ -610,17 +612,9 @@ class Ledger:
 
     def _apply_payload(self, tx: Transaction, height: int) -> None:
         p = tx.payload
-        if isinstance(p, NativeTransfer):
-            self._fungible_move(NATIVE, tx.sender, p.to, p.amount, height)
-        elif isinstance(p, TokenTransfer):
-            self._fungible_move(p.token, tx.sender, p.to, p.amount, height)
-        elif isinstance(p, TokenTransferFrom):
-            self._fungible_move_from(p.token, p.owner, p.to, tx.sender, p.amount, height)
-        elif isinstance(p, Approve):
+        if isinstance(p, Approve):
             self._apply_approve(tx.sender, p, height)
-        elif isinstance(p, NftTransfer):
-            self._nft_move(p.token, tx.sender, p.to, p.token_id, height)
-        else:  # a ContractCall, the last kind submission lets through
+        elif isinstance(p, ContractCall):
             contract = self.contracts.get(p.contract)
             if contract is None:
                 raise UnknownContract(f"no contract at {p.contract}")
@@ -631,6 +625,8 @@ class Ledger:
                 # anyone can sign a call whose arguments do not decode
                 raise InvalidArgument(f"{p.method}: {exc}") from exc
             self._record(p, tx.sender, height, EXECUTED)
+        else:  # a move, the last kinds submission lets through
+            self._move(p, tx.sender, height)
 
     # -- state mutation (journaled during execution) ---------------------------
 
@@ -658,38 +654,6 @@ class Ledger:
             return self.native_balances
         return self._token(token, "fungible").balances
 
-    def _fungible_move(self, token: str, frm: Address, to: Address, amount: int,
-                       height: int, kind: str = "Transfer", **extra) -> None:
-        if amount < 0:
-            raise InvalidAmount(f"cannot move a negative amount {amount} of {token}")
-        balances = self._balances_for(token)
-        if balances.get(frm, 0) < amount:
-            raise InsufficientBalance(
-                f"{frm} holds {balances.get(frm, 0)} {token}, needs {amount}"
-            )
-        for addr, delta in ((frm, -amount), (to, amount)):
-            self._put(balances, addr, balances.get(addr, 0) + delta)
-        fields = {"from": frm, "to": to, "token": token, "amount": amount, **extra}
-        event = LedgerEvent(height, kind, {**fields, "outcome": EXECUTED})
-        self.events.append(event)
-        for addr in {frm, to}:
-            records = self._transfers.setdefault((token, addr), [])
-            records.append(event)
-            if self._journal is not None:
-                self._journal.append(records.pop)
-
-    def _fungible_move_from(self, token: str, owner: Address, to: Address,
-                            spender: Address, amount: int, height: int) -> None:
-        allowances = self._token(token, "fungible").allowances
-        allowance = allowances.get((owner, spender), 0)
-        if allowance is not UNLIMITED:
-            if allowance < amount:
-                raise InsufficientAllowance(
-                    f"{spender} allowed {allowance} of {owner}'s {token}, needs {amount}"
-                )
-            self._put(allowances, (owner, spender), allowance - amount)
-        self._fungible_move(token, owner, to, amount, height, spender=spender)
-
     def _apply_approve(self, owner: Address, p: Approve, height: int) -> None:
         if p.amount is not UNLIMITED and p.amount < 0:
             raise InvalidAmount(f"cannot approve a negative amount {p.amount} of {p.token}")
@@ -702,22 +666,45 @@ class Ledger:
             self._put(state.operators, (owner, p.spender), True)
             self._record(p, owner, height, EXECUTED, amount=UNLIMITED)
 
-    def _nft_move(self, token: str, frm: Address, to: Address, token_id: int,
-                  height: int) -> None:
-        owners = self._token(token, "nft").nft_owners
-        if owners.get(token_id) != frm:
-            raise NotOwner(f"{frm} does not own {token}#{token_id}")
-        self._put(owners, token_id, to)
-        fields = {"from": frm, "to": to, "token": token, "token_id": token_id, "outcome": EXECUTED}
-        self.events.append(LedgerEvent(height, "NftTransfer", fields))
-
-    def _nft_move_by_operator(self, token: str, owner: Address, to: Address,
-                              operator: Address, token_id: int, height: int) -> None:
-        if not self._token(token, "nft").operators.get((owner, operator), False):
-            raise InsufficientAllowance(
-                f"{operator} is not an approved operator for {owner} on {token}"
-            )
-        self._nft_move(token, owner, to, token_id, height)
+    def _move(self, p: Payload, sender: Address, height: int, kind: str | None = None) -> None:
+        """Check and apply the move p is, sent by sender; log p.describe(), as kind if given."""
+        # revert order: a transfer_from's token kind, then its allowance; a
+        # negative amount, the token kind, then the balance; an NFT's token
+        # kind, then its owner
+        described, fields = p.describe(sender)
+        token, frm, to = fields["token"], fields["from"], fields["to"]
+        if isinstance(p, NftTransfer):
+            owners = self._token(token, "nft").nft_owners
+            if owners.get(p.token_id) != frm:
+                raise NotOwner(f"{frm} does not own {token}#{p.token_id}")
+            self._put(owners, p.token_id, to)
+        else:
+            if isinstance(p, TokenTransferFrom):
+                allowances = self._token(token, "fungible").allowances
+                allowance = allowances.get((frm, sender), 0)
+                if allowance is not UNLIMITED:
+                    if allowance < p.amount:
+                        raise InsufficientAllowance(
+                            f"{sender} allowed {allowance} of {frm}'s {token}, needs {p.amount}"
+                        )
+                    self._put(allowances, (frm, sender), allowance - p.amount)
+            if p.amount < 0:
+                raise InvalidAmount(f"cannot move a negative amount {p.amount} of {token}")
+            balances = self._balances_for(token)
+            if balances.get(frm, 0) < p.amount:
+                raise InsufficientBalance(
+                    f"{frm} holds {balances.get(frm, 0)} {token}, needs {p.amount}"
+                )
+            for addr, delta in ((frm, -p.amount), (to, p.amount)):
+                self._put(balances, addr, balances.get(addr, 0) + delta)
+        event = LedgerEvent(height, kind or described, {**fields, "outcome": EXECUTED})
+        self.events.append(event)
+        if not isinstance(p, NftTransfer):
+            for addr in {frm, to}:
+                records = self._transfers.setdefault((token, addr), [])
+                records.append(event)
+                if self._journal is not None:
+                    self._journal.append(records.pop)
 
     # -- bridge hooks (scheduler-level, outside block execution) ---------------
 
@@ -732,4 +719,4 @@ class Ledger:
         """
         if self._journal is not None:
             raise RuntimeError("bridge lock cannot run inside transaction execution")
-        self._fungible_move(token, source, escrow, amount, self.height + 1, kind="BridgeLock")
+        self._move(TokenTransfer(token, escrow, amount), source, self.height + 1, "BridgeLock")

@@ -184,6 +184,19 @@ class Scenario:
             if not condition:
                 raise ParseError(message)
 
+        def section(where: str, raw, keys: str | None = None) -> _Params:
+            # a mapping of the file; unless keys is None, each key it gives is one of keys
+            need(isinstance(raw, dict), f"{where} must be a mapping")
+            allowed = raw if keys is None else keys.split()
+            for key in raw:
+                if key not in allowed:
+                    raise ParseError(f"{where}: unknown key {key!r}")
+            return _Params(where, raw.items())
+
+        def entries(name: str, raw, keys: str) -> list[_Params]:
+            need(isinstance(raw, list), f"'{name}' must be a list")
+            return [section(f"{name} entry {i}", entry, keys) for i, entry in enumerate(raw)]
+
         unknown = sorted(set(data) - set(cls.__dataclass_fields__), key=str)
         need(not unknown, f"unknown scenario keys: {unknown}")
         data = _Params("scenario", data)
@@ -200,34 +213,32 @@ class Scenario:
             last_at = at
             action = str(raw["action"])
             need(action in ScenarioRunner._STEP_HANDLERS, f"step {i}: unknown action {action!r}")
-            params = _Params(
-                f"step {i} ({action})",
-                ((k, v) for k, v in raw.items() if k not in ("at", "action", "label")),
-            )
+            _, keys = ScenarioRunner._STEP_HANDLERS[action]
+            params = section(f"step {i} ({action})", raw, f"at action label {keys}")
             label = raw.get("label")
             steps.append(Step(at, action, params, None if label is None else str(label)))
 
         actors = data.get("actors", {})
         need(isinstance(actors, dict) and actors, "scenario needs a non-empty 'actors' mapping")
 
-        def section(where: str, raw) -> _Params:
-            need(isinstance(raw, dict), f"{where} must be a mapping")
-            return _Params(where, raw.items())
-
-        def entries(name: str, raw) -> list[_Params]:
-            need(isinstance(raw, list), f"'{name}' must be a list")
-            return [section(f"{name} entry {i}", entry) for i, entry in enumerate(raw)]
-
-        failsafe = entries("failsafe", data.get("failsafe", []))
+        failsafe = entries("failsafe", data.get("failsafe", []),
+                           "owner signers thresholds enrollments")
         for entry in failsafe:
             where = entry.where
+            # a threshold's name is an operation kind, read where the vault is built
             entry["thresholds"] = section(f"{where} thresholds", entry.get("thresholds") or {})
-            entry["enrollments"] = entries(f"{where} enrollments", entry.get("enrollments", []))
+            entry["enrollments"] = entries(f"{where} enrollments", entry.get("enrollments", []),
+                                           "wallet policy tokens dest dest_chain")
             for enrollment in entry["enrollments"]:
-                enrollment["policy"] = section(f"{enrollment.where} policy", enrollment["policy"])
+                enrollment["policy"] = section(
+                    f"{enrollment.where} policy", enrollment["policy"],
+                    "hot_fraction_target hot_fraction_tolerance max_value_per_window window_length")
         at_risk = data.get("at_risk")
         if at_risk is not None:
-            at_risk = section("at_risk", at_risk)
+            at_risk = section("at_risk", at_risk, "token amount attacker")
+        # what an assertion may name: a label some step carries, a vault's owner
+        labels = {step.label for step in steps}
+        owners = {str(entry["owner"]) for entry in failsafe if "owner" in entry}
         assertions = data.get("assertions", [])
         need(
             isinstance(assertions, list) and all(isinstance(a, dict) for a in assertions),
@@ -251,6 +262,12 @@ class Scenario:
                 need(not allowed or value in allowed,
                      f"assertion {i} ({check}): {key!r} must be one of "
                      f"{'/'.join(allowed)}, got {raw.get(key)!r}")
+            if reads is _LABEL:
+                need(str(raw["label"]) in labels,
+                     f"assertion {i} ({check}): no step carries label {str(raw['label'])!r}")
+            if check == "alerts":
+                need(str(raw["user"]) in owners,
+                     f"assertion {i} ({check}): {str(raw['user'])!r} owns no FailSafe vault")
 
         scenario = cls(
             name=str(data.get("name", default_name)),
@@ -259,11 +276,11 @@ class Scenario:
             chain_id=data.integer("chain_id", 1),
             dest_chain_id=data.integer("dest_chain_id", 9001),
             run_blocks=data.integer("run_blocks", (steps[-1].at if steps else 1) + 2),
-            tokens=entries("tokens", data.get("tokens", [])),
-            actors={str(k): section(f"actor {k!r}", v or {}) for k, v in actors.items()},
+            tokens=entries("tokens", data.get("tokens", []), "id kind"),
+            actors={str(k): section(f"actor {k!r}", v or {}, "pq") for k, v in actors.items()},
             qmig_admin=data.get("qmig_admin"),
-            blacklist=entries("blacklist", data.get("blacklist", [])),
-            genesis=entries("genesis", data.get("genesis", [])),
+            blacklist=entries("blacklist", data.get("blacklist", []), "address category source"),
+            genesis=entries("genesis", data.get("genesis", []), "to token amount token_id"),
             failsafe=failsafe,
             at_risk=at_risk,
             steps=steps,
@@ -388,7 +405,6 @@ class ScenarioRunner:
         self.verify_outcomes: dict[str, str] = {}
         self.bridge_outcomes: dict[str, str] = {}
         self.step_failures: list[str] = []
-        self._event_cursor = 0
 
         self._build_world()
         # Leave the run with empty young generations: the collector's counts
@@ -618,7 +634,7 @@ class ScenarioRunner:
 
     def execute_step(self, step: Step) -> None:
         with _reading(step.params.where):
-            self._STEP_HANDLERS[step.action](self, step, step.params)
+            self._STEP_HANDLERS[step.action][0](self, step, step.params)
 
     def _step_transfer(self, step: Step, p: _Params) -> None:
         self._sign_and_submit(step, self.resolve_key(p["signer"]), self._transfer_payload(p))
@@ -730,28 +746,27 @@ class ScenarioRunner:
     def _step_clear_threat(self, step: Step, p: _Params) -> None:
         self.threat_flags.discard(str(p["owner"]))
 
+    # action -> (its handler, every key its step may give besides at, action and
+    # label); a step that signs and submits also reads gas_price and private
     _STEP_HANDLERS = {
-        "transfer": _step_transfer,
-        "transfer_from": _step_transfer_from,
-        "approve": _step_approve,
-        "nft_transfer": _step_nft_transfer,
-        "quantum_steal": _step_quantum_steal,
-        "add_exception": _step_add_exception,
-        "set_inflection": _step_set_inflection,
-        "register_intent": _step_register_intent,
-        "make_intent": _step_make_intent,
-        "verify_intent": _step_verify_intent,
-        "bridge": _step_bridge,
-        "withdraw": _step_withdraw,
-        "clear_threat": _step_clear_threat,
+        "transfer": (_step_transfer, "signer to token amount gas_price private"),
+        "transfer_from": (_step_transfer_from, "signer token owner to amount gas_price private"),
+        "approve": (_step_approve, "signer token spender amount gas_price private"),
+        "nft_transfer": (_step_nft_transfer, "signer token to token_id gas_price private"),
+        "quantum_steal": (_step_quantum_steal, "victim to token amount gas_price private"),
+        "add_exception": (_step_add_exception, "wallet"),
+        "set_inflection": (_step_set_inflection, "signer height gas_price private"),
+        "register_intent": (_step_register_intent,
+                            "source dest dest_chain submitter store gas_price private"),
+        "make_intent": (_step_make_intent, "source dest dest_chain store"),
+        "verify_intent": (_step_verify_intent, "intent"),
+        "bridge": (_step_bridge, "intent token amount"),
+        "withdraw": (_step_withdraw,
+                     "owner wallet token asset_kind amount token_id signers gas_price private"),
+        "clear_threat": (_step_clear_threat, "owner"),
     }
 
     # -- scheduler ---------------------------------------------------------------------
-
-    def _take_new_events(self):
-        new = self.ledger.events[self._event_cursor:]
-        self._event_cursor = len(self.ledger.events)
-        return new
 
     def run(self) -> RunReport:
         sc = self.scenario
@@ -775,12 +790,13 @@ class ScenarioRunner:
                 attacker = self.resolve_address(sc.at_risk["attacker"])
                 attacker_start = self.ledger.balance_of(attacker, str(sc.at_risk["token"]))
 
-        step_index = 0
+        step_index = seen = 0
         for target_height in range(1, sc.run_blocks + 1):
             while step_index < len(sc.steps) and sc.steps[step_index].at == target_height:
                 self.execute_step(sc.steps[step_index])
                 step_index += 1
-            new_events = self._take_new_events()
+            new_events = self.ledger.events[seen:]
+            seen = len(self.ledger.events)
             pending = self.ledger.take_pending()
             if "fis" not in self.disabled:
                 self.fis.on_block_events(new_events)
@@ -799,18 +815,15 @@ class ScenarioRunner:
 
     # -- reporting -----------------------------------------------------------------------
 
-    def _attacker_holdings(self, attacker: Address, token: str) -> int:
-        total = self.ledger.balance_of(attacker, token)
-        dest_key = self.dest_keys.get(str(self.scenario.at_risk["attacker"]))
-        if dest_key is not None:
-            total += self.dest_ledger.balance_of(pq_address(dest_key.public), token)
-        return total
-
     def _report(self, at_risk_amount, attacker, attacker_start) -> RunReport:
         lost = 0
         if self.scenario.at_risk is not None:
             token = str(self.scenario.at_risk["token"])
-            gained = self._attacker_holdings(attacker, token) - attacker_start
+            gained = self.ledger.balance_of(attacker, token) - attacker_start
+            # what the attacker holds on the destination chain counts as gained too
+            dest_key = self.dest_keys.get(str(self.scenario.at_risk["attacker"]))
+            if dest_key is not None:
+                gained += self.dest_ledger.balance_of(pq_address(dest_key.public), token)
             lost = min(max(gained, 0), at_risk_amount)
         saved = at_risk_amount - lost
 

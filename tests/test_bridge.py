@@ -90,8 +90,8 @@ def test_happy_path_locks_and_mints():
     assert world.ledger.balance_of(world.victim.address, "gold") == 300
     assert world.ledger.balance_of(ESCROW_ADDRESS, "gold") == 400
     assert world.dest.balance_of(dest_addr, "gold") == 400
-    assert world.bridge.book.locked_on_source == {"gold": 400}
-    assert world.bridge.book.cumulative_bridged == {(world.victim.address, "gold"): 400}
+    assert world.bridge.book.bridged(world.victim.address, "gold") == 400
+    assert world.bridge.book.bridged(world.courier.address, "gold") == 0
     assert world.bridge.book.conservation_holds()
     ok = [ev for ev in world.ledger.events if ev.kind == "Bridge"]
     assert len(ok) == 1 and ok[0].get("outcome") == "ok"
@@ -112,6 +112,23 @@ def test_full_migration_in_installments():
     assert world.ledger.balance_of(world.victim.address, "gold") == 0
     assert world.dest.balance_of(pq_address(world.dest_key.public), "gold") == 700
     assert world.bridge.book.conservation_holds()
+
+
+def test_conservation_reads_both_ledgers():
+    """A lock counts only as a BridgeLock record, and every destination credit
+    counts: a plain transfer into escrow keeps the book balanced, and a mint made
+    outside the bridge breaks it."""
+    world = make_world()
+    world.bridge.bridge_transfer(request(world, 400))
+    world.ledger.build_block()
+    tx = sign_transaction(world.courier, world.ledger.next_nonce(world.courier.address), 1,
+                          TokenTransfer("gold", ESCROW_ADDRESS, 50))
+    world.ledger.submit_transaction(tx)
+    world.ledger.build_block()
+    assert world.ledger.balance_of(ESCROW_ADDRESS, "gold") == 450
+    assert world.bridge.book.conservation_holds()
+    world.dest.mint(world.courier.address, "gold", 5, world.ledger.height)
+    assert not world.bridge.book.conservation_holds()
 
 
 def test_two_installments_within_one_tick():

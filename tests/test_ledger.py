@@ -458,6 +458,147 @@ def test_nft_transfer_and_not_owner_revert():
     assert ledger.nft_owner_of("deeds", 7) == BOB.address
 
 
+# -- the one move --------------------------------------------------------------
+
+MOVER = Address(bytes(range(160, 180)))
+LOCKED = Address(bytes(range(180, 200)))
+MOVE_KINDS = ("Transfer", "NftTransfer", "BridgeLock")
+
+
+class _Mover:
+    """A contract whose method names the ExecutionContext move it makes."""
+
+    def call(self, method, args, ctx):
+        getattr(ctx, method)(*args)
+
+
+def _move_world() -> Ledger:
+    """Alice and the mover each hold 100 native, gold and silver. Alice owns art
+    #1 and gem #3, the mover art #2. Alice lets Bob and the mover pull 1000 gold,
+    and makes the mover an art operator; no one may pull her silver or gems."""
+    ledger = Ledger()
+    for token, kind in (("gold", "fungible"), ("silver", "fungible"), ("art", "nft"),
+                        ("gem", "nft")):
+        ledger.create_token(token, kind)
+    ledger.register_contract(MOVER, _Mover())
+    for holder in (ALICE.address, MOVER):
+        for token in (NATIVE, "gold", "silver"):
+            ledger.genesis_allocate(holder, token, 100)
+    for holder, token, token_id in ((ALICE.address, "art", 1), (MOVER, "art", 2),
+                                    (ALICE.address, "gem", 3)):
+        ledger.genesis_allocate_nft(holder, token, token_id)
+    for token, spender, amount in (("gold", BOB.address, 1000), ("gold", MOVER, 1000),
+                                   ("art", MOVER, UNLIMITED)):
+        approve(ledger, ALICE, spender, amount, token)
+    assert {outcome for _, outcome in ledger.build_block().txs} == {"Executed"}
+    return ledger
+
+
+def _sent(key, payload):
+    """A move site that is a transaction key signs."""
+    def run(ledger, token, value):
+        ledger.submit_transaction(
+            sign_transaction(key, ledger.next_nonce(key.address), 1, payload(token, value)))
+        (_, outcome), = ledger.build_block().txs
+        return outcome
+    return run
+
+
+def _called(method, args):
+    """A move site that is the mover's ExecutionContext method, called by Alice."""
+    return _sent(ALICE, lambda token, value: ContractCall(MOVER, method, args(token, value)))
+
+
+def _locked(ledger, token, amount):
+    try:
+        ledger.apply_bridge_lock(ALICE.address, LOCKED, token, amount)
+    except RevertError as err:
+        return f"Reverted:{err.reason}"
+    return "Executed"
+
+
+A, B, C = ALICE.address, BOB.address, CAROL.address
+# revert cases (token, value, reason), one per step of each kind's check order
+_SEND_REVERTS = [("ghost", -1, "InvalidAmount"), ("ghost", 5, "UnknownToken"),
+                 ("art", 5, "WrongTokenKind"), ("gold", 500, "InsufficientBalance")]
+_PULL_REVERTS = [("ghost", 500, "UnknownToken"), ("ghost", -1, "UnknownToken"),
+                 ("art", 5, "WrongTokenKind"), ("silver", 500, "InsufficientAllowance"),
+                 ("gold", -1, "InvalidAmount"), ("gold", 500, "InsufficientBalance")]
+_NFT_REVERTS = [("ghost", 1, "UnknownToken"), ("gold", 1, "WrongTokenKind"),
+                ("art", 9, "NotOwner")]
+# each place a move is made: (run(ledger, token, value) -> outcome, the executed
+# case's (token, value), its record's kind and fields, the revert cases)
+MOVE_SITES = {
+    "NativeTransfer": (
+        _sent(ALICE, lambda token, value: NativeTransfer(B, value)), (NATIVE, 30), "Transfer",
+        [("from", A), ("to", B), ("token", NATIVE), ("amount", 30)],
+        [(NATIVE, -1, "InvalidAmount"), (NATIVE, 500, "InsufficientBalance")]),
+    "TokenTransfer": (
+        _sent(ALICE, lambda token, value: TokenTransfer(token, B, value)), ("gold", 30),
+        "Transfer", [("from", A), ("to", B), ("token", "gold"), ("amount", 30)],
+        _SEND_REVERTS),
+    "TokenTransferFrom": (
+        _sent(BOB, lambda token, value: TokenTransferFrom(token, A, C, value)), ("gold", 30),
+        "Transfer", [("from", A), ("to", C), ("token", "gold"), ("amount", 30), ("spender", B)],
+        _PULL_REVERTS),
+    "NftTransfer": (
+        _sent(ALICE, lambda token, value: NftTransfer(token, B, value)), ("art", 1),
+        "NftTransfer", [("from", A), ("to", B), ("token", "art"), ("token_id", 1)],
+        _NFT_REVERTS),
+    "transfer_out": (
+        _called("transfer_out", lambda token, value: (token, B, value)), ("gold", 30),
+        "Transfer", [("from", MOVER), ("to", B), ("token", "gold"), ("amount", 30)],
+        _SEND_REVERTS),
+    "pull_with_allowance": (
+        _called("pull_with_allowance", lambda token, value: (token, A, value)), ("gold", 30),
+        "Transfer",
+        [("from", A), ("to", MOVER), ("token", "gold"), ("amount", 30), ("spender", MOVER)],
+        _PULL_REVERTS),
+    "transfer_out_nft": (
+        _called("transfer_out_nft", lambda token, value: (token, B, value)), ("art", 2),
+        "NftTransfer", [("from", MOVER), ("to", B), ("token", "art"), ("token_id", 2)],
+        _NFT_REVERTS),
+    # operator rights are checked after the token kind and before the owner
+    "pull_nft": (
+        _called("pull_nft", lambda token, value: (token, A, value)), ("art", 1),
+        "NftTransfer", [("from", A), ("to", MOVER), ("token", "art"), ("token_id", 1)],
+        [("ghost", 1, "UnknownToken"), ("gold", 1, "WrongTokenKind"),
+         ("gem", 9, "InsufficientAllowance"), ("art", 2, "NotOwner")]),
+    "bridge_lock": (
+        _locked, ("gold", 30), "BridgeLock",
+        [("from", A), ("to", LOCKED), ("token", "gold"), ("amount", 30)], _SEND_REVERTS),
+}
+
+
+@pytest.mark.parametrize("run, executed, kind, fields, reverts", MOVE_SITES.values(),
+                         ids=MOVE_SITES)
+def test_every_move_site_checks_and_records_one_way(run, executed, kind, fields, reverts):
+    """Each move is logged through its payload's describe(): the record's kind
+    and field order, and the checks that revert it, are the same wherever it is
+    made. A fungible record is indexed under both parties; an NFT's is not."""
+    for token, value, reason in reverts:
+        ledger = _move_world()
+        start = len(ledger.events)
+        assert run(ledger, token, value) == f"Reverted:{reason}", (token, value)
+        assert not [ev for ev in ledger.events[start:]
+                    if ev.kind in MOVE_KINDS and ev.get("outcome") == "Executed"]
+    ledger = _move_world()
+    start = len(ledger.events)
+    assert run(ledger, *executed) == "Executed"
+    moves = [ev for ev in ledger.events[start:] if ev.kind in MOVE_KINDS]
+    assert [(ev.kind, list(ev.data.items())) for ev in moves] == [
+        (kind, [*fields, ("outcome", "Executed")])]
+    event, = moves
+    indexed = {key for key, records in ledger._transfers.items()
+               if any(record is event for record in records)}
+    if kind == "NftTransfer":
+        assert indexed == set()
+    else:
+        assert indexed == {(event.get("token"), event.get("from")),
+                           (event.get("token"), event.get("to"))}
+        assert all(ledger._transfers[key][-1] is event for key in indexed)
+
+
 # -- history queries ---------------------------------------------------------
 
 

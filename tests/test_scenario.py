@@ -1,12 +1,14 @@
 """Scenario runner: parsing, determinism, service toggles, reporting, CLI."""
 
 import copy
+import re
 import gc
 import hashlib
+from dataclasses import replace
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from failsafe.bridge import ESCROW_ADDRESS
@@ -14,7 +16,14 @@ from failsafe.cli import bundled_scenarios, main
 from failsafe.contract import OperationKind
 from failsafe.crypto import RecoverableSignature, keccak256, recover_signer, sign
 from failsafe.ledger import NATIVE, compute_tx_digest
-from failsafe.scenario import CUSTODIAN_ROLES, ParseError, Scenario, ScenarioRunner, UnknownActor
+from failsafe.scenario import (
+    CUSTODIAN_ROLES,
+    ParseError,
+    Scenario,
+    ScenarioRunner,
+    UnknownActor,
+    _Params,
+)
 from oracles import replay_balance_from_events
 
 MINIMAL = {
@@ -50,6 +59,8 @@ def test_minimal_scenario_runs_clean():
 
 def edited(**overrides):
     data = copy.deepcopy(MINIMAL)
+    if "steps" in overrides:  # new steps need not carry the label 'pay' an assertion reads
+        data["assertions"] = data["assertions"][:1]
     data.update(overrides)
     return data
 
@@ -494,6 +505,170 @@ def test_hand_written_file_is_refused_with_one_error_line(text, message, tmp_pat
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def _step(action, **fields):
+    return {"at": 1, "action": action, **fields}
+
+
+_VAULT_OF_ALICE = [{"owner": "alice", "signers": ["alice", "bob"]}]
+
+
+# a misspelt key is refused where the file gives it, before block 1; each row
+# ran at the parent with the key ignored
+@pytest.mark.parametrize(
+    "overrides, message",
+    numbered("key", [
+        (0, {"steps": _transfer(privat=True, gas_prise=9)},
+         "step 0 (transfer): unknown key 'privat'"),
+        (1, {"steps": [_step("transfer_from", signer="bob", token="gold", owner="alice", to="bob",
+                             amount=1, gas_prise=9)]},
+         "step 0 (transfer_from): unknown key 'gas_prise'"),
+        (2, {"steps": [_step("approve", signer="alice", token="gold", spender="bob", ammount=5)]},
+         "step 0 (approve): unknown key 'ammount'"),
+        (3, dict(_ART, steps=[_step("nft_transfer", signer="alice", to="bob", token="art",
+                                    token_id=7, privat=True)]),
+         "step 0 (nft_transfer): unknown key 'privat'"),
+        (4, {"steps": [_step("quantum_steal", victim="alice", to="bob", token="gold", amount=1,
+                             gas_prise=9)]},
+         "step 0 (quantum_steal): unknown key 'gas_prise'"),
+        (5, {"steps": [_step("add_exception", wallet="alice", lable="x")]},
+         "step 0 (add_exception): unknown key 'lable'"),
+        (6, {"actors": {"alice": {"pq": True}, "bob": {}}, "qmig_admin": "alice",
+             "steps": [dict(_INFLECTION, at=1, privte=True)]},
+         "step 0 (set_inflection): unknown key 'privte'"),
+        (7, {"steps": [_step("register_intent", source="alice", dest="bob", submiter="bob")]},
+         "step 0 (register_intent): unknown key 'submiter'"),
+        (8, {"steps": [dict(_INTENT, dest_chian=9001)]},
+         "step 0 (make_intent): unknown key 'dest_chian'"),
+        (9, {"steps": [_INTENT, _step("verify_intent", intent="x", lable="v")]},
+         "step 1 (verify_intent): unknown key 'lable'"),
+        (10, {"steps": [_INTENT, _step("bridge", intent="x", token="gold", amount=1, lable="b")]},
+         "step 1 (bridge): unknown key 'lable'"),
+        (11, {"failsafe": _VAULT_OF_ALICE,
+              "steps": [_step("withdraw", owner="alice", wallet="alice", token="gold", amount=1,
+                              signers=["alice"], asset_knd="fungible")]},
+         "step 0 (withdraw): unknown key 'asset_knd'"),
+        (12, {"steps": [_step("clear_threat", owner="alice", lable="c")]},
+         "step 0 (clear_threat): unknown key 'lable'"),
+        (13, {"tokens": [{"id": "gold", "knd": "nft"}]}, "tokens entry 0: unknown key 'knd'"),
+        (14, {"actors": {"alice": {"qp": True}, "bob": {}}}, "actor 'alice': unknown key 'qp'"),
+        (15, {"genesis": [{"to": "alice", "token": "gold", "amount": 100, "token_di": 7}]},
+         "genesis entry 0: unknown key 'token_di'"),
+        (16, {"failsafe": [{"owner": "alice", "signers": ["alice", "bob"],
+                            "treshold": {"withdraw": 1}}]},
+         "failsafe entry 0: unknown key 'treshold'"),
+        (17, {"failsafe": _enrolled(dest_chian=9001)},
+         "failsafe entry 0 enrollments entry 0: unknown key 'dest_chian'"),
+        (18, {"failsafe": _enrolled({"windw_length": 5})},
+         "failsafe entry 0 enrollments entry 0 policy: unknown key 'windw_length'"),
+        (19, {"blacklist": [{"address": "bob", "category": "FraudContract", "sorce": "x"}]},
+         "blacklist entry 0: unknown key 'sorce'"),
+        (20, {"at_risk": {"token": "gold", "amount": 10, "attacker": "bob", "amont": 5}},
+         "at_risk: unknown key 'amont'"),
+    ]),
+)
+def test_a_misspelt_key_is_refused_where_it_is_given(overrides, message, tmp_path, capsys):
+    data = edited(**overrides)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        Scenario.from_dict(data)  # at load, before any world or block is built
+    path = tmp_path / "misspelt.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# an assertion may read only a label some step carries and the alerts of a vault
+# owner; each row ran at the parent and printed "assert ok"
+@pytest.mark.parametrize(
+    "assertion, message",
+    numbered("name", [
+        (0, {"check": "outcome", "label": "nolabel", "equals": "not-included"},
+         "assertion 0 (outcome): no step carries label 'nolabel'"),
+        (1, {"check": "private_status", "label": "nolabel", "equals": "missing"},
+         "assertion 0 (private_status): no step carries label 'nolabel'"),
+        (2, {"check": "verify", "label": "nolabel", "equals": "missing"},
+         "assertion 0 (verify): no step carries label 'nolabel'"),
+        (3, {"check": "bridge", "label": "nolabel", "equals": "missing"},
+         "assertion 0 (bridge): no step carries label 'nolabel'"),
+        (4, {"check": "alerts", "user": "nobody", "equals": 0},
+         "assertion 0 (alerts): 'nobody' owns no FailSafe vault"),
+        (5, {"check": "alerts", "user": "bob", "equals": 0},
+         "assertion 0 (alerts): 'bob' owns no FailSafe vault"),
+    ]),
+)
+def test_an_assertion_reads_only_names_the_file_gives(assertion, message, tmp_path, capsys):
+    data = edited(failsafe=_VAULT_OF_ALICE, assertions=[assertion])
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        Scenario.from_dict(data)
+    path = tmp_path / "dangling.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class _Recording(_Params):
+    """A step's parameters that note each key its handler asks for."""
+
+    def __init__(self, params: _Params, read: set):
+        super().__init__(params.where, params)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, *default):
+        self.read.add(key)
+        return super().get(key, *default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+# one step of each action, two for withdraw (a fungible and an NFT release); grace's
+# transfer reveals her key, so the theft after the inflection at 3 is derivable
+_EVERY_ACTION = {
+    "actors": {"alice": {"pq": True}, "bob": {}, "carol": {}, "grace": {}},
+    "qmig_admin": "alice",
+    "tokens": [{"id": "gold"}, {"id": "art", "kind": "nft"}],
+    "genesis": [{"to": "bob", "token": "gold", "amount": 100},
+                {"to": "grace", "token": "gold", "amount": 100},
+                {"to": "bob", "token": "art", "token_id": 7}],
+    "failsafe": [{"owner": "carol", "signers": ["alice", "bob"]}],
+    "steps": [
+        _step("transfer", signer="grace", to="bob", token="gold", amount=1),
+        _step("transfer_from", signer="bob", token="gold", owner="grace", to="bob", amount=1),
+        _step("approve", signer="bob", token="gold", spender="carol"),
+        _step("nft_transfer", signer="bob", token="art", to="carol", token_id=7),
+        _step("add_exception", wallet="bob"),
+        _step("set_inflection", signer="alice", height=3),
+        _step("register_intent", source="bob", dest="bob", store="s"),
+        _step("make_intent", source="carol", dest="carol", store="m"),
+        _step("verify_intent", intent="s"),
+        _step("bridge", intent="s", token="gold", amount=1),
+        _step("withdraw", owner="carol", wallet="carol", token="gold", amount=1,
+              signers=["alice"]),
+        _step("withdraw", owner="carol", wallet="carol", token="art", asset_kind="nft",
+              token_id=7, signers=["alice"]),
+        _step("clear_threat", owner="carol"),
+        {"at": 4, "action": "quantum_steal", "victim": "grace", "to": "bob", "token": "gold",
+         "amount": 1},
+    ],
+}
+
+
+def test_each_action_names_exactly_the_keys_its_step_reads():
+    runner = ScenarioRunner(Scenario.from_dict(_EVERY_ACTION))
+    read: dict[str, set] = {}
+    runner.scenario.steps = [replace(step, params=_Recording(step.params,
+                                                            read.setdefault(step.action, set())))
+                             for step in runner.scenario.steps]
+    report = runner.run()
+    assert report.assertion_results == []  # the theft was derivable
+    assert read == {action: set(keys.split())
+                    for action, (_, keys) in ScenarioRunner._STEP_HANDLERS.items()}
+
+
 def test_numeric_label_is_text():
     data = edited(steps=_transfer(label=5),
                   assertions=[{"check": "outcome", "label": 5, "equals": "Executed"}])
@@ -649,9 +824,21 @@ _NAME_KEYS = {"signer", "signers", "to", "address", "wallet", "owner", "dest", "
 @given(st.data())
 def test_a_mutated_bundled_scenario_fails_only_as_a_parse_error(data):
     """Delete one key or replace one value anywhere in a bundled scenario: the file
-    loads, builds and runs, or it is refused as a ParseError (exit 2)."""
+    loads, builds and runs, or it is refused as a ParseError (exit 2). Misspell one
+    key of a step: the file is refused when it loads."""
     name = data.draw(st.sampled_from(sorted(bundled_scenarios())))
     doc = yaml.safe_load(scenario_path(name).read_text(encoding="utf-8"))
+    if data.draw(st.booleans()):  # drop one letter of one key of one step
+        step = data.draw(st.sampled_from(doc["steps"]))
+        key = data.draw(st.sampled_from(sorted(step)))
+        i = data.draw(st.integers(0, len(key) - 1))
+        typo = key[:i] + key[i + 1:]
+        _, keys = ScenarioRunner._STEP_HANDLERS[step["action"]]
+        assume(typo not in {"at", "action", "label", *keys.split(), *step})
+        step[typo] = step.pop(key)
+        with pytest.raises(ParseError):
+            Scenario.from_dict(doc, default_name=name)
+        return
     sites = [path for path, _ in _sites(doc)]
     # a name site is a value under a name key, or an item of a list under one
     name_sites = [path for path in sites if _NAME_KEYS.intersection(path[-2:])]
