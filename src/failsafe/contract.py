@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .crypto import (
     Address,
@@ -25,8 +25,8 @@ from .crypto import (
     RecoveryError,
     keccak256,
     recover_signer,
-    sign,
 )
+from .crypto.secp256k1 import sign_batch
 from .encoding import encode_value
 from .ledger import (
     Approve,
@@ -40,7 +40,7 @@ from .ledger import (
     byte_argument,
     sign_transaction,
 )
-from .qmig import TransferIntentSource, build_intent_digest
+from .qmig import TransferIntentSource, build_intent_digest, build_intent_digests
 
 
 class InvalidThresholds(RevertError):
@@ -193,14 +193,18 @@ class FailSafeContract:
         self.enrollments: dict[Address, EnrolledWallet] = {}
         self._consumed: set[bytes] = set()
         self._auth_sequence = 0
+        self._last_auth = (b"", b"")  # (message, digest) last hashed
 
     # -- authorization ------------------------------------------------------------
 
     def authorization_digest(self, op: OperationKind, op_args: tuple, nonce: int) -> bytes:
-        body = encode_value(
+        message = b"FS-AUTH" + encode_value(
             (self.ledger.chain_id, bytes(self.address), op.value, op_args, nonce)
         )
-        return keccak256(b"FS-AUTH" + body)
+        # authorize, then _execute, hash one message: keep the last one's digest
+        if message != self._last_auth[0]:
+            self._last_auth = (message, keccak256(message))
+        return self._last_auth[1]
 
     def next_auth_nonce(self) -> int:
         """Client-side convention: monotone nonces; the consumed-digest set
@@ -212,8 +216,9 @@ class FailSafeContract:
     def authorize(
         self, op: OperationKind, op_args: tuple, nonce: int, keys: Iterable[KeyPair]
     ) -> tuple[RecoverableSignature, ...]:
+        keys = list(keys)
         digest = self.authorization_digest(op, op_args, nonce)
-        return tuple(sign(key, digest) for key in keys)
+        return tuple(sign_batch(keys, [digest] * len(keys)))
 
     def execute_tx(
         self, op: OperationKind, op_args: tuple, keys: Iterable[KeyPair],
@@ -290,7 +295,7 @@ class FailSafeContract:
         unknown_present = False
         for blob in sig_blobs:
             try:
-                # a signature object made by `sign` over this digest recovers
+                # a signature object that `authorize` made over this digest recovers
                 # without EC work; 65 bytes parse to one that takes the full path
                 if not isinstance(blob, RecoverableSignature):
                     blob = RecoverableSignature.from_bytes(byte_argument(blob))
@@ -432,30 +437,35 @@ def enroll_wallet(
     Grants the contract an approval per protected token, then calls enroll,
     which registers both migration intents in the same transaction.
     """
-    tokens = tuple(protected_tokens)
-    nonce = ledger.next_nonce(hot_key.address)
-    txs = [
-        sign_transaction(hot_key, nonce + i, gas_price, Approve(token, contract.address, UNLIMITED))
-        for i, token in enumerate(tokens)
-    ]
+    source = TransferIntentSource(ledger.chain_id, hot_key.address, dest_chain_id, dest_address)
+    item = (contract, hot_key, policy, protected_tokens, source)
+    return next(enroll_wallets(ledger, [item], gas_price))
 
-    source_a = TransferIntentSource(
-        ledger.chain_id, hot_key.address, dest_chain_id, dest_address
-    )
-    sig_a, digest_a = build_intent_digest(source_a, hot_key)
-    txs.append(sign_transaction(
-        hot_key,
-        nonce + len(tokens),
-        gas_price,
-        ContractCall(
-            contract.address,
-            "enroll",
-            (astuple(policy), tokens, dest_chain_id, bytes(dest_address), digest_a),
-        ),
-    ))
-    for tx in txs:
-        ledger.submit_transaction(tx)
-    return EnrollmentReceipt(intent_source=source_a, intent_sig=sig_a, txs=tuple(txs))
+
+def enroll_wallets(
+    ledger: Ledger,
+    items: list[tuple[FailSafeContract, KeyPair, PolicyConfig, Iterable[str],
+                      TransferIntentSource]],
+    gas_price: int = 1,
+) -> Iterator[EnrollmentReceipt]:
+    """Submit each (contract, hot key, policy, protected tokens, migration intent)
+    bundle as enroll_wallet would, with every intent hashed and signed in one batch
+    first. Each receipt is yielded once its bundle is in the pool, so a bundle the
+    ledger refuses raises from the `next` that would yield it."""
+    intents = build_intent_digests([(source, hot_key) for _, hot_key, _, _, source in items])
+    for (contract, hot_key, policy, protected_tokens, source), (sig, digest) in zip(items, intents):
+        tokens = tuple(protected_tokens)
+        nonce = ledger.next_nonce(hot_key.address)
+        txs = [sign_transaction(hot_key, nonce + i, gas_price,
+                                Approve(token, contract.address, UNLIMITED))
+               for i, token in enumerate(tokens)]
+        args = (astuple(policy), tokens, source.dest_chain_id, bytes(source.dest_address), digest)
+        txs.append(sign_transaction(
+            hot_key, nonce + len(tokens), gas_price, ContractCall(contract.address, "enroll", args)
+        ))
+        for tx in txs:
+            ledger.submit_transaction(tx)
+        yield EnrollmentReceipt(intent_source=source, intent_sig=sig, txs=tuple(txs))
 
 
 def build_execute_tx(

@@ -2,19 +2,20 @@
 
 Pure Python on purpose: the simulation needs deterministic, dependency-free
 signing, and signature recovery (which standard library bindings do not
-expose). All point arithmetic goes through one routine, `_accumulate`, which
-adds affine points to a Jacobian accumulator. Signing and key generation feed
-it a fixed-base table of signed 7-bit windows for the generator (digits in
-[-63, 64], so 37 additions and no doublings per multiply; cf. libsecp256k1's
-`ecmult_gen`). Recovery doubles and adds over the recovered point, then feeds
-the same accumulator the generator's windows. Key generation makes many key
-pairs with one shared inversion and their addresses with one Keccak batch.
+expose). Signing and key generation read a fixed-base table of signed 7-bit
+windows for the generator (digits in [-63, 64], so 37 additions and no
+doublings per multiply; cf. libsecp256k1's `ecmult_gen`). A few scalars are
+summed by `_accumulate`, which adds affine points to a Jacobian accumulator; a
+batch adds each row to every sum in affine coordinates, with one shared
+inversion per row (Montgomery, Math. Comp. 1987). Recovery doubles and adds
+over the recovered point, then feeds the Jacobian accumulator the generator's
+windows. Key pairs and the nonce points of signatures are made in batches.
 
-A signature made by `sign` remembers its digest and signer, so recovering it
-over that digest skips the point arithmetic; parsed, hand-built or rebuilt
-signatures carry no such hint and always take the full recovery. RFC 6979
-makes a signature a pure function of (key, digest), so a caller may sign
-whenever it first needs the signature and get the same bytes.
+A signature made by `sign_batch` remembers its digest and signer, so
+recovering it over that digest skips the point arithmetic; parsed, hand-built
+or rebuilt signatures carry no such hint and always take the full recovery.
+RFC 6979 makes a signature a pure function of (key, digest), so a caller may
+sign whenever it first needs the signature and get the same bytes.
 """
 
 from __future__ import annotations
@@ -105,24 +106,48 @@ def _accumulate(acc: tuple[int, int, int], points, doublings: int) -> tuple[int,
     return (x, y, z)
 
 
+def _inverses(values: list[int]) -> list[int]:
+    """1 / v mod P for each nonzero v, with one shared inversion (Montgomery's trick)."""
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % P)
+    inv = pow(prefix[-1], -1, P)  # 1 / (product of every value)
+    for i in range(len(values) - 1, -1, -1):  # prefix[i] becomes 1 / values[i]
+        prefix[i], inv = prefix[i] * inv % P, inv * values[i] % P
+    return prefix[:-1]
+
+
 def _normalize(points: list[tuple[int, int, int]]) -> list[tuple[int, int] | None]:
     """Affine forms of Jacobian points with one shared inversion; None for infinity."""
-    zs = [z for _, _, z in points if z]
-    prefix = [1]
-    for z in zs:
-        prefix.append(prefix[-1] * z % P)
-    inv = pow(prefix[-1], -1, P)  # 1 / (product of every finite z)
-    out: list[tuple[int, int] | None] = [None] * len(points)
-    i = len(zs)
-    for idx in range(len(points) - 1, -1, -1):
-        x, y, z = points[idx]
+    z_inverses = iter(_inverses([z for _, _, z in points if z]))
+    out: list[tuple[int, int] | None] = []
+    for x, y, z in points:
         if z:
-            i -= 1
-            zi = prefix[i] * inv % P
-            inv = inv * z % P
+            zi = next(z_inverses)
             zi2 = zi * zi % P
-            out[idx] = (x * zi2 % P, y * zi2 % P * zi % P)
+        out.append((x * zi2 % P, y * zi2 % P * zi % P) if z else None)
     return out
+
+
+def _add_affine(lefts: list, rights) -> list[tuple[int, int] | None]:
+    """lefts[i] + rights[i] for affine points (None for infinity), with one shared inversion."""
+    sums = list(lefts)
+    slopes = []  # (i, numerator, denominator) of each sum of two finite points
+    for i, (a, b) in enumerate(zip(lefts, rights)):
+        if a is None or b is None:  # infinity adds nothing
+            sums[i] = a or b
+        elif a[0] != b[0]:
+            slopes.append((i, b[1] - a[1], b[0] - a[0]))
+        elif a[1] == b[1]:  # equal points double: the tangent's slope (y is never 0)
+            slopes.append((i, 3 * a[0] * a[0], 2 * a[1]))
+        else:  # opposite points cancel
+            sums[i] = None
+    for (i, num, _), den_inv in zip(slopes, _inverses([den for _, _, den in slopes])):
+        (x1, y1), x2 = lefts[i], rights[i][0]
+        lam = num * den_inv % P
+        x3 = (lam * lam - x1 - x2) % P
+        sums[i] = (x3, (lam * (x1 - x3) - y1) % P)
+    return sums
 
 
 _ROWS = 37  # 7-bit digits: 37 * 7 = 259 bits hold a 256-bit scalar and its last carry
@@ -164,9 +189,18 @@ def _signed_windows(k: int):
             carry = 0
 
 
+_AFFINE_CUT = 16  # from this many scalars on, 37 shared inversions cost less than they save
+
+
 def _mult_g(scalars: list[int]) -> list[tuple[int, int] | None]:
-    """k * G in affine for each k below 2^256 (None for infinity), with one shared inversion."""
-    return _normalize([_accumulate(_INFINITY, _signed_windows(k), 0) for k in scalars])
+    """k * G in affine for each k below 2^256 (None for infinity), in Jacobian
+    sums with one shared inversion, or from _AFFINE_CUT scalars on in affine ones."""
+    if len(scalars) < _AFFINE_CUT:
+        return _normalize([_accumulate(_INFINITY, _signed_windows(k), 0) for k in scalars])
+    sums: list[tuple[int, int] | None] = [None] * len(scalars)
+    for row in zip(*map(_signed_windows, scalars)):
+        sums = _add_affine(sums, row)
+    return sums
 
 
 def _double_multiply(u1: int, u2: int, q: tuple[int, int]) -> tuple[int, int] | None:
@@ -224,10 +258,10 @@ class KeyPair:
 class RecoverableSignature:
     """Canonical low-s ECDSA signature with recovery id, serialized r||s||v.
 
-    `_signer` is (digest, address) for a signature that `sign` made and None
-    for one parsed, built by hand or rebuilt by `replace`; recovery is a pure
-    function of (digest, r, s, v), so over that digest it must return that
-    address.
+    `_signer` is (digest, address) for a signature that `sign_batch` made and
+    None for one parsed, built by hand or rebuilt by `replace`; recovery is a
+    pure function of (digest, r, s, v), so over that digest it must return
+    that address.
     """
 
     r: int
@@ -283,31 +317,37 @@ def _rfc6979_nonces(private: int, digest: bytes):
 # ---------------------------------------------------------------------------
 # Sign / recover
 
-def sign(key: KeyPair, digest: bytes) -> RecoverableSignature:
-    """Deterministically sign a 32-byte digest; always low-s, v in {0, 1}."""
-    if len(digest) != 32:
-        raise ValueError("digest must be 32 bytes")
-    z = int.from_bytes(digest, "big") % N
-    for k in _rfc6979_nonces(key.private, digest):
-        (point,) = _mult_g([k])
-        assert point is not None
-        xr, yr = point
-        if xr >= N:  # would need a recovery id outside {0, 1}; draw again
-            continue
-        r = xr
-        if r == 0:
-            continue
-        s = pow(k, -1, N) * (z + r * key.private) % N
-        if s == 0:
-            continue
+def sign_batch(keys: list[KeyPair], digests: list[bytes]) -> list[RecoverableSignature]:
+    """Deterministically sign each 32-byte digest with its key; always low-s, v in {0, 1}.
+    Every first nonce's k * G comes from one `_mult_g` call, any later one alone."""
+    for digest in digests:
+        if len(digest) != 32:
+            raise ValueError("digest must be 32 bytes")
+    streams = [_rfc6979_nonces(key.private, d) for key, d in zip(keys, digests, strict=True)]
+    firsts = [next(stream) for stream in streams]
+    sigs = []
+    for key, digest, stream, k, point in zip(keys, digests, streams, firsts, _mult_g(firsts)):
+        z = int.from_bytes(digest, "big") % N
+        while True:
+            r, yr = point  # k is in [1, n-1], so k * G is finite
+            s = pow(k, -1, N) * (z + r * key.private) % N
+            # r >= n would need a recovery id outside {0, 1}; r or s of 0 is no signature
+            if 0 < r < N and s:
+                break
+            k = next(stream)
+            (point,) = _mult_g([k])
         v = yr & 1
         if s > _HALF_N:
-            s = N - s
-            v ^= 1
+            s, v = N - s, v ^ 1
         sig = RecoverableSignature(r, s, v)
         vars(sig)["_signer"] = (bytes(digest), key.address)
-        return sig
-    raise AssertionError("unreachable: nonce stream is infinite")
+        sigs.append(sig)
+    return sigs
+
+
+def sign(key: KeyPair, digest: bytes) -> RecoverableSignature:
+    """Deterministically sign a 32-byte digest: the batch of one."""
+    return sign_batch([key], [digest])[0]
 
 
 def recover_signer(digest: bytes, sig: RecoverableSignature) -> Address:

@@ -24,8 +24,9 @@ from .crypto import (
     keccak256,
     pq_verify,
     recover_signer,
-    sign,
 )
+from .crypto.keccak import keccak256_batch
+from .crypto.secp256k1 import sign_batch
 from .encoding import encode_value
 from .ledger import (
     ContractCall,
@@ -101,17 +102,30 @@ class TransferIntentSource:
         return keccak256(self.serialize())
 
 
+def build_intent_digests(
+    pairs: list[tuple[TransferIntentSource, KeyPair]],
+) -> list[tuple[RecoverableSignature, bytes]]:
+    """Sign each intent with its source key and derive its incognito digest,
+    keccak256 of the 65-byte r||s||v signature. Each of the three steps is one
+    batch, and fills the cache a one-at-a-time read fills."""
+    for source, key in pairs:
+        if key.address != source.from_address:
+            raise SignerMismatch(
+                f"key controls {key.address}, intent source is {source.from_address}")
+    unhashed = [source for source, _ in pairs if "signing_digest" not in vars(source)]
+    for source, digest in zip(unhashed, keccak256_batch([s.serialize() for s in unhashed])):
+        vars(source)["signing_digest"] = digest
+    sigs = sign_batch([key for _, key in pairs], [source.signing_digest for source, _ in pairs])
+    for sig, digest in zip(sigs, keccak256_batch([sig.to_bytes() for sig in sigs])):
+        vars(sig)["serial_digest"] = digest
+    return [(sig, sig.serial_digest) for sig in sigs]
+
+
 def build_intent_digest(
     source: TransferIntentSource, signer_key: KeyPair
 ) -> tuple[RecoverableSignature, bytes]:
-    """Sign the intent with the source key and derive the incognito digest,
-    keccak256 of the 65-byte r||s||v signature."""
-    if signer_key.address != source.from_address:
-        raise SignerMismatch(
-            f"key controls {signer_key.address}, intent source is {source.from_address}"
-        )
-    sig = sign(signer_key, source.signing_digest)
-    return sig, sig.serial_digest
+    """build_intent_digests of one intent."""
+    return build_intent_digests([(source, signer_key)])[0]
 
 
 def inflection_digest(height: int) -> bytes:

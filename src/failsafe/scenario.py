@@ -35,7 +35,7 @@ from .contract import (
     OperationKind,
     PolicyConfig,
     deploy_failsafe,
-    enroll_wallet,
+    enroll_wallets,
     find_enrollment,
 )
 from .crypto import (
@@ -201,6 +201,7 @@ class Scenario:
         need(not unknown, f"unknown scenario keys: {unknown}")
         data = _Params("scenario", data)
         steps = []
+        answered = set()  # (label, label check) for each check a labelled step records
         last_at = 1
         need(isinstance(data.get("steps", []), list), "'steps' must be a list")
         for i, raw in enumerate(data.get("steps", [])):
@@ -217,6 +218,9 @@ class Scenario:
             params = section(f"step {i} ({action})", raw, f"at action label {keys}")
             label = raw.get("label")
             steps.append(Step(at, action, params, None if label is None else str(label)))
+            if label is not None:
+                answered.update((str(label), check) for check, by in _LABEL_ACTIONS.items()
+                                if by == action or by is None and "private" in keys.split())
 
         actors = data.get("actors", {})
         need(isinstance(actors, dict) and actors, "scenario needs a non-empty 'actors' mapping")
@@ -263,8 +267,11 @@ class Scenario:
                      f"assertion {i} ({check}): {key!r} must be one of "
                      f"{'/'.join(allowed)}, got {raw.get(key)!r}")
             if reads is _LABEL:
-                need(str(raw["label"]) in labels,
-                     f"assertion {i} ({check}): no step carries label {str(raw['label'])!r}")
+                label = str(raw["label"])
+                need(label in labels, f"assertion {i} ({check}): no step carries label {label!r}")
+                need((label, check) in answered,
+                     f"assertion {i} ({check}): label {label!r} is on no "
+                     f"{_LABEL_ACTIONS[check] or 'submitting'} step")
             if check == "alerts":
                 need(str(raw["user"]) in owners,
                      f"assertion {i} ({check}): {str(raw['user'])!r} owns no FailSafe vault")
@@ -469,6 +476,7 @@ class ScenarioRunner:
         self.ledger.register_contract(self.qmig.address, self.qmig)
         self.bridge = Bridge(self.ledger, self.dest_ledger, self.qmig)
 
+        enrolling = []  # (where, wallet name, enroll_wallets item) in file order
         for deployment in sc.failsafe:
             owner = str(deployment["owner"])
             thresholds = dict(DEFAULT_THRESHOLDS)
@@ -505,18 +513,19 @@ class ScenarioRunner:
                     for token in tokens:
                         if token not in self.ledger.tokens:
                             raise ParseError(f"{enrollment.where}: unknown token {token!r}")
-                    receipt = enroll_wallet(
-                        self.ledger,
-                        vault,
-                        hot_key,
-                        config,
-                        tokens,
+                    source = TransferIntentSource(
+                        self.ledger.chain_id, hot_key.address,
                         enrollment.integer("dest_chain", sc.dest_chain_id),
-                        self.resolve_address(enrollment["dest"]),
-                    )
-                self.intents[f"{wallet_name}:enroll"] = (
-                    receipt.intent_source, receipt.intent_sig,
-                )
+                        self.resolve_address(enrollment["dest"]))
+                enrolling.append((enrollment.where, wallet_name,
+                                  (vault, hot_key, config, tokens, source)))
+        # every intent is hashed and signed in one batch; each bundle is
+        # submitted, and refused, under its own enrollment's name
+        receipts = enroll_wallets(self.ledger, [item for _, _, item in enrolling])
+        for where, wallet_name, _ in enrolling:
+            with _reading(where):
+                receipt = next(receipts)
+            self.intents[f"{wallet_name}:enroll"] = (receipt.intent_source, receipt.intent_sig)
 
         # genesis after contract deployment so allocations can target
         # contract addresses (pre-funded cold storage)
@@ -928,6 +937,10 @@ def _rebalances(run: ScenarioRunner, raw: dict):
 
 
 _LABEL = {"label": ()}
+# each label check, with the action of the steps that record its result; None
+# for any step that submits a transaction (one that takes 'private')
+_LABEL_ACTIONS = {"outcome": None, "private_status": None,
+                  "verify": "verify_intent", "bridge": "bridge"}
 
 # check name -> (reader, whether its expected value is an integer, {key the
 # reader reads: the values it may take, default first, or () when the

@@ -16,8 +16,11 @@ from failsafe.contract import (
     build_execute_tx,
     deploy_failsafe,
     enroll_wallet,
+    enroll_wallets,
 )
-from failsafe.crypto import Address, KeyPair, RecoverableSignature, secp256k1, sign
+import failsafe.contract as contract_module
+from failsafe.crypto import Address, KeyPair, RecoverableSignature, keccak256, secp256k1, sign
+from failsafe.crypto.secp256k1 import N
 from failsafe.encoding import encode_value
 from failsafe.ledger import (
     NATIVE,
@@ -28,7 +31,7 @@ from failsafe.ledger import (
     MalformedTransaction,
     sign_transaction,
 )
-from failsafe.qmig import QmigContract
+from failsafe.qmig import QmigContract, TransferIntentSource
 
 QMIG_ADDRESS = Address(bytes(range(1, 21)))
 
@@ -129,6 +132,77 @@ def test_second_enrollment_reverts():
     assert outcomes[receipt.txs[-1].tx_id] == "Reverted:AlreadyEnrolled"
     # the failed enrollment must not leave a second outbound intent behind
     assert len(world.qmig.registry) == 2
+
+
+def _enrollment_bundles(world, batched: bool):
+    """Submit enrollments of four wallets, one twice and in two vaults, alone or in one batch."""
+    rng = random.Random(8)
+    second = deploy_failsafe(world.ledger, "bob", [k.address for k in world.signers],
+                             DEFAULT_THRESHOLDS, QMIG_ADDRESS, KeyPair.generate(rng))
+    wallets = KeyPair.from_privates([rng.randrange(1, N) for _ in range(3)]) + [world.hot]
+    items = [(vault, key, world.policy, tokens, TransferIntentSource(
+                 world.ledger.chain_id, key.address, 2 + i, wallets[i - 1].address))
+             for i, (vault, key, tokens) in enumerate([
+                 (world.contract, wallets[0], ["gold"]), (second, wallets[1], []),
+                 (second, wallets[0], ["gold", NATIVE]), (world.contract, wallets[2], ["gold"]),
+                 (second, wallets[3], ["gold"])])]
+    if batched:
+        return list(enroll_wallets(world.ledger, items))
+    return [enroll_wallet(world.ledger, vault, key, policy, tokens, source.dest_chain_id,
+                          source.dest_address) for vault, key, policy, tokens, source in items]
+
+
+def test_a_batch_of_enrollments_submits_what_one_at_a_time_enrollment_does():
+    alone, batched = make_world(), make_world()
+    receipts = _enrollment_bundles(alone, batched=False)
+    batch_receipts = _enrollment_bundles(batched, batched=True)
+    assert batch_receipts == receipts  # intents, signatures and every transaction
+    assert [tx.signature.to_bytes() for r in batch_receipts for tx in r.txs] == [
+        tx.signature.to_bytes() for r in receipts for tx in r.txs]
+    assert batched.ledger._pool == alone.ledger._pool  # same order, same sequence numbers
+    for receipt in receipts:
+        sender = receipt.txs[0].sender
+        assert batched.ledger.next_nonce(sender) == alone.ledger.next_nonce(sender)
+    assert batched.ledger.build_block().txs == alone.ledger.build_block().txs
+    assert batched.qmig.registry == alone.qmig.registry
+
+
+def test_a_refused_bundle_raises_where_its_receipt_would_come():
+    world = make_world(enroll=False)
+    rng = random.Random(9)
+    keys = KeyPair.from_privates([rng.randrange(1, N) for _ in range(2)])
+    unencodable = PolicyConfig(1, 5, 1, 20, 2**2048, 10)
+    items = [(world.contract, key, policy, ["gold"],
+              TransferIntentSource(1, key.address, 2, key.address))
+             for key, policy in zip(keys, [world.policy, unencodable])]
+    receipts = enroll_wallets(world.ledger, items)
+    assert next(receipts).txs[0].sender == keys[0].address
+    assert world.ledger.next_nonce(keys[0].address) == 2  # the first bundle is in the pool
+    with pytest.raises(MalformedTransaction, match="integer too large to encode"):
+        next(receipts)
+
+
+def test_a_vault_hashes_one_authorization_message_once(monkeypatch):
+    world = make_world()
+    other = deploy_failsafe(world.ledger, "bob", [k.address for k in world.signers],
+                            DEFAULT_THRESHOLDS, QMIG_ADDRESS, KeyPair.from_private(12345))
+    hashed = []
+    monkeypatch.setattr(contract_module, "keccak256", lambda m: hashed.append(m) or keccak256(m))
+    op, args = OperationKind.WITHDRAW, ("fungible", bytes(world.hot.address), "gold", 5)
+    digest = world.contract.authorization_digest(op, args, 3)
+    assert world.contract.authorization_digest(op, args, 3) == digest
+    assert len(hashed) == 1
+    changed = [(OperationKind.REBALANCE, args, 3), (op, args[:3] + (6,), 3), (op, args, 4)]
+    for contract, (op_i, args_i, nonce_i) in [*((world.contract, c) for c in changed),
+                                               (other, (op, args, 3))]:
+        message = b"FS-AUTH" + encode_value(
+            (1, bytes(contract.address), op_i.value, args_i, nonce_i))
+        assert contract.authorization_digest(op_i, args_i, nonce_i) == keccak256(message)
+        assert hashed[-1] == message  # a miss: hashed anew
+    assert len(hashed) == 5
+    # the cache is keyed by the message: an argument with no encoding fails as before
+    with pytest.raises(TypeError, match="no canonical encoding for float"):
+        world.contract.authorization_digest(op, (1.5,), 3)
 
 
 @pytest.mark.parametrize(

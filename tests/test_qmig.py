@@ -27,6 +27,7 @@ from failsafe.qmig import (
     SignerMismatch,
     TransferIntentSource,
     build_intent_digest,
+    build_intent_digests,
     inflection_digest,
 )
 from conftest import register_intent
@@ -133,6 +134,24 @@ def test_intent_must_be_signed_by_the_source_key():
     source = intra_chain_source(world, world.victim, world.peer)
     with pytest.raises(SignerMismatch):
         build_intent_digest(source, world.peer)
+
+
+def test_a_batch_of_intents_matches_one_at_a_time_intents():
+    rng = random.Random(3)
+    keys = KeyPair.from_privates([rng.randrange(1, 2**200) for _ in range(17)])
+    sources = [TransferIntentSource(1, key.address, 9001 + i, keys[-1 - i].address)
+               for i, key in enumerate(keys)]
+    batch = build_intent_digests(list(zip(sources, keys)))
+    for source, key, (sig, digest) in zip(sources, keys, batch):
+        twin = replace(source)  # nothing read or cached yet
+        alone, alone_digest = build_intent_digest(twin, key)
+        assert sig.to_bytes() == alone.to_bytes() and sig._signer == alone._signer
+        assert digest == alone_digest == keccak256(sig.to_bytes())
+        # the batch filled the caches a one-at-a-time read fills
+        assert vars(source)["signing_digest"] == keccak256(source.serialize())
+        assert vars(sig)["serial_digest"] == digest
+    with pytest.raises(SignerMismatch):
+        build_intent_digests([(sources[0], keys[0]), (sources[1], keys[0])])
 
 
 # -- registration --------------------------------------------------------------------

@@ -493,10 +493,22 @@ _CLI_POLICY = ("policy: {hot_fraction_target: 1, hot_fraction_tolerance: 0, "
         ("actors: {alice: {}, bob: {}}\nfailsafe:\n  - {owner: alice, signers: [alice, bob]}\n"
          "  - {owner: alice, signers: [alice, bob]}\n",
          "failsafe entry 1: owner 'alice' already has a vault"),
+        # an enrollment's intent is checked, and its bundle submitted, under its own name
+        ("actors: {alice: {}, bob: {}}\ntokens: [{id: gold}]\nfailsafe:\n  - owner: alice\n"
+         "    signers: [alice, bob]\n    enrollments:\n"
+         "      - {wallet: alice, tokens: [gold], dest: bob, dest_chain: -1, " + _CLI_POLICY + "}\n",
+         "failsafe entry 0 enrollments entry 0: dest chain id -1 outside unsigned 64-bit range"),
+        ("actors: {alice: {}, bob: {}}\ntokens: [{id: gold}]\nfailsafe:\n  - owner: alice\n"
+         "    signers: [alice, bob]\n    enrollments:\n"
+         "      - {wallet: alice, tokens: [gold], dest: bob, " + _CLI_POLICY + "}\n"
+         "      - {wallet: bob, tokens: [gold], dest: alice, "
+         + _CLI_POLICY.replace("100", str(2**2048)) + "}\n",
+         "failsafe entry 0 enrollments entry 1: ContractCall args: integer too large to encode"),
     ],
     ids=["mistyped-at", "signers-not-a-list", "misspelt-assertions", "services",
          "enrollment-tokens-not-a-list", "at-risk-token", "enrollment-token", "run-blocks",
-         "genesis-negative-amount", "unknown-role", "second-vault"],
+         "genesis-negative-amount", "unknown-role", "second-vault", "enrollment-dest-chain",
+         "enrollment-unencodable-cap"],
 )
 def test_hand_written_file_is_refused_with_one_error_line(text, message, tmp_path, capsys):
     path = tmp_path / "refused.yaml"
@@ -593,10 +605,21 @@ def test_a_misspelt_key_is_refused_where_it_is_given(overrides, message, tmp_pat
          "assertion 0 (alerts): 'nobody' owns no FailSafe vault"),
         (5, {"check": "alerts", "user": "bob", "equals": 0},
          "assertion 0 (alerts): 'bob' owns no FailSafe vault"),
+        # a label on a step that records no result for the check
+        (6, {"check": "verify", "label": "pay", "equals": "missing"},
+         "assertion 0 (verify): label 'pay' is on no verify_intent step"),
+        (7, {"check": "bridge", "label": "pay", "equals": "missing"},
+         "assertion 0 (bridge): label 'pay' is on no bridge step"),
+        (8, {"check": "outcome", "label": "calm", "equals": "not-included"},
+         "assertion 0 (outcome): label 'calm' is on no submitting step"),
+        (9, {"check": "private_status", "label": "calm", "equals": "missing"},
+         "assertion 0 (private_status): label 'calm' is on no submitting step"),
     ]),
 )
 def test_an_assertion_reads_only_names_the_file_gives(assertion, message, tmp_path, capsys):
-    data = edited(failsafe=_VAULT_OF_ALICE, assertions=[assertion])
+    calm = {"at": 1, "action": "clear_threat", "owner": "alice", "label": "calm"}
+    data = edited(failsafe=_VAULT_OF_ALICE, steps=[*MINIMAL["steps"], calm],
+                  assertions=[assertion])
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         Scenario.from_dict(data)
     path = tmp_path / "dangling.yaml"

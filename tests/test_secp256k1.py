@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 import failsafe.ledger as ledger_module
 from failsafe.crypto import PqKeyPair, keccak256
+from failsafe.crypto import secp256k1
 from failsafe.crypto.secp256k1 import (
+    _AFFINE_CUT,
     Address,
     KeyPair,
     N,
+    P,
     RecoverableSignature,
     RecoveryError,
+    _add_affine,
     _double_multiply,
     _g_table,
     _mult_g,
@@ -21,6 +25,7 @@ from failsafe.crypto.secp256k1 import (
     derive_address,
     recover_signer,
     sign,
+    sign_batch,
 )
 from failsafe.ledger import NativeTransfer, Transaction, compute_tx_digest, sign_transaction
 from failsafe.scenario import CUSTODIAN_ROLES, Scenario, ScenarioRunner
@@ -145,6 +150,31 @@ def test_fixed_base_multiply_matches_oracle(k):
     assert _mult_g([k]) == [reference_point_mul(k)]
 
 
+# the examples above as one batch, exactly the size that takes the affine path
+FIXED_BASE_EXAMPLES = [1, 2, 15, 16, 17, 16**63, 15 * 16**63, 64, 65, 127, 128, 129, 2**255,
+                       ALL_65, N - 2, N - 1]
+
+
+# the profile's example count: 30 in tier-1, 1000 under the fuzz profile in CI
+@given(st.lists(scalars, min_size=_AFFINE_CUT, max_size=40))
+@example(FIXED_BASE_EXAMPLES)
+@example([*FIXED_BASE_EXAMPLES, 0, N])  # no digit at all; a top row that cancels the rest
+def test_batched_fixed_base_multiply_matches_oracle(ks):
+    assert len(ks) >= _AFFINE_CUT == len(FIXED_BASE_EXAMPLES)
+    assert _mult_g(ks) == [reference_point_mul(k) for k in ks]
+
+
+def test_affine_sums_double_equal_points_and_cancel_opposite_ones():
+    p, q = reference_point_mul(5), reference_point_mul(9)
+    minus_p = (p[0], P - p[1])
+    lefts = [p, p, p, None, p, None, q]
+    rights = [p, minus_p, q, q, None, None, q]
+    assert _add_affine(lefts, rights) == [reference_point_add(a, b) for a, b in zip(lefts, rights)]
+    assert _add_affine([p], [p]) == [reference_point_mul(10)]  # one slope, alone
+    assert _add_affine([p, None], [minus_p, None]) == [None, None]  # no slope to invert
+    assert _add_affine([], []) == []
+
+
 @pytest.mark.parametrize("row", [0, 1, 36])
 @pytest.mark.parametrize("digit", [1, 2, 63, 64])
 def test_fixed_base_table_entries_match_oracle(row, digit):
@@ -195,6 +225,37 @@ def test_world_keys_match_one_at_a_time_generation():
     world = [*runner.actor_keys.values(), *map(runner.custodian.key_for, CUSTODIAN_ROLES),
              *(vault.key for vault in runner.vaults.values())]
     assert all(vars(key)["address"] == derive_address(key.public_bytes) for key in world)
+
+
+def test_a_signature_batch_matches_one_at_a_time_signing(monkeypatch):
+    rng = random.Random(11)
+    keys = KeyPair.from_privates([rng.randrange(1, N) for _ in range(_AFFINE_CUT + 1)])
+    digests = [rng.randbytes(32) for _ in keys]
+    # the last pair's first nonce is k, and its digest is z = -r * d: s = 0, so it draws again
+    k = 0xC0FFEE
+    r = reference_point_mul(k)[0]
+    digests[-1] = (-r * keys[-1].private % N).to_bytes(32, "big")
+    draws = []
+
+    def nonces(private, digest, real=_rfc6979_nonces):
+        if digest == digests[-1]:
+            draws.append(k)
+            yield k
+        yield from real(private, digest)
+
+    monkeypatch.setattr(secp256k1, "_rfc6979_nonces", nonces)
+    batch = sign_batch(keys, digests)
+    assert draws == [k]
+    one_by_one = [sign(key, digest) for key, digest in zip(keys, digests)]
+    assert draws == [k, k]
+    assert [sig.to_bytes() for sig in batch] == [sig.to_bytes() for sig in one_by_one]
+    assert batch[-1].r != r  # the retry's signature, made with the next nonce
+    for sig, key, digest in zip(batch, keys, digests):
+        assert sig._signer == (digest, key.address)
+        parsed = RecoverableSignature.from_bytes(sig.to_bytes())
+        assert recover_signer(digest, parsed) == key.address
+    with pytest.raises(ValueError):  # a key with no digest signs nothing
+        sign_batch(keys, digests[:-1])
 
 
 @settings(max_examples=20)
