@@ -191,9 +191,17 @@ class FailSafeContract:
         self.config = config
         self.qmig_address = qmig_address
         self.enrollments: dict[Address, EnrolledWallet] = {}
+        # wallet -> (source, signature) of the custody intent signed with its
+        # enrollment bundle, until _enroll takes it
+        self.prepared_custody: dict[Address, tuple[TransferIntentSource, RecoverableSignature]] = {}
         self._consumed: set[bytes] = set()
         self._auth_sequence = 0
         self._last_auth = (b"", b"")  # (message, digest) last hashed
+
+    def custody_source(self, wallet: Address) -> TransferIntentSource:
+        """Vault -> wallet intent: custody releases count toward the wallet's permitted amount."""
+        chain = self.ledger.chain_id
+        return TransferIntentSource(chain, self.address, chain, wallet)
 
     # -- authorization ------------------------------------------------------------
 
@@ -244,6 +252,7 @@ class FailSafeContract:
     def _enroll(self, args: tuple, ctx: ExecutionContext) -> None:
         policy_tuple, tokens, dest_chain_id, dest_address, intent_a_digest = args
         wallet = ctx.sender
+        custody = self.prepared_custody.pop(wallet, None)
         if wallet in self.enrollments:
             raise AlreadyEnrolled(f"wallet {wallet} already enrolled with {self.owner}")
         if not isinstance(policy_tuple, (tuple, list)):  # bytes would unpack to six ints
@@ -252,20 +261,18 @@ class FailSafeContract:
             policy = PolicyConfig(*policy_tuple)
         except (ValueError, TypeError) as exc:
             raise InvalidPolicy(str(exc)) from exc
-        # (b) contract -> wallet intent so post-inflection custody releases
-        # count toward the wallet's permitted amount; built here to go on the
-        # record, registered after (a)
-        source_b = TransferIntentSource(
-            self.ledger.chain_id, self.address, self.ledger.chain_id, wallet
-        )
-        sig_b, digest_b = build_intent_digest(source_b, self.key)
+        # (b) the custody intent goes on the record, registered after (a); a
+        # raw enroll call, which no bundle prepared, has it built here
+        if custody is None:
+            source_b = self.custody_source(wallet)
+            custody = (source_b, build_intent_digest(source_b, self.key)[0])
         self.enrollments[wallet] = EnrolledWallet(
             wallet=wallet,
             policy=policy,
             tokens=tuple(str(t) for t in tokens),
             dest_chain_id=int(dest_chain_id),
             dest_address=Address(dest_address),
-            custody_intent=(source_b, sig_b),
+            custody_intent=custody,
         )
         ctx.record_undo(lambda: self.enrollments.pop(wallet, None))
 
@@ -275,7 +282,8 @@ class FailSafeContract:
         ctx.call_contract(
             self.qmig_address, "registerTransferIntent", (byte_argument(intent_a_digest), True)
         )
-        ctx.call_contract(self.qmig_address, "registerTransferIntent", (digest_b, False))
+        ctx.call_contract(self.qmig_address, "registerTransferIntent",
+                          (custody[1].serial_digest, False))
 
         ctx.emit("Enrolled", {"user": self.owner, "wallet": wallet})
 
@@ -449,11 +457,14 @@ def enroll_wallets(
     gas_price: int = 1,
 ) -> Iterator[EnrollmentReceipt]:
     """Submit each (contract, hot key, policy, protected tokens, migration intent)
-    bundle as enroll_wallet would, with every intent hashed and signed in one batch
-    first. Each receipt is yielded once its bundle is in the pool, so a bundle the
-    ledger refuses raises from the `next` that would yield it."""
-    intents = build_intent_digests([(source, hot_key) for _, hot_key, _, _, source in items])
-    for (contract, hot_key, policy, protected_tokens, source), (sig, digest) in zip(items, intents):
+    bundle as enroll_wallet would, with every migration and custody intent hashed and
+    signed in one batch first. Each receipt is yielded once its bundle is in the pool,
+    so a bundle the ledger refuses raises from the `next` that would yield it."""
+    custody = [(vault.custody_source(key.address), vault.key) for vault, key, *_ in items]
+    intents = build_intent_digests([(source, key) for _, key, _, _, source in items] + custody)
+    for item, (sig, digest), (source_b, _), (sig_b, _) in zip(
+            items, intents, custody, intents[len(items):]):
+        contract, hot_key, policy, protected_tokens, source = item
         tokens = tuple(protected_tokens)
         nonce = ledger.next_nonce(hot_key.address)
         txs = [sign_transaction(hot_key, nonce + i, gas_price,
@@ -465,6 +476,8 @@ def enroll_wallets(
         ))
         for tx in txs:
             ledger.submit_transaction(tx)
+        # the vault's enroll takes this instead of signing it again
+        contract.prepared_custody[hot_key.address] = (source_b, sig_b)
         yield EnrollmentReceipt(intent_source=source, intent_sig=sig, txs=tuple(txs))
 
 

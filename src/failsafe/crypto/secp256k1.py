@@ -9,7 +9,7 @@ summed by `_accumulate`, which adds affine points to a Jacobian accumulator; a
 batch adds each row to every sum in affine coordinates, with one shared
 inversion per row (Montgomery, Math. Comp. 1987). Recovery doubles and adds
 over the recovered point, then feeds the Jacobian accumulator the generator's
-windows. Key pairs and the nonce points of signatures are made in batches.
+windows. Key pairs and signatures' nonce points and inverses are made in batches.
 
 A signature made by `sign_batch` remembers its digest and signer, so
 recovering it over that digest skips the point arithmetic; parsed, hand-built
@@ -106,20 +106,20 @@ def _accumulate(acc: tuple[int, int, int], points, doublings: int) -> tuple[int,
     return (x, y, z)
 
 
-def _inverses(values: list[int]) -> list[int]:
-    """1 / v mod P for each nonzero v, with one shared inversion (Montgomery's trick)."""
+def _inverses(values: list[int], m: int) -> list[int]:
+    """1 / v mod the prime m for each v it does not divide, with one shared inversion."""
     prefix = [1]
     for v in values:
-        prefix.append(prefix[-1] * v % P)
-    inv = pow(prefix[-1], -1, P)  # 1 / (product of every value)
+        prefix.append(prefix[-1] * v % m)
+    inv = pow(prefix[-1], -1, m)  # 1 / (product of every value)
     for i in range(len(values) - 1, -1, -1):  # prefix[i] becomes 1 / values[i]
-        prefix[i], inv = prefix[i] * inv % P, inv * values[i] % P
+        prefix[i], inv = prefix[i] * inv % m, inv * values[i] % m
     return prefix[:-1]
 
 
 def _normalize(points: list[tuple[int, int, int]]) -> list[tuple[int, int] | None]:
     """Affine forms of Jacobian points with one shared inversion; None for infinity."""
-    z_inverses = iter(_inverses([z for _, _, z in points if z]))
+    z_inverses = iter(_inverses([z for _, _, z in points if z], P))
     out: list[tuple[int, int] | None] = []
     for x, y, z in points:
         if z:
@@ -142,7 +142,7 @@ def _add_affine(lefts: list, rights) -> list[tuple[int, int] | None]:
             slopes.append((i, 3 * a[0] * a[0], 2 * a[1]))
         else:  # opposite points cancel
             sums[i] = None
-    for (i, num, _), den_inv in zip(slopes, _inverses([den for _, _, den in slopes])):
+    for (i, num, _), den_inv in zip(slopes, _inverses([den for _, _, den in slopes], P)):
         (x1, y1), x2 = lefts[i], rights[i][0]
         lam = num * den_inv % P
         x3 = (lam * lam - x1 - x2) % P
@@ -319,22 +319,24 @@ def _rfc6979_nonces(private: int, digest: bytes):
 
 def sign_batch(keys: list[KeyPair], digests: list[bytes]) -> list[RecoverableSignature]:
     """Deterministically sign each 32-byte digest with its key; always low-s, v in {0, 1}.
-    Every first nonce's k * G comes from one `_mult_g` call, any later one alone."""
+    First nonces share one `_mult_g` call and one inversion; a later nonce takes its own."""
     for digest in digests:
         if len(digest) != 32:
             raise ValueError("digest must be 32 bytes")
     streams = [_rfc6979_nonces(key.private, d) for key, d in zip(keys, digests, strict=True)]
     firsts = [next(stream) for stream in streams]
     sigs = []
-    for key, digest, stream, k, point in zip(keys, digests, streams, firsts, _mult_g(firsts)):
+    for key, digest, stream, k_inv, point in zip(keys, digests, streams, _inverses(firsts, N),
+                                                 _mult_g(firsts)):
         z = int.from_bytes(digest, "big") % N
         while True:
             r, yr = point  # k is in [1, n-1], so k * G is finite
-            s = pow(k, -1, N) * (z + r * key.private) % N
+            s = k_inv * (z + r * key.private) % N
             # r >= n would need a recovery id outside {0, 1}; r or s of 0 is no signature
             if 0 < r < N and s:
                 break
             k = next(stream)
+            k_inv = pow(k, -1, N)
             (point,) = _mult_g([k])
         v = yr & 1
         if s > _HALF_N:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .contract import FailSafeContract, KeyCustodian, OperationKind, find_enrollment
+from .contract import EnrolledWallet, FailSafeContract, KeyCustodian, OperationKind
 from .crypto import Address
 from .fbr import INTERCEPT_SCORE_THRESHOLD, RiskService
 from .ledger import (
@@ -115,6 +115,19 @@ class InterceptorService:
         self.alerts_by_user: dict[str, list[str]] = {}
         # (decision, intercept tx, chain height when the threat was seen)
         self.intercept_records: list[tuple[InterceptDecision, Transaction, int]] = []
+        # wallet -> (vault, record), the first vault winning as in find_enrollment;
+        # only a block writes enrollments, so it is rebuilt once the height moves
+        self._vault_of: dict[Address, tuple[FailSafeContract, EnrolledWallet]] = {}
+        self._indexed_at: int | None = None
+
+    def enrollment_of(self, wallet: Address):
+        """find_enrollment(self.contracts, wallet), read from the index."""
+        if self._indexed_at != self.ledger.height:
+            self._indexed_at = self.ledger.height
+            self._vault_of.clear()
+            for contract in reversed(self.contracts):  # so the first vault's entry stays
+                self._vault_of.update((w, (contract, r)) for w, r in contract.enrollments.items())
+        return self._vault_of.get(wallet)
 
     # -- decision ------------------------------------------------------------------
 
@@ -123,7 +136,7 @@ class InterceptorService:
         if exposure is None:
             return _IGNORE
         wallet, counterparty, assets, outflow, recipient, custody_exempt = exposure
-        hit = find_enrollment(self.contracts, wallet)
+        hit = self.enrollment_of(wallet)
         if hit is not None:
             contract, record = hit
             if custody_exempt and counterparty == contract.address:
@@ -132,7 +145,7 @@ class InterceptorService:
                 assets = self._approved_assets(wallet, tx.payload)
         else:
             # an unenrolled spender can only threaten an enrolled recipient
-            hit = find_enrollment(self.contracts, recipient)
+            hit = self.enrollment_of(recipient)
             if hit is None:
                 return _IGNORE
             contract, record = hit
@@ -208,7 +221,7 @@ class InterceptorService:
             if ev.kind != "Transfer" or ev.get("outcome") != EXECUTED:
                 continue
             sender = ev.get("from")
-            hit = find_enrollment(self.contracts, sender)
+            hit = self.enrollment_of(sender)
             if hit is None:
                 continue
             contract, _ = hit

@@ -1,6 +1,7 @@
 """Multisig vault: enrollment, thresholds, replay protection, operations."""
 
 import random
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import pytest
@@ -31,7 +32,7 @@ from failsafe.ledger import (
     MalformedTransaction,
     sign_transaction,
 )
-from failsafe.qmig import QmigContract, TransferIntentSource
+from failsafe.qmig import QmigContract, TransferIntentSource, build_intent_digest
 
 QMIG_ADDRESS = Address(bytes(range(1, 21)))
 
@@ -180,6 +181,44 @@ def test_a_refused_bundle_raises_where_its_receipt_would_come():
     assert world.ledger.next_nonce(keys[0].address) == 2  # the first bundle is in the pool
     with pytest.raises(MalformedTransaction, match="integer too large to encode"):
         next(receipts)
+
+
+def test_a_prepared_custody_intent_is_the_one_a_raw_enroll_builds():
+    runs = []
+    for prepared in (True, False):
+        world = make_world(enroll=False)
+        source = TransferIntentSource(1, world.hot.address, 2, world.hot.address)
+        if prepared:
+            enroll_wallet(world.ledger, world.contract, world.hot, world.policy, [], 2,
+                          world.hot.address)
+            assert list(world.contract.prepared_custody) == [world.hot.address]
+        else:  # a hand-signed enroll call: nothing is prepared, so the vault signs alone
+            args = (astuple(world.policy), (), 2, bytes(world.hot.address),
+                    build_intent_digest(source, world.hot)[1])
+            world.ledger.submit_transaction(sign_transaction(
+                world.hot, 0, 1, ContractCall(world.contract.address, "enroll", args)))
+            assert world.contract.prepared_custody == {}
+        assert [outcome for _, outcome in world.ledger.build_block().txs] == ["Executed"]
+        assert world.contract.prepared_custody == {}  # the executed enroll took its entry
+        source_b, sig_b = world.contract.enrollments[world.hot.address].custody_intent
+        runs.append((source_b, sig_b.to_bytes(), sig_b.serial_digest, world.qmig.registry,
+                     world.ledger.events))
+    assert runs[0] == runs[1]
+    source_b = world.contract.custody_source(world.hot.address)
+    assert runs[0][0] == source_b == TransferIntentSource(1, world.contract.address, 1,
+                                                          world.hot.address)
+    sig_b, digest_b = build_intent_digest(source_b, world.contract.key)
+    assert runs[0][1:3] == (sig_b.to_bytes(), digest_b)
+    assert digest_b in runs[0][3]
+
+
+def test_a_reverted_enroll_takes_its_prepared_custody_intent_too():
+    world = make_world()  # enrolled in block 1; a second bundle reverts AlreadyEnrolled
+    enroll_wallet(world.ledger, world.contract, world.hot, world.policy, [], 2, world.hot.address)
+    assert list(world.contract.prepared_custody) == [world.hot.address]
+    assert [outcome for _, outcome in world.ledger.build_block().txs] == [
+        "Reverted:AlreadyEnrolled"]
+    assert world.contract.prepared_custody == {}
 
 
 def test_a_vault_hashes_one_authorization_message_once(monkeypatch):

@@ -4,6 +4,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from failsafe.contract import (
     DEFAULT_THRESHOLDS,
@@ -12,6 +14,7 @@ from failsafe.contract import (
     PolicyConfig,
     deploy_failsafe,
     enroll_wallet,
+    find_enrollment,
 )
 from failsafe.crypto import Address, KeyPair
 from failsafe.fbr import RiskService
@@ -298,3 +301,110 @@ def test_own_intercept_is_ignored_on_the_next_tick():
     assert pending == [itx]  # the intercept reaches the stream like any submission
     world.fis.on_tick(pending)
     assert world.fis.intercept_count == 1 and len(world.fis.alerts) == 1
+
+
+# -- the wallet -> vault index ----------------------------------------------------------
+
+
+class _CheckedIndex(InterceptorService):
+    """An interceptor that checks each index lookup against find_enrollment's scan."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = []  # (chain height, wallet, vault owner or None)
+
+    def enrollment_of(self, wallet):
+        hit = super().enrollment_of(wallet)
+        scanned = find_enrollment(self.contracts, wallet)
+        if scanned is None:
+            assert hit is None
+        else:
+            assert hit[0] is scanned[0] and hit[1] is scanned[1]
+        self.lookups.append((self.ledger.height, wallet, hit and hit[0].owner))
+        return hit
+
+
+# two vaults, three wallets and a stranger; keys are made once for every example
+_INDEX_KEYS = KeyPair.from_privates(list(range(7001, 7007)))
+_BAD_POLICY = (2, 1, 0, 1, 500, 10)  # a hot fraction above one: InvalidPolicy
+
+
+def _run_enroll_sequence(ops):
+    """Apply ops to a fresh chain; look every wallet up after each op and each block."""
+    *vault_keys, stranger = _INDEX_KEYS[:3]
+    wallets = _INDEX_KEYS[3:]
+    ledger = Ledger()
+    qmig = QmigContract(ledger, QMIG_ADDRESS, admin_pq_public=None)
+    ledger.register_contract(QMIG_ADDRESS, qmig)
+    signers = [key.address for key in vault_keys]
+    vaults = [deploy_failsafe(ledger, owner, signers, DEFAULT_THRESHOLDS, QMIG_ADDRESS, key)
+              for owner, key in zip(("first", "second"), vault_keys)]
+    for wallet in wallets:
+        ledger.genesis_allocate(wallet.address, NATIVE, 100)
+    fis = _CheckedIndex(ledger, RiskService(), KeyCustodian(), vaults, set())
+    policy = PolicyConfig(1, 5, 1, 20, 500, 10)
+
+    def look():
+        for wallet in wallets:  # as the spender, then as the recipient of a stranger
+            fis.on_pending_tx(sign_transaction(wallet, 0, 1, NativeTransfer(stranger.address, 1)))
+            fis.on_pending_tx(sign_transaction(stranger, 0, 1, NativeTransfer(wallet.address, 1)))
+
+    outcomes = []
+    for op, *where in [*ops, ("block",)]:
+        if op == "enroll":
+            vault, wallet = vaults[where[0]], wallets[where[1]]
+            enroll_wallet(ledger, vault, wallet, policy, [], 2, wallet.address)
+        elif op == "bad":
+            vault, wallet = vaults[where[0]], wallets[where[1]]
+            args = (_BAD_POLICY, (), 2, bytes(wallet.address), bytes(32))
+            ledger.submit_transaction(sign_transaction(
+                wallet, ledger.next_nonce(wallet.address), 1,
+                ContractCall(vault.address, "enroll", args)))
+        elif op == "pay":
+            wallet = wallets[where[0]]
+            ledger.submit_transaction(sign_transaction(
+                wallet, ledger.next_nonce(wallet.address), 1, NativeTransfer(stranger.address, 1)))
+        elif op == "block":
+            seen = len(ledger.events)
+            outcomes.extend(outcome for _, outcome in ledger.build_block().txs)
+            fis.on_block_events(ledger.events[seen:])
+        look()
+    return fis, vaults, wallets, outcomes
+
+
+_ENROLL_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["enroll", "bad"]), st.integers(0, 1), st.integers(0, 2)),
+    st.tuples(st.just("pay"), st.integers(0, 2)),
+    st.just(("block",)),
+), max_size=10)
+
+# the second vault enrolls wallet 0 a block before the first vault does
+_LATER_VAULT_FIRST = [("enroll", 1, 0), ("block",), ("pay", 0), ("enroll", 0, 0), ("block",),
+                      ("pay", 0)]
+# an InvalidPolicy revert, then an AlreadyEnrolled one in the same block as the enroll
+_REVERTS = [("bad", 0, 1), ("enroll", 0, 1), ("enroll", 0, 1), ("pay", 1)]
+
+
+@given(_ENROLL_OPS)
+@example(_LATER_VAULT_FIRST)
+@example(_REVERTS)
+def test_the_vault_index_agrees_with_find_enrollment(ops):
+    fis, *_ = _run_enroll_sequence(ops)
+    assert fis.lookups  # every lookup was checked inside enrollment_of
+
+
+def test_the_index_keeps_the_first_vault_and_skips_reverted_enrolls():
+    fis, vaults, wallets, outcomes = _run_enroll_sequence(_LATER_VAULT_FIRST)
+    assert outcomes.count("Executed") == 4
+    owners = {(height, owner) for height, wallet, owner in fis.lookups
+              if wallet == wallets[0].address}
+    # before block 1 nothing is enrolled; then the second vault, until the first one enrolls
+    assert owners == {(0, None), (1, "second"), (2, "first"), (3, "first")}
+    assert [vault.prepared_custody for vault in vaults] == [{}, {}]
+
+    fis, vaults, wallets, outcomes = _run_enroll_sequence(_REVERTS)
+    assert outcomes == ["Reverted:InvalidPolicy", "Executed", "Reverted:AlreadyEnrolled",
+                        "Executed"]
+    assert fis.enrollment_of(wallets[1].address)[0] is vaults[0]
+    # the window counts the payment, found through the index, after block 1
+    assert fis.window.total(wallets[1].address, 1, 10) == 1

@@ -753,6 +753,28 @@ def test_quantum_steal_needs_inflection_and_exposed_key(at, victim, derivable):
         assert stolen == 0
 
 
+def test_an_underivable_theft_draws_no_destination_key():
+    """A quantum_steal whose key cannot be derived returns before it resolves `to`, so
+    its fresh `zed@dest` draws no key and `mallory@dest`, drawn later, keeps its key. A
+    pass that resolved every step's names before block 1 would shift it."""
+    pay = {"at": 4, "action": "transfer", "signer": "ivy", "to": "mallory@dest",
+           "token": "gold", "amount": 1}
+
+    def dest_addresses(steal_at):
+        steal = {"at": steal_at, "action": "quantum_steal", "victim": "grace",
+                 "to": "zed@dest", "token": "gold", "amount": 400}
+        thefts = [steal] if steal_at else []
+        runner = ScenarioRunner(Scenario.from_dict(
+            dict(_THEFT, steps=[*_THEFT["steps"], *thefts, pay])))
+        runner.run()
+        return {name: runner.resolve_address(f"{name}@dest") for name in runner.dest_keys}
+
+    plain, underivable, derivable = dest_addresses(None), dest_addresses(3), dest_addresses(4)
+    assert underivable == plain and list(plain) == ["mallory"]
+    assert list(derivable) == ["zed", "mallory"]  # a derived key resolves `to` first
+    assert derivable["mallory"] != plain["mallory"]
+
+
 def test_private_register_intent_goes_through_the_relay():
     data = edited(
         steps=[{"at": 1, "action": "register_intent", "source": "alice", "dest": "bob",
