@@ -14,15 +14,14 @@ for that path.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .contract import EnrolledWallet, FailSafeContract, KeyCustodian, OperationKind
 from .crypto import Address
 from .fbr import INTERCEPT_SCORE_THRESHOLD, RiskService
 from .ledger import (
+    NATIVE,
     Approve,
-    EXECUTED,
     Ledger,
     LedgerEvent,
     NativeTransfer,
@@ -77,25 +76,6 @@ def _exposure(tx: Transaction):
     return None
 
 
-class WindowAccumulator:
-    """Per-wallet ring of (height, outflow) slices over recent blocks."""
-
-    def __init__(self):
-        self._rings: dict[Address, deque] = {}
-
-    def add(self, wallet: Address, height: int, amount: int) -> None:
-        self._rings.setdefault(wallet, deque()).append((height, amount))
-
-    def total(self, wallet: Address, current_height: int, window_length: int) -> int:
-        ring = self._rings.get(wallet)
-        if not ring:
-            return 0
-        floor = current_height - window_length + 1
-        while ring and ring[0][0] < floor:
-            ring.popleft()
-        return sum(amount for _, amount in ring)
-
-
 class InterceptorService:
     def __init__(
         self,
@@ -110,23 +90,22 @@ class InterceptorService:
         self.custodian = custodian
         self.contracts = contracts
         self.threat_flags = threat_flags
-        self.window = WindowAccumulator()
         self.alerts: list[str] = []
         self.alerts_by_user: dict[str, list[str]] = {}
         # (decision, intercept tx, chain height when the threat was seen)
         self.intercept_records: list[tuple[InterceptDecision, Transaction, int]] = []
         # wallet -> (vault, record), the first vault winning as in find_enrollment;
-        # only a block writes enrollments, so it is rebuilt once the height moves
+        # only an executed enroll writes an enrollment, and it emits Enrolled
         self._vault_of: dict[Address, tuple[FailSafeContract, EnrolledWallet]] = {}
-        self._indexed_at: int | None = None
+        self._index_vaults()
+
+    def _index_vaults(self) -> None:
+        self._vault_of.clear()
+        for contract in reversed(self.contracts):  # so the first vault's entry stays
+            self._vault_of.update((w, (contract, r)) for w, r in contract.enrollments.items())
 
     def enrollment_of(self, wallet: Address):
         """find_enrollment(self.contracts, wallet), read from the index."""
-        if self._indexed_at != self.ledger.height:
-            self._indexed_at = self.ledger.height
-            self._vault_of.clear()
-            for contract in reversed(self.contracts):  # so the first vault's entry stays
-                self._vault_of.update((w, (contract, r)) for w, r in contract.enrollments.items())
         return self._vault_of.get(wallet)
 
     # -- decision ------------------------------------------------------------------
@@ -156,10 +135,8 @@ class InterceptorService:
         if verdict.score >= INTERCEPT_SCORE_THRESHOLD:
             trigger = f"RiskScore:{verdict.score}"
         elif outflow is not None:
-            projected = outflow + self.window.total(
-                record.wallet, self.ledger.height, record.policy.window_length
-            )
-            if projected > record.policy.max_value_per_window:
+            spent = self.window_outflow(wallet, contract.address, record.policy.window_length)
+            if outflow + spent > record.policy.max_value_per_window:
                 trigger = "PolicyLimit"
         if trigger is None:
             return _IGNORE
@@ -172,6 +149,13 @@ class InterceptorService:
             target_gas_price=intercept_gas_price(tx.gas_price),
             attacker_tx=tx,
         )
+
+    def window_outflow(self, wallet: Address, vault: Address, window_length: int) -> int:
+        """What wallet sent anyone but its vault in the last window_length blocks."""
+        since = self.ledger.height - window_length
+        return sum(ev.get("amount") for token in (NATIVE, *self.ledger.tokens)
+                   for ev in self.ledger.transfers_since(wallet, token, since)
+                   if ev.kind == "Transfer" and ev.get("from") == wallet and ev.get("to") != vault)
 
     def _approved_assets(self, wallet: Address, p: Approve) -> tuple:
         state = self.ledger.tokens.get(p.token)
@@ -214,17 +198,12 @@ class InterceptorService:
             self.alerts.append(line)
             self.alerts_by_user.setdefault(owner, []).append(line)
 
-    # -- window accounting (committed events) ------------------------------------------
+    # -- committed events ----------------------------------------------------------------
 
     def on_block_events(self, events: list[LedgerEvent]) -> None:
-        for ev in events:
-            if ev.kind != "Transfer" or ev.get("outcome") != EXECUTED:
-                continue
-            sender = ev.get("from")
-            hit = self.enrollment_of(sender)
-            if hit is None:
-                continue
-            contract, _ = hit
-            if ev.get("to") == contract.address:
-                continue  # custody moves do not consume the spending window
-            self.window.add(sender, ev.height, ev.get("amount"))
+        """Take a built block's events, which FIS must see before it judges the next
+        pending transactions: an Enrolled event rebuilds the wallet -> vault index.
+        The window is read from the ledger, so it counts a wallet's outflow made
+        before the wallet enrolled."""
+        if any(ev.kind == "Enrolled" for ev in events):
+            self._index_vaults()

@@ -310,6 +310,23 @@ def replay_withdrawals_from_events(events, addr, token, height) -> int:
     )
 
 
+def reference_window_total(events, wallet, vault, height, window_length) -> int:
+    """A wallet's spending-window outflow at `height`, replayed from the event log:
+    executed Transfer amounts, in any token, that it sent anyone but its vault in
+    the window_length blocks up to and including `height` (NFT moves and bridge
+    locks are events of other kinds)."""
+    floor = height - window_length + 1
+    return sum(
+        ev.get("amount")
+        for ev in events
+        if ev.kind == "Transfer"
+        and ev.get("outcome") == "Executed"
+        and floor <= ev.height <= height
+        and ev.get("from") == wallet
+        and ev.get("to") != vault
+    )
+
+
 def replay_permitted_amount(
     events, source, token, inflection, authorized_pairs, already_bridged=0
 ) -> int:

@@ -1,12 +1,15 @@
 """Mempool interception: gas out-bidding, decision rules, alerting, windows."""
 
 import random
+import runpy
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from failsafe.cli import bundled_scenarios
 from failsafe.contract import (
     DEFAULT_THRESHOLDS,
     KeyCustodian,
@@ -31,6 +34,8 @@ from failsafe.ledger import (
     sign_transaction,
 )
 from failsafe.qmig import QmigContract
+from failsafe.scenario import Scenario, ScenarioRunner
+from oracles import reference_window_total
 
 QMIG_ADDRESS = Address(bytes(range(40, 60)))
 
@@ -232,7 +237,47 @@ def test_custody_moves_do_not_consume_the_window():
     world.ledger.take_pending()
     world.ledger.build_block()
     world.fis.on_block_events(world.ledger.events)
-    assert world.fis.window.total(world.hot.address, world.ledger.height, 5) == 0
+    assert world.fis.window_outflow(world.hot.address, world.contract.address, 5) == 0
+    spend = signed(world, world.hot, TokenTransfer("gold", world.bystander.address, 300))
+    assert world.fis.on_pending_tx(spend).action == IGNORE
+
+
+# every window read of the bundled scenarios at four seeds and of both
+# benchmark generators at seed 1, replayed from the event log
+_GENERATORS = runpy.run_path(str(Path(__file__).resolve().parent.parent
+                                 / "perfbench" / "generate.py"))["GENERATORS"]
+
+
+def test_window_reads_match_the_event_log(monkeypatch, tmp_path):
+    window_outflow = InterceptorService.window_outflow
+    reads = []
+
+    def checked(self, wallet, vault, window_length):
+        spent = window_outflow(self, wallet, vault, window_length)
+        height = self.ledger.height
+        assert spent == reference_window_total(self.ledger.events, wallet, vault, height,
+                                               window_length)
+        reads.append(spent)
+        return spent
+
+    monkeypatch.setattr(InterceptorService, "window_outflow", checked)
+    runs = [(Scenario.load(path), seed) for path in bundled_scenarios().values()
+            for seed in (None, 1, 2, 777)]
+    for name, generate in sorted(_GENERATORS.items()):
+        path = tmp_path / f"{name}-1.yaml"
+        path.write_text(generate(1), encoding="utf-8")
+        runs.append((Scenario.load(path), None))
+    for scenario, seed in runs:
+        runner = ScenarioRunner(scenario, seed=seed)
+        runner.run()
+        # the premise that makes the ledger's window the old accumulator's: no
+        # enrolled wallet sent anything in a block before the one it enrolled in
+        enrolled_at = {ev.get("wallet"): ev.height for ev in runner.ledger.events
+                       if ev.kind == "Enrolled"}
+        assert not [ev for ev in runner.ledger.events
+                    if ev.kind == "Transfer" and ev.get("outcome") == "Executed"
+                    and ev.height < enrolled_at.get(ev.get("from"), 0)]
+    assert any(reads)
 
 
 # -- end to end ------------------------------------------------------------------------
@@ -307,7 +352,8 @@ def test_own_intercept_is_ignored_on_the_next_tick():
 
 
 class _CheckedIndex(InterceptorService):
-    """An interceptor that checks each index lookup against find_enrollment's scan."""
+    """An interceptor that checks each index lookup against find_enrollment's scan,
+    and each window read against the event log's replay."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -322,6 +368,12 @@ class _CheckedIndex(InterceptorService):
             assert hit[0] is scanned[0] and hit[1] is scanned[1]
         self.lookups.append((self.ledger.height, wallet, hit and hit[0].owner))
         return hit
+
+    def window_outflow(self, wallet, vault, window_length):
+        spent = super().window_outflow(wallet, vault, window_length)
+        assert spent == reference_window_total(self.ledger.events, wallet, vault,
+                                               self.ledger.height, window_length)
+        return spent
 
 
 # two vaults, three wallets and a stranger; keys are made once for every example
@@ -360,10 +412,11 @@ def _run_enroll_sequence(ops):
             ledger.submit_transaction(sign_transaction(
                 wallet, ledger.next_nonce(wallet.address), 1,
                 ContractCall(vault.address, "enroll", args)))
-        elif op == "pay":
-            wallet = wallets[where[0]]
+        elif op in ("pay", "stow"):  # to the stranger, or into a vault
+            wallet = wallets[where[-1]]
+            to = vaults[where[0]].address if op == "stow" else stranger.address
             ledger.submit_transaction(sign_transaction(
-                wallet, ledger.next_nonce(wallet.address), 1, NativeTransfer(stranger.address, 1)))
+                wallet, ledger.next_nonce(wallet.address), 1, NativeTransfer(to, 1)))
         elif op == "block":
             seen = len(ledger.events)
             outcomes.extend(outcome for _, outcome in ledger.build_block().txs)
@@ -373,7 +426,7 @@ def _run_enroll_sequence(ops):
 
 
 _ENROLL_OPS = st.lists(st.one_of(
-    st.tuples(st.sampled_from(["enroll", "bad"]), st.integers(0, 1), st.integers(0, 2)),
+    st.tuples(st.sampled_from(["enroll", "bad", "stow"]), st.integers(0, 1), st.integers(0, 2)),
     st.tuples(st.just("pay"), st.integers(0, 2)),
     st.just(("block",)),
 ), max_size=10)
@@ -390,7 +443,7 @@ _REVERTS = [("bad", 0, 1), ("enroll", 0, 1), ("enroll", 0, 1), ("pay", 1)]
 @example(_REVERTS)
 def test_the_vault_index_agrees_with_find_enrollment(ops):
     fis, *_ = _run_enroll_sequence(ops)
-    assert fis.lookups  # every lookup was checked inside enrollment_of
+    assert fis.lookups  # every lookup and window read was checked in _CheckedIndex
 
 
 def test_the_index_keeps_the_first_vault_and_skips_reverted_enrolls():
@@ -406,5 +459,17 @@ def test_the_index_keeps_the_first_vault_and_skips_reverted_enrolls():
     assert outcomes == ["Reverted:InvalidPolicy", "Executed", "Reverted:AlreadyEnrolled",
                         "Executed"]
     assert fis.enrollment_of(wallets[1].address)[0] is vaults[0]
-    # the window counts the payment, found through the index, after block 1
-    assert fis.window.total(wallets[1].address, 1, 10) == 1
+    # the window counts the payment, made to someone other than the first vault
+    assert fis.window_outflow(wallets[1].address, vaults[0].address, 10) == 1
+
+
+def test_an_outflow_before_enrolling_counts_in_the_window():
+    # the window is read from the ledger, so a payment made in block 1, before the
+    # wallet enrolled in block 2, counts against its cap
+    fis, vaults, wallets, outcomes = _run_enroll_sequence(
+        [("pay", 0), ("block",), ("enroll", 0, 0), ("block",)])
+    assert outcomes == ["Executed", "Executed"]
+    assert fis.enrollment_of(wallets[0].address)[0] is vaults[0]
+    stranger = _INDEX_KEYS[2].address
+    tx = sign_transaction(wallets[0], 2, 1, NativeTransfer(stranger, 500))  # cap 500, 1 spent
+    assert fis.on_pending_tx(tx).trigger == "PolicyLimit"
