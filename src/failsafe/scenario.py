@@ -81,8 +81,13 @@ CUSTODIAN_ROLES = ("intercept", "rebalance", "relayer", "guardian")
 SERVICE_NAMES = ("fis", "fbr", "balancer")
 # the most blocks a scenario may run, far above any bundled or generated one
 MAX_BLOCKS = 1_000_000
-# libyaml's parser when PyYAML was built with it: same documents, a sixth of the time
+# libyaml's parser when PyYAML was built with it, else PyYAML's own; `_read_yaml` builds
+# the document from its events, and its resolver and constructors type the scalars
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_MERGE, _VALUE = "tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"
+_TAGS = {dict: "tag:yaml.org,2002:map", list: "tag:yaml.org,2002:seq"}
+# a mapping's key slot while its next key is due, and the scalar cache's miss
+_KEY = object()
 
 
 class ParseError(Exception):
@@ -142,6 +147,89 @@ def _reading(where: str):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _read_yaml(text: str):
+    """yaml.load(text, Loader=_YAML_LOADER), built from the loader's events with no node
+    graph, each distinct scalar typed once, and `<<` and `=` keys read as flatten_mapping
+    reads them. It also refuses a collection tagged other than !!map or !!seq, and a `<<`
+    of an unfinished collection."""
+    loader, root, anchors, scalars = _YAML_LOADER(text), [], {}, {}
+    stack = [[root, None, None]]  # each open collection: [it, key slot, merged pairs]
+    try:
+        while (kind := type(event := loader.get_event())) is not yaml.StreamEndEvent:
+            if kind is yaml.ScalarEvent:
+                value = scalars.get(key := (event.tag, event.value, event.implicit), _KEY)
+                if value is _KEY:
+                    value = scalars[key] = _scalar(loader, event)
+            elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+                value, _, merged = stack.pop()
+                if merged:  # merged pairs come first, and the mapping's own win
+                    merged += value.items()
+                    value.clear()
+                    value.update(merged)
+            elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+                value = {} if kind is yaml.MappingStartEvent else []
+                if event.tag not in (None, "!", _TAGS[type(value)]):
+                    raise _refused(f"found a collection tagged {event.tag!r}", event)
+            elif kind is yaml.AliasEvent:
+                if event.anchor not in anchors:
+                    raise _refused(f"found undefined alias {event.anchor!r}", event)
+                value = anchors[event.anchor]
+            elif kind is yaml.DocumentStartEvent and root:
+                raise _refused("expected a single document in the stream", event)
+            else:  # the stream's start, or a document's start or end
+                continue
+            if kind is not yaml.AliasEvent and getattr(event, "anchor", None) is not None:
+                if event.anchor in anchors:
+                    raise _refused(f"found duplicate anchor {event.anchor!r}", event)
+                anchors[event.anchor] = value
+            if kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+                stack.append([value, _KEY, None])  # it takes its place when it ends
+                continue
+            collection, key, merged = frame = stack[-1]
+            if type(value) is tuple and (key is not _KEY or type(collection) is list):
+                raise _refused(f"found {value[0]!r} outside a mapping's keys", event)
+            if type(collection) is list:
+                collection.append(value)
+            elif key is _KEY:
+                if type(value) is dict or type(value) is list:
+                    raise _refused("found unhashable key", event)
+                frame[1] = value[1] if type(value) is tuple and value[0] == _VALUE else value
+            elif type(key) is not tuple:
+                collection[key] = value
+                frame[1] = _KEY
+            else:  # `<<` merges a mapping, or a list of mappings with the first one's last
+                sources = value[::-1] if type(value) is list else [value]
+                unfinished = {id(opened[0]) for opened in stack}
+                if id(value) in unfinished or any(type(source) is not dict
+                                                  or id(source) in unfinished for source in sources):
+                    raise _refused("expected a finished mapping or list of mappings to merge", event)
+                frame[1:] = _KEY, (merged or []) + [pair for src in sources for pair in src.items()]
+        return root[0] if root else None
+    finally:
+        loader.dispose()
+
+
+def _scalar(loader, event):
+    """What the loader's resolver and constructors make of a scalar; a `<<` or `=` scalar
+    is (tag, text), which only a mapping's key may be."""
+    tag = event.tag
+    if tag in (None, "!"):
+        tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
+    if tag in (_MERGE, _VALUE):
+        return tag, event.value
+    if tag == loader.DEFAULT_SCALAR_TAG:
+        return event.value
+    node = yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style)
+    try:
+        return loader.construct_document(node)
+    except (AttributeError, LookupError, ValueError) as exc:
+        raise _refused(f"cannot construct a {tag} scalar: {exc}", event) from exc
+
+
+def _refused(problem: str, event) -> yaml.MarkedYAMLError:
+    return yaml.MarkedYAMLError(None, None, problem, event.start_mark)
+
+
 @dataclass(frozen=True)
 class Step:
     at: int
@@ -171,8 +259,8 @@ class Scenario:
     @classmethod
     def load(cls, path) -> "Scenario":
         try:
-            data = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_YAML_LOADER)
-        except (OSError, UnicodeDecodeError, ValueError, yaml.YAMLError) as exc:
+            data = _read_yaml(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError, yaml.YAMLError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ParseError(f"{path}: scenario document must be a mapping")

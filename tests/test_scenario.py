@@ -4,6 +4,7 @@ import copy
 import re
 import gc
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -16,13 +17,16 @@ from failsafe.cli import bundled_scenarios, main
 from failsafe.contract import OperationKind
 from failsafe.crypto import RecoverableSignature, keccak256, recover_signer, sign
 from failsafe.ledger import NATIVE, compute_tx_digest
+from failsafe import scenario as scenario_module
 from failsafe.scenario import (
+    _YAML_LOADER,
     CUSTODIAN_ROLES,
     ParseError,
     Scenario,
     ScenarioRunner,
     UnknownActor,
     _Params,
+    _read_yaml,
 )
 from oracles import replay_balance_from_events
 
@@ -828,22 +832,186 @@ def test_load_reports_yaml_syntax_errors(tmp_path):
         Scenario.load(path)
 
 
-# the YAML parser itself raises ValueError for an integer past Python's digit
-# limit and for a date that does not exist
-@pytest.mark.parametrize("text", ["seed: " + "1" * 5000, "seed: 2020-13-45"],
-                         ids=["huge-integer", "bad-date"])
-def test_load_reports_values_the_yaml_parser_refuses(text, tmp_path, capsys):
+# libyaml's parser and PyYAML's own, each through the same builder
+_LOADERS = [loader for loader in (getattr(yaml, "CSafeLoader", None), yaml.SafeLoader) if loader]
+_EACH_LOADER = pytest.mark.parametrize("loader", _LOADERS, ids=lambda loader: loader.__name__)
+
+
+def assert_same_document(built, loaded):
+    """built is loaded: scalars equal and of one type, keys in the same order, and one
+    collection shared wherever loaded shares one through an alias, cycles included."""
+    built_to_loaded, loaded_to_built = {}, {}
+    todo = [(built, loaded)]
+    while todo:
+        a, b = todo.pop()
+        assert type(a) is type(b), (a, b)
+        if not isinstance(a, (dict, list)):
+            assert a == b or a != a and b != b, (a, b)  # NaN is NaN
+            continue
+        if id(a) in built_to_loaded or id(b) in loaded_to_built:
+            assert built_to_loaded.get(id(a)) is b and loaded_to_built.get(id(b)) is a
+            continue
+        built_to_loaded[id(a)], loaded_to_built[id(b)] = b, a
+        assert len(a) == len(b)
+        todo += zip(a, b)  # a mapping's keys, in order
+        if isinstance(a, dict):
+            todo += zip(a.values(), b.values())
+
+
+# each line a scenario file may hold that yaml.load refuses, from the parser itself (an
+# integer past Python's digit limit, a date that does not exist) to the composer and
+# the constructors: failsafe run exits 2 and names the line
+_REFUSED = {
+    "huge-integer": "seed: " + "1" * 5000,
+    "bad-date": "seed: 2020-13-45",
+    "syntax": "steps: [",
+    "undefined-alias": "name: *nowhere",
+    "duplicate-anchor": "name: &a one\ndescription: &a two",
+    "two-documents": "---\nname: two",
+    "unhashable-key": "? [a]\n: 1",
+    "unhashable-flow-key": "name: {? {a: 1} : 2}",
+    "unknown-tag": "name: !thing x",
+    "unknown-collection-tag": "name: !thing {a: 1}",
+    "str-tag-on-a-mapping": "name: !!str {a: 1}",
+    "map-tag-on-a-scalar": "name: !!map x",
+    "bad-int": "seed: !!int x",
+    "bad-bool": "seed: !!bool maybe",
+    "bad-timestamp": "seed: !!timestamp x",
+    "bad-binary": "seed: !!binary a",
+    "merge-of-a-scalar": "name: {<<: 1}",
+    "merge-of-a-list-of-scalars": "name: {<<: [1]}",
+    "merge-key-as-a-value": "name: <<",
+    "value-key-as-a-value": "name: =",
+    "merge-key-in-a-list": "steps: [<<]",
+    "merge-key-alias-as-a-value": "name: {&m <<: {a: 1}, b: *m}",
+}
+
+
+@pytest.mark.parametrize("text", _REFUSED.values(), ids=_REFUSED.keys())
+def test_load_reports_values_the_yaml_parser_refuses(text, tmp_path, capsys, monkeypatch):
+    text = f"actors: {{alice: {{}}}}\n{text}\n"
     path = tmp_path / "refused.yaml"
-    path.write_text(f"actors: {{alice: {{}}}}\n{text}\n")
-    assert main(["run", "--scenario", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    path.write_text(text)
+    for loader in _LOADERS:
+        with pytest.raises(Exception):
+            yaml.load(text, Loader=loader)
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        assert main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and ", line " in err, err
+
+
+# documents yaml.load reads, each read the same from the event stream
+_READ = {
+    "recursive-alias": "&a {name: a, self: *a, list: &b [*b, *a, {up: *a}]}",
+    "merge-a-mapping": "base: &b {x: 1, y: 2}\nderived: {z: 3, <<: *b, x: 9}",
+    "merge-a-list": "a: &a {x: 1}\nb: &b {x: 2, y: 2}\nc: {w: 0, <<: [*a, *b, {v: 1}]}",
+    "merge-in-a-merge": "m: &m {<<: {k: 1}, j: 2}\nd: {<<: {<<: *m, r: 2}, s: 3}",
+    "merge-twice": "a: {<<: {x: 1, y: 1}, y: 2, <<: {x: 3, z: 3}}",
+    "merge-nothing": "a: {<<: [], b: 1}\nc: {<<: {}, d: 2}",
+    "merge-a-mapping-that-refers-up": "&a {x: {y: *a}, z: {<<: {w: *a}}}",
+    "merge-tag": "{!!merge m: {a: 1}, b: 2}",
+    "merge-key-alias-as-a-key": "{&m <<: {a: 1}, c: {*m : {b: 2}}}",
+    "value-key": "{=: 1, x: 2, '=': 3}",
+    "value-tag": "{!!value v: 1}",
+    "quoted-merge-key": "{'<<': 1, \"<<\": 2}",
+    "str-tag": "a: !!str 5\nb: !!str\nc: !!str true",
+    "int-tag": "a: !!int '7'\nb: !!int 0x1f",
+    "binary-tag": "a: !!binary aGVsbG8=",
+    "map-and-seq-tags": "a: !!map {b: !!seq [1, 2]}",
+    "bang": "a: ! 5\nb: ! x\nc: ! [1]\nd: ! {e: 1}\nf: ! '5'",
+    "scalars": "[~, null, true, False, 0x1f, 0o17, 0b11, 1_000, 1e3, -.5, .inf, -.Inf, .nan,"
+               " 2002-12-14, 2001-12-14t21:59:43.10-05:00, '', '1', \"x\", 1:30, ok]",
+    "anchored-scalars": "k: &k key\n*k : 1\nlist: [*k, *k, &n 5, *n]",
+    "keys-of-every-kind": "{1: a, 1.5: b, true: c, null: d, 2002-12-14: e, !!binary aGk=: f}",
+    "duplicate-keys": "{a: 1, b: 2, a: 3}",
+    "empty-stream": "",
+    "a-comment-alone": "# nothing",
+    "a-document-marker-alone": "---",
+    "an-ended-document": "a: 1\n...",
+}
+
+
+@pytest.mark.parametrize("text", _READ.values(), ids=_READ.keys())
+@_EACH_LOADER
+def test_a_document_reads_as_yaml_load_reads_it(text, loader, monkeypatch):
+    monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+    assert_same_document(_read_yaml(text), yaml.load(text, Loader=loader))
+
+
+# documents yaml.load reads that a scenario has no use for: refused, naming the line
+_UNUSED = {
+    "set": "name: a\nseed: !!set {x, y}",
+    "omap": "name: a\nseed: !!omap [x: 1]",
+    "pairs": "name: a\nseed: !!pairs [x: 1]",
+    "merge-of-an-unfinished-mapping": "name: a\nseed: &s {x: {<<: *s}}",
+    "merge-of-an-unfinished-list": "name: a\nseed: &s [{<<: *s}, {a: 1}]",
+}
+
+
+@pytest.mark.parametrize("text", _UNUSED.values(), ids=_UNUSED.keys())
+@_EACH_LOADER
+def test_a_document_a_scenario_has_no_use_for_is_refused_naming_its_line(
+        text, loader, monkeypatch, tmp_path):
+    yaml.load(text, Loader=loader)
+    monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+    path = tmp_path / "unused.yaml"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="line 2, column"):
+        Scenario.load(path)
 
 
 @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
 def test_load_parses_like_safe_load(name):
     path = scenario_path(name)
-    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    assert_same_document(_read_yaml(text), yaml.load(text, Loader=_YAML_LOADER))
+    data = yaml.safe_load(text)
     assert Scenario.load(path) == Scenario.from_dict(data, default_name=name)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["flood", "migration"])
+def test_a_generated_scenario_reads_as_yaml_load_reads_it(name, seed, generated):
+    text = generated(name, seed)
+    assert_same_document(_read_yaml(text), yaml.load(text, Loader=_YAML_LOADER))
+
+
+@_EACH_LOADER
+def test_loading_generated_flood_peaks_small_and_leaves_no_garbage(
+        loader, generated, tmp_path, monkeypatch):
+    monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+    path = tmp_path / "flood-1.yaml"
+    path.write_text(generated("flood", 1), encoding="utf-8")
+    gc.collect()
+    assert Scenario.load(path).name == "flood"
+    assert gc.collect() == 0  # no cycle made, and nothing left in the loader
+    if loader is getattr(yaml, "CSafeLoader", None):
+        tracemalloc.start()
+        try:
+            Scenario.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15e6  # composing a node graph first peaked at 27 MB
+
+
+# a JSON-like document, with some collections shared, which yaml.safe_dump writes once
+# under an anchor and then as aliases
+_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20)
+
+
+# CI runs 1000 examples with --hypothesis-profile=fuzz
+@given(st.lists(_JSON_LIKE, min_size=1, max_size=4), st.lists(st.integers(0, 3), max_size=6),
+       st.sampled_from([False, True, None]))
+def test_a_dumped_document_reads_as_yaml_load_reads_it(parts, shared, flow):
+    document = {"parts": parts, "shared": [parts[i % len(parts)] for i in shared]}
+    text = yaml.safe_dump(document, default_flow_style=flow)
+    assert_same_document(_read_yaml(text), yaml.load(text, Loader=_YAML_LOADER))
 
 
 def _sites(node, path=()):

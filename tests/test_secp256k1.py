@@ -345,7 +345,10 @@ def made(monkeypatch):
 
 
 PAYMENT = NativeTransfer(Address(bytes(range(20))), 5)
-OTHER = Transaction(Address(bytes(20)), 3, 7, PAYMENT, RecoverableSignature(1, 1, 0))
+# differs from the transaction under test in its signature alone, so that == reads that
+# signature whether __eq__ compares all fields at once (to 3.12) or one by one (3.13 on)
+OTHER = Transaction(KeyPair.from_private(42).address, 3, 7, PAYMENT,
+                    RecoverableSignature(1, 1, 0))
 
 
 @pytest.mark.parametrize(
